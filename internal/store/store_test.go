@@ -158,9 +158,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	sameTree(t, treeBytes(t, dir), treeBytes(t, dir2))
 }
 
+// goldenManifestSum is the MANIFEST.sha256 of the testCfg store: the
+// root hash of every byte the store writes for that build. A change that
+// moves it changes the released artifact and must update it on purpose.
+const goldenManifestSum = "8e20c7467cbba429a575fd136bb8a97863f0be48cb08f283f7292ac12e9ff41c"
+
 func TestGoldenManifestDeterminism(t *testing.T) {
 	// Two independent runs of the same build must serialize to
-	// byte-identical stores — the determinism gate for released artifacts.
+	// byte-identical stores — the determinism gate for released artifacts —
+	// and to the pinned bytes, so a consistent shift fails too.
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	for i := range dirs {
 		c, err := spider.Generate(testCfg)
@@ -173,7 +179,11 @@ func TestGoldenManifestDeterminism(t *testing.T) {
 		}
 		mustSave(t, dirs[i], b)
 	}
-	sameTree(t, treeBytes(t, dirs[0]), treeBytes(t, dirs[1]))
+	a := treeBytes(t, dirs[0])
+	sameTree(t, a, treeBytes(t, dirs[1]))
+	if got := string(bytes.TrimSpace(a[manifestSumName])); got != goldenManifestSum {
+		t.Fatalf("%s = %s, want the pinned %s", manifestSumName, got, goldenManifestSum)
+	}
 }
 
 // flipByte flips one bit of one byte in the middle of a file.
