@@ -193,12 +193,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			}
 		}
 	}
-	// Exit-code contract for the store health verbs, across every layout
-	// (legacy flat, sharded, replicated): -fsck exits non-zero iff the
-	// store has corruption (it never writes); -repair exits non-zero iff
-	// content was lost (a clean or fully-salvaged heal exits zero);
-	// -scrub exits non-zero iff an artifact was unrecoverable in every
-	// replica (divergence healed from a verified copy exits zero).
+	// Exit-code contract for the store health verbs, on both layouts
+	// (sharded, replicated): -fsck exits non-zero iff the store has
+	// corruption (it never writes); -repair exits non-zero iff content
+	// was lost (a clean or fully-salvaged heal exits zero); -scrub exits
+	// non-zero iff an artifact was unrecoverable in every replica
+	// (divergence healed from a verified copy exits zero). A format-1
+	// store fails all three at Open.
 	if *scrub {
 		rep, err := st.Scrub(ctx, store.ScrubOptions{})
 		if err != nil {

@@ -248,8 +248,8 @@ func TestScrubIntervalHealsWhileServing(t *testing.T) {
 	}
 }
 
-// writeLegacyFixture hand-builds a minimal, verifiable format-1 flat store
-// (empty benchmark): a legacy manifest, its sum, and a committed journal.
+// writeLegacyFixture hand-builds a minimal format-1 flat store (empty
+// benchmark): a format-1 manifest, its sum, and a committed journal.
 func writeLegacyFixture(t *testing.T, dir string) {
 	t.Helper()
 	manifest := []byte("{\n  \"format_version\": 1,\n  \"build\": {},\n  \"databases\": [],\n  \"entries\": []\n}\n")
@@ -275,22 +275,18 @@ func writeLegacyFixture(t *testing.T, dir string) {
 }
 
 // TestHealthVerbExitCodeParity pins the exit-code contract of -fsck,
-// -repair and -scrub across the three layouts: -fsck fails iff corrupt,
-// -repair fails iff content was lost (or the layout is read-only),
-// -scrub fails iff an artifact was unrecoverable in every replica.
+// -repair and -scrub on both layouts: -fsck fails iff corrupt, -repair
+// fails iff content was lost, -scrub fails iff an artifact was
+// unrecoverable in every replica. A format-1 store fails all three with
+// the rebuild error.
 func TestHealthVerbExitCodeParity(t *testing.T) {
 	t.Run("legacy flat", func(t *testing.T) {
 		dir := t.TempDir()
 		writeLegacyFixture(t, dir)
-		if out, err := runCLI(t, "-store", dir, "-fsck"); err != nil {
-			t.Fatalf("fsck of a clean legacy store: %v\n%s", err, out)
-		}
-		// The flat layout is read-only: both healing verbs refuse with a
-		// non-zero exit and point at the converting re-save.
-		for _, verb := range []string{"-repair", "-scrub"} {
+		for _, verb := range []string{"-fsck", "-repair", "-scrub"} {
 			out, err := runCLI(t, "-store", dir, verb)
-			if err == nil || !strings.Contains(err.Error(), "-save") {
-				t.Fatalf("%s of a legacy store: err = %v, want a refusal pointing at -save\n%s", verb, err, out)
+			if err == nil || !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "-save") {
+				t.Fatalf("%s of a format-1 store: err = %v, want the format 1 rebuild error\n%s", verb, err, out)
 			}
 		}
 	})

@@ -55,7 +55,7 @@ const (
 	SiteVariants   = "variants"   // bench NL-variant generation
 	SiteRender     = "render"     // render.VegaLite
 	SiteServer     = "server"     // server per-request middleware
-	SiteStoreSave  = "store.save" // legacy-layout store writes (pre-shard stores)
+	SiteStoreSave  = "store.save" // the store's stats.json write
 	SiteStoreLoad  = "store.load" // store artifact reads (Load, Verify, cache Get)
 
 	// Sharded-store sites: every write inside one shard (journal, entries,

@@ -233,7 +233,7 @@ func TestReadyzReportsDegradedStore(t *testing.T) {
 		t.Fatalf("server_degraded gauge = %d after clearing, want 0", got)
 	}
 
-	// Unsharded degradation (a legacy or monolithic repair) still shows:
+	// Degradation with no shard breakdown (a bare detail line) still shows:
 	// detail line only, gauge pinned to 1.
 	s.SetDegraded(&Degradation{Detail: "store repaired: lost 1 entry"})
 	if _, body := probe(); !strings.HasPrefix(body, "degraded: store repaired") {

@@ -108,21 +108,14 @@ type cachedVisRecord struct {
 }
 
 // cacheBox returns the box one cache key's record lives in: the shard the
-// key's first byte routes to, or the store root on a legacy flat store.
+// key's first byte routes to.
 func (c *PairCache) cacheBox(key string) box {
-	if c.store.legacy {
-		return c.store.legacyBox()
-	}
 	return c.store.shardBox(shardIndex(key, c.store.shardCount))
 }
 
 // Shard names the store shard a pair's cache record partitions into
-// (bench.ShardedCache); "" on a legacy flat store or when the pair cannot
-// be keyed.
+// (bench.ShardedCache); "" when the pair cannot be keyed.
 func (c *PairCache) Shard(p *spider.Pair) string {
-	if c.store.legacy {
-		return ""
-	}
 	key, err := c.key(p)
 	if err != nil {
 		return ""

@@ -47,8 +47,6 @@ type ShardRef struct {
 // Manifest indexes a saved benchmark. In the sharded layout (format 2) it
 // is the deterministic merge of the shard manifests: ShardCount and Shards
 // describe the partition, Entries/Databases are the merged global view.
-// Format-1 (legacy flat) manifests decode into the same type with the
-// shard fields empty.
 type Manifest struct {
 	FormatVersion int       `json:"format_version"`
 	Build         BuildInfo `json:"build"`
@@ -180,11 +178,6 @@ func (s *Store) Verify() (*FsckReport, error) {
 	var m Manifest
 	if err := decodeStrict(mdata, &m); err != nil {
 		rep.Corrupt = append(rep.Corrupt, Corruption{Path: manifestName, Detail: "undecodable: " + err.Error()})
-		return rep, nil
-	}
-	if m.FormatVersion == legacyFormatVersion {
-		s.verifyLegacy(rep, &m)
-		s.finishVerify(rep)
 		return rep, nil
 	}
 	if !validShardCount(m.ShardCount) {

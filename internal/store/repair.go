@@ -30,7 +30,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -96,7 +95,7 @@ func (s *Store) moveAside(rel string) error {
 // manifest re-merged from the surviving shard manifests. After a nil-error
 // return the store passes Verify and Load. On an already-clean store it is
 // a no-op (all-zero report). The error return is reserved for stores it
-// cannot operate on at all (I/O failures, legacy layout); partial salvage
+// cannot operate on at all (I/O failures); partial salvage
 // is a report, not an error — check Lossy.
 func (s *Store) Repair() (*RepairReport, error) {
 	finish := s.eventOp("repair")
@@ -113,9 +112,6 @@ func (s *Store) Repair() (*RepairReport, error) {
 
 func (s *Store) repair() (*RepairReport, error) {
 	defer s.timeOp("repair")()
-	if s.legacy {
-		return nil, errors.New("store: repair: legacy flat layout is read-only; convert it with a re-save (-save)")
-	}
 	rep := &RepairReport{}
 	swept, err := s.sweepAllTemps()
 	if err != nil {

@@ -158,13 +158,13 @@ func OpenReplicated(dir string) (*Store, error) {
 // references and picks, per shard, the first replica whose shard manifest
 // self-checks against the root. Probes go through the replica boxes, so
 // the primary's probe passes the store.replica.read fault site — which is
-// how chaos tests force failover. No-op on single-copy or legacy stores.
+// how chaos tests force failover. No-op on single-copy stores.
 func (s *Store) selectServing() {
-	if s.legacy || s.replicas <= 1 {
+	if s.replicas <= 1 {
 		return
 	}
 	m, _, err := s.loadManifest()
-	if err != nil || m.FormatVersion != FormatVersion {
+	if err != nil {
 		return
 	}
 	serving := map[string]int{}

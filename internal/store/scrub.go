@@ -19,7 +19,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -87,9 +86,6 @@ func (s *Store) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, err
 
 func (s *Store) scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, error) {
 	defer s.timeOp("scrub")()
-	if s.legacy {
-		return nil, errors.New("store: scrub: legacy flat layout is read-only; convert it with a re-save (-save)")
-	}
 	s.countScrubCycle()
 	rep := &ScrubReport{Replicas: s.replicas}
 	escalate := false

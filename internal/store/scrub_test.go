@@ -190,15 +190,6 @@ func TestScrubSingleCopyDegeneratesToVerify(t *testing.T) {
 	}
 }
 
-func TestScrubLegacyRefused(t *testing.T) {
-	_, b := testBench(t)
-	st, _ := mustSave(t, t.TempDir(), b)
-	st.legacy = true // same-package shortcut; the full fixture is exercised in shard_test.go
-	if _, err := st.Scrub(context.Background(), ScrubOptions{}); err == nil || !strings.Contains(err.Error(), "legacy") {
-		t.Fatalf("scrub of a legacy store: err = %v, want a legacy refusal", err)
-	}
-}
-
 func TestScrubHonorsContext(t *testing.T) {
 	_, b := testBench(t)
 	st, _ := mustSaveReplicated(t, t.TempDir(), b, 2)

@@ -1,12 +1,10 @@
 // Sharding tests: the determinism of parallel multi-shard saves, the
 // blast-radius containment contract (damage in one shard never takes
-// down the others), the legacy flat-layout migration path, and the
-// per-shard attribution of pair-cache traffic.
+// down the others), and the per-shard attribution of pair-cache traffic.
 
 package store
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -127,139 +125,6 @@ func TestBlastRadiusContainment(t *testing.T) {
 	}
 	if len(healed.Entries) != len(m.Entries)-1 {
 		t.Fatalf("healed store serves %d entries, want %d", len(healed.Entries), len(m.Entries)-1)
-	}
-}
-
-// TestLegacyStoreMigration drives a hand-built format-1 flat store
-// through the whole migration path: readable as-is, refused by Repair,
-// converted by Save into the byte-identical sharded layout with the flat
-// directories retired to lost+found/legacy/.
-func TestLegacyStoreMigration(t *testing.T) {
-	_, b := testBench(t)
-	srcDir := t.TempDir()
-	_, m := mustSave(t, srcDir, b)
-
-	// Assemble the flat v1 fixture from the sharded artifacts: entries and
-	// dbs flattened to the root (content addressing dedups the copies), a
-	// format-1 manifest, its sum, the stats, a clean journal.
-	dir := t.TempDir()
-	for _, sub := range []string{entriesDir, dbsDir} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		matches, err := filepath.Glob(filepath.Join(srcDir, shardsDir, "*", sub, "*.json"))
-		if err != nil || len(matches) == 0 {
-			t.Fatalf("no %s artifacts to flatten: %v", sub, err)
-		}
-		for _, src := range matches {
-			data, err := os.ReadFile(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, sub, filepath.Base(src)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	legacy := &Manifest{
-		FormatVersion: legacyFormatVersion,
-		Build:         m.Build,
-		Databases:     m.Databases,
-		Entries:       m.Entries,
-		Rejections:    m.Rejections,
-		Quarantine:    m.Quarantine,
-	}
-	mdata, err := canonicalJSON(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), mdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestSumName), []byte(hashBytes(mdata)+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := os.ReadFile(filepath.Join(srcDir, statsName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, statsName), stats, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	journal := concatLines(
-		mustLine(t, journalRecord{Op: opBegin, Build: &m.Build}),
-		mustLine(t, journalRecord{Op: opCommit}),
-	)
-	if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Readable as-is: Open detects the layout, Load reconstructs the same
-	// benchmark, Verify walks clean.
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Legacy() {
-		t.Fatal("flat fixture not detected as legacy")
-	}
-	if r := st.Status(); !r.Legacy || r.ShardCount != 0 {
-		t.Fatalf("legacy status = %+v, want Legacy with shard count 0", r)
-	}
-	lb, lm, err := st.Load()
-	if err != nil {
-		t.Fatalf("load of legacy store: %v", err)
-	}
-	if lm.FormatVersion != legacyFormatVersion {
-		t.Fatalf("loaded manifest format %d, want %d", lm.FormatVersion, legacyFormatVersion)
-	}
-	if benchFingerprint(lb) != benchFingerprint(b) {
-		t.Fatal("legacy load diverged from the original benchmark")
-	}
-	if rep, err := st.Verify(); err != nil || !rep.OK() {
-		t.Fatalf("verify of clean legacy store: %+v, %v", rep, err)
-	}
-
-	// Never written in place: Repair refuses and points at the conversion.
-	if _, err := st.Repair(); err == nil || !strings.Contains(err.Error(), "-save") {
-		t.Fatalf("legacy repair = %v, want a refusal pointing at -save", err)
-	}
-
-	// Save converts: the benchmark lands sharded, the flat directories
-	// retire to lost+found/legacy/, and — conversion aside — the result is
-	// byte-identical to a store that was born sharded.
-	if _, err := st.Save(lb, m.Build); err != nil {
-		t.Fatalf("converting save: %v", err)
-	}
-	if st.Legacy() {
-		t.Fatal("store still legacy after a converting save")
-	}
-	for _, sub := range []string{entriesDir, dbsDir} {
-		if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
-			t.Fatalf("flat %s/ still present after conversion", sub)
-		}
-		if _, err := os.Stat(filepath.Join(dir, lostFoundDir, "legacy", sub)); err != nil {
-			t.Fatalf("flat %s/ not retired to lost+found/legacy/: %v", sub, err)
-		}
-	}
-	got := treeBytes(t, dir)
-	for name := range got {
-		if strings.HasPrefix(name, lostFoundDir+"/") {
-			delete(got, name)
-		}
-	}
-	sameTree(t, treeBytes(t, srcDir), got)
-
-	// A reopen sees a normal sharded store.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Legacy() || st2.ShardCount() != m.ShardCount {
-		t.Fatalf("reopened store: legacy=%t count=%d, want sharded with %d", st2.Legacy(), st2.ShardCount(), m.ShardCount)
-	}
-	if rep, err := st2.Verify(); err != nil || !rep.OK() {
-		t.Fatalf("verify after conversion: %+v, %v", rep, err)
 	}
 }
 

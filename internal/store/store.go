@@ -44,10 +44,9 @@
 // (the root merge) or store.save (stats). Load degrades with a wrapped
 // error — never a panic — and cache corruption degrades to a cache miss.
 //
-// A pre-shard (format version 1) store still opens: Load, Verify and the
-// pair cache work read-only against the flat layout, and one Save converts
-// it in place — the benchmark is rewritten sharded and the old flat
-// directories retire to lost+found/legacy/.
+// Format 2 is the only layout. Open refuses a directory whose root
+// manifest says format 1 (the flat pre-shard layout) and leaves it
+// untouched; rebuild such a benchmark into a fresh store with -save.
 package store
 
 import (
@@ -74,10 +73,6 @@ import (
 // FormatVersion identifies the sharded artifact layout.
 const FormatVersion = 2
 
-// legacyFormatVersion is the flat pre-shard layout, readable but not
-// writable; Save converts it to the current layout.
-const legacyFormatVersion = 1
-
 const (
 	manifestName    = "MANIFEST.json"
 	manifestSumName = "MANIFEST.sha256"
@@ -95,7 +90,6 @@ type Store struct {
 	replicas      int  // copies of every shard the next Save writes (1 = single-copy layout)
 	replicasFixed bool // the layout on disk already chose the replica count
 	saveWorkers   int  // bounded pool for parallel shard saves
-	legacy        bool // flat format-1 layout: read-only until a Save converts it
 	open          OpenReport
 	ins           *obs.Instruments // nil disables instrumentation; see Instrument
 
@@ -129,8 +123,7 @@ type OpenReport struct {
 	PendingIntents int           // root artifacts the interrupted merge intended
 	PendingMissing int           // of those, absent on disk
 	PendingTorn    int           // of those, present but hashing wrong (torn write)
-	ShardCount     int           // shard count of the layout (0 for legacy)
-	Legacy         bool          // flat format-1 layout
+	ShardCount     int           // shard count of the layout
 	Shards         []ShardStatus // dirty or sick shards, in name order
 }
 
@@ -177,16 +170,19 @@ func (r OpenReport) String() string {
 		base, len(r.Shards), r.ShardCount, strings.Join(r.SickShards(), ", "))
 }
 
-// Open roots a store at dir, creating it as needed. It detects the layout
-// (sharded, or flat legacy), sweeps temp files left by interrupted writes
-// and reads every journal, so a crashed store is diagnosed — not repaired —
-// at open time; see Status and Repair.
+// Open roots a store at dir, creating it as needed. It detects the
+// layout's shard and replica counts, sweeps temp files left by interrupted
+// writes and reads every journal, so a crashed store is diagnosed — not
+// repaired — at open time; see Status and Repair. A format-1 directory is
+// refused before anything on disk is touched.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	s := &Store{dir: dir, shardCount: DefaultShardCount, replicas: 1, saveWorkers: runtime.GOMAXPROCS(0)}
-	s.detectLayout()
+	if err := s.detectLayout(); err != nil {
+		return nil, err
+	}
 	swept, err := s.sweepAllTemps()
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -196,16 +192,15 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// detectLayout decides, from what is on disk, whether this is a legacy
-// flat store and what shard count a sharded one uses. It must work on
+// detectLayout decides, from what is on disk, what shard and replica
+// counts the store uses, and refuses a format-1 store. It must work on
 // stores Verify would reject, so it peeks rather than validates.
-func (s *Store) detectLayout() {
+func (s *Store) detectLayout() error {
 	if data, err := os.ReadFile(filepath.Join(s.dir, manifestName)); err == nil {
 		var m Manifest
 		if decodeStrict(data, &m) == nil {
-			if m.FormatVersion == legacyFormatVersion {
-				s.legacy = true
-				return
+			if m.FormatVersion == 1 {
+				return fmt.Errorf("store: open %s: format 1 (the flat pre-shard layout) is not supported; rebuild the benchmark into a fresh store with -save", s.dir)
 			}
 			if m.FormatVersion == FormatVersion && validShardCount(m.ShardCount) {
 				s.shardCount = m.ShardCount
@@ -214,7 +209,7 @@ func (s *Store) detectLayout() {
 					s.replicas = m.ReplicaCount
 				}
 				s.replicasFixed = true // zero ReplicaCount pins the single-copy layout
-				return
+				return nil
 			}
 		}
 	}
@@ -227,35 +222,23 @@ func (s *Store) detectLayout() {
 			s.replicas = j.Begin.Replicas
 		}
 		s.replicasFixed = true
-		return
+		return nil
 	}
 	// Manifest and journal both gone: replica directories on disk still
 	// witness a replicated layout.
 	if n := s.replicaDirsOnDisk(); n >= 2 {
 		s.replicas = n
 		s.replicasFixed = true
-		return
 	}
-	// A legacy store can lose its manifest too: flat entries/ at the root
-	// with no shards/ (or replicas/) directory is the old layout.
-	if _, err := os.Stat(filepath.Join(s.dir, shardsDir)); os.IsNotExist(err) {
-		if _, err := os.Stat(filepath.Join(s.dir, entriesDir)); err == nil {
-			s.legacy = true
-		}
-	}
+	return nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
 // ShardCount returns the shard count the store uses (what the next Save
-// writes; 0 is never returned — legacy stores report the count a
-// converting Save would use).
+// writes).
 func (s *Store) ShardCount() int { return s.shardCount }
-
-// Legacy reports whether the store is the flat pre-shard layout (readable;
-// a Save converts it).
-func (s *Store) Legacy() bool { return s.legacy }
 
 // SetShardCount configures how many shards the next Save writes; n must be
 // a power of two in [1, 256]. On a store whose on-disk layout already
@@ -313,12 +296,7 @@ func (s *Store) refreshStatus() {
 	s.open.Journal = j.State
 	s.open.PendingIntents, s.open.PendingMissing, s.open.PendingTorn = classifyIntents(root, j)
 	s.open.ShardCount = s.shardCount
-	s.open.Legacy = s.legacy
 	s.open.Shards = nil
-	if s.legacy {
-		s.open.ShardCount = 0
-		return
-	}
 	refs := s.rootShardRefs()
 	names, err := s.shardUniverse(refs)
 	if err != nil {
@@ -386,7 +364,7 @@ func (s *Store) noteSick(shard, detail string) {
 // sweepAllTemps sweeps stray temp files in the root and in every shard
 // directory on disk, across every replica.
 func (s *Store) sweepAllTemps() (int, error) {
-	swept, err := s.rootBox().sweepTemps([]string{"", entriesDir, dbsDir, cacheDir, indexesDir})
+	swept, err := s.rootBox().sweepTemps([]string{"", indexesDir})
 	if err != nil {
 		return swept, err
 	}
@@ -463,9 +441,7 @@ func decodeStrict(data []byte, v any) error {
 // deterministic: two runs of the same build produce byte-identical stores,
 // journals included, at any worker count. A Save that fails or crashes
 // partway dirties the root journal plus exactly the shards that had not
-// committed, which Open diagnoses and Repair heals. On a legacy store,
-// Save is the conversion: the benchmark lands sharded and the flat
-// directories retire to lost+found/legacy/.
+// committed, which Open diagnoses and Repair heals.
 func (s *Store) Save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 	finish := s.eventOp("save")
 	m, err := s.save(b, info)
@@ -535,13 +511,6 @@ func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 		s.refreshStatus()
 		return nil, err
 	}
-	if s.legacy {
-		if err := s.retireLegacy(); err != nil {
-			s.refreshStatus()
-			return nil, err
-		}
-		s.legacy = false
-	}
 	s.countFixed = true
 	s.replicasFixed = true
 	s.refreshStatus()
@@ -549,7 +518,7 @@ func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 }
 
 // loadManifest reads and self-checks the root manifest, returning it with
-// its raw bytes. Both layouts decode here; callers branch on FormatVersion.
+// its raw bytes.
 func (s *Store) loadManifest() (*Manifest, []byte, error) {
 	data, err := s.rootBox().readArtifact(manifestName)
 	if err != nil {
@@ -566,15 +535,11 @@ func (s *Store) loadManifest() (*Manifest, []byte, error) {
 	if err := decodeStrict(data, &m); err != nil {
 		return nil, nil, fmt.Errorf("store: decode %s: %w", manifestName, err)
 	}
-	switch m.FormatVersion {
-	case FormatVersion:
-		if !validShardCount(m.ShardCount) {
-			return nil, nil, fmt.Errorf("store: %s: invalid shard count %d", manifestName, m.ShardCount)
-		}
-	case legacyFormatVersion:
-		// Flat layout: readable as-is.
-	default:
+	if m.FormatVersion != FormatVersion {
 		return nil, nil, fmt.Errorf("store: format version %d, this build reads %d", m.FormatVersion, FormatVersion)
+	}
+	if !validShardCount(m.ShardCount) {
+		return nil, nil, fmt.Errorf("store: %s: invalid shard count %d", manifestName, m.ShardCount)
 	}
 	return &m, data, nil
 }
@@ -613,9 +578,6 @@ func (s *Store) load() (*bench.Benchmark, *Manifest, error) {
 	m, _, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, err
-	}
-	if m.FormatVersion == legacyFormatVersion {
-		return s.loadLegacy(m)
 	}
 	entries, _, err := s.loadShardEntries(m, false)
 	if err != nil {
@@ -660,15 +622,6 @@ func (s *Store) loadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, erro
 	m, _, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if m.FormatVersion == legacyFormatVersion {
-		// The flat layout has a single blast radius; partial loading cannot
-		// do better than Load.
-		b, m, err := s.loadLegacy(m)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return b, m, nil, nil
 	}
 	entries, fails, err := s.loadShardEntries(m, true)
 	if err != nil {

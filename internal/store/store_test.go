@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -203,17 +204,13 @@ func flipByte(t *testing.T, path string) {
 }
 
 // anyArtifact returns one artifact path of the given kind (entriesDir,
-// dbsDir or cacheDir), searching the shard directories of a sharded store
-// (primary replica first on a replicated one) and the root of a legacy
-// flat one.
+// dbsDir or cacheDir), searching the shard directories of the store
+// (the primary replica's on a replicated one).
 func anyArtifact(t *testing.T, dir, sub string) string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, shardsDir, "*", sub, "*.json"))
 	if err != nil || len(matches) == 0 {
 		matches, err = filepath.Glob(filepath.Join(dir, replicasDir, "r0", shardsDir, "*", sub, "*.json"))
-	}
-	if err != nil || len(matches) == 0 {
-		matches, err = filepath.Glob(filepath.Join(dir, sub, "*.json"))
 	}
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no artifacts under %s for %s", dir, sub)
@@ -437,4 +434,40 @@ func TestLoadMissingStore(t *testing.T) {
 	if _, err := st.Verify(); err == nil {
 		t.Fatal("Verify of an empty store must error")
 	}
+}
+
+// TestOpenRefusesFormat1 checks the one answer a flat pre-shard (format
+// 1) store gets: Open fails with an error naming the format and the
+// rebuild, before it sweeps temps or touches anything else on disk.
+func TestOpenRefusesFormat1(t *testing.T) {
+	dir := t.TempDir()
+	mdata, err := canonicalJSON(&Manifest{FormatVersion: 1, Databases: []string{}, Entries: []EntryRef{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		manifestName:    mdata,
+		manifestSumName: []byte(hashBytes(mdata) + "\n"),
+		journalName:     concatLines(mustLine(t, journalRecord{Op: opBegin}), mustLine(t, journalRecord{Op: opCommit})),
+		// Stray temps from an interrupted write: a sweeping Open would
+		// remove them.
+		"." + manifestName + ".tmp1":                []byte("torn"),
+		entriesDir + "/.x.json.tmp2":                []byte("torn"),
+		entriesDir + "/" + hashBytes(nil) + ".json": nil,
+	}
+	for rel, data := range files {
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := treeBytes(t, dir)
+	st, err := Open(dir)
+	if err == nil || !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("Open of a format-1 store = (%v, %v), want the format 1 rebuild error", st, err)
+	}
+	sameTree(t, before, treeBytes(t, dir))
 }
