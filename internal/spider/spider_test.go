@@ -26,6 +26,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateNegativeLiteralSeed pins seed 71, whose corpus carries a
+// negative literal (capacity > -0.12) that the SQL lexer once rejected.
+func TestGenerateNegativeLiteralSeed(t *testing.T) {
+	if _, err := Generate(Config{Seed: 71, NumDatabases: 40, PairsPerDB: 16, MaxRows: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGenerateInvalidConfig(t *testing.T) {
 	if _, err := Generate(Config{}); err == nil {
 		t.Fatal("expected error for zero config")

@@ -14,7 +14,6 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind int
@@ -65,20 +64,35 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
 			i = j + 1
-		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9'):
+		case startsNumber(input[i:]):
 			j := i
+			if c == '-' { // a leading minus is part of a negative literal
+				j++
+			}
 			seenDot := false
-			for j < n && (input[j] >= '0' && input[j] <= '9' || (input[j] == '.' && !seenDot)) {
+			for j < n && (isDigit(input[j]) || (input[j] == '.' && !seenDot)) {
 				if input[j] == '.' {
 					seenDot = true
 				}
 				j++
 			}
+			// An exponent, as ast renders large and small numbers (1e+06).
+			if k := j + 1; k < n && (input[j] == 'e' || input[j] == 'E') {
+				if input[k] == '+' || input[k] == '-' {
+					k++
+				}
+				if k < n && isDigit(input[k]) {
+					j = k
+					for j < n && isDigit(input[j]) {
+						j++
+					}
+				}
+			}
 			toks = append(toks, token{kind: tokNumber, text: input[i:j], pos: i})
 			i = j
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			j := i
-			for j < n && isIdentPart(rune(input[j])) {
+			for j < n && isIdentPart(input[j]) {
 				j++
 			}
 			toks = append(toks, token{kind: tokIdent, text: strings.ToLower(input[i:j]), pos: i})
@@ -107,10 +121,23 @@ func lex(input string) ([]token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// startsNumber reports whether s begins a numeric literal: a digit, a '.'
+// before a digit, or a '-' before either (no other token uses '-').
+func startsNumber(s string) bool {
+	if strings.HasPrefix(s, "-") {
+		s = s[1:]
+	}
+	return len(s) > 0 && isDigit(s[0]) || len(s) > 1 && s[0] == '.' && isDigit(s[1])
 }
 
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// Identifiers are ASCII: the lexer reads bytes, and a non-ASCII byte
+// taken for a letter would not survive lower-casing and re-rendering.
+func isIdentStart(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+}
+
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || isDigit(c)
 }

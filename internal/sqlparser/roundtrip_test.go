@@ -8,29 +8,33 @@ import (
 	"nvbench/internal/ast"
 )
 
+// roundTripSQL are SQL-representable queries over schemaDB; they are
+// TestSQLRenderRoundTrip's inputs and FuzzTryParse's seed corpus.
+var roundTripSQL = []string{
+	"SELECT origin FROM flight",
+	"SELECT DISTINCT origin FROM flight",
+	"SELECT origin, COUNT(*) FROM flight GROUP BY origin",
+	"SELECT origin, AVG(price) FROM flight WHERE price > 100 GROUP BY origin HAVING COUNT(*) > 2",
+	"SELECT origin FROM flight WHERE origin LIKE 'New%' AND price BETWEEN 10 AND 500",
+	"SELECT origin FROM flight WHERE origin NOT LIKE 'X%'",
+	"SELECT origin FROM flight WHERE origin IN ('JFK', 'LAX')",
+	"SELECT origin FROM flight WHERE aid IN (SELECT aid FROM airline)",
+	"SELECT origin FROM flight WHERE price > (SELECT AVG(price) FROM flight)",
+	"SELECT origin, price FROM flight ORDER BY price DESC",
+	"SELECT origin, price FROM flight ORDER BY price DESC LIMIT 3",
+	"SELECT origin FROM flight UNION SELECT destination FROM flight",
+	"SELECT origin FROM flight INTERSECT SELECT destination FROM flight",
+	"SELECT origin FROM flight WHERE price > 1 OR origin = 'JFK'",
+	"SELECT origin FROM flight WHERE price = 2.5 AND destination != 'BOS'",
+	"SELECT origin FROM flight WHERE price > -0.12 AND fno < -3",
+}
+
 // TestSQLRenderRoundTrip: rendering a parsed query back to SQL and
 // re-parsing it reproduces the same tree (for trees without binning, whose
 // GROUP BY has no SQL counterpart).
 func TestSQLRenderRoundTrip(t *testing.T) {
 	db := schemaDB()
-	sqls := []string{
-		"SELECT origin FROM flight",
-		"SELECT DISTINCT origin FROM flight",
-		"SELECT origin, COUNT(*) FROM flight GROUP BY origin",
-		"SELECT origin, AVG(price) FROM flight WHERE price > 100 GROUP BY origin HAVING COUNT(*) > 2",
-		"SELECT origin FROM flight WHERE origin LIKE 'New%' AND price BETWEEN 10 AND 500",
-		"SELECT origin FROM flight WHERE origin NOT LIKE 'X%'",
-		"SELECT origin FROM flight WHERE origin IN ('JFK', 'LAX')",
-		"SELECT origin FROM flight WHERE aid IN (SELECT aid FROM airline)",
-		"SELECT origin FROM flight WHERE price > (SELECT AVG(price) FROM flight)",
-		"SELECT origin, price FROM flight ORDER BY price DESC",
-		"SELECT origin, price FROM flight ORDER BY price DESC LIMIT 3",
-		"SELECT origin FROM flight UNION SELECT destination FROM flight",
-		"SELECT origin FROM flight INTERSECT SELECT destination FROM flight",
-		"SELECT origin FROM flight WHERE price > 1 OR origin = 'JFK'",
-		"SELECT origin FROM flight WHERE price = 2.5 AND destination != 'BOS'",
-	}
-	for _, sql := range sqls {
+	for _, sql := range roundTripSQL {
 		q1, err := TryParse(sql, db)
 		if err != nil {
 			t.Fatalf("parse %q: %v", sql, err)

@@ -48,7 +48,8 @@ for target in \
     "FuzzJournalRecover ./internal/store" \
     "FuzzShardRoute ./internal/store" \
     "FuzzScrubResolve ./internal/store" \
-    "FuzzVQLParse ./internal/vql"; do
+    "FuzzVQLParse ./internal/vql" \
+    "FuzzTryParse ./internal/sqlparser"; do
     set -- $target
     go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s "$2"
 done
