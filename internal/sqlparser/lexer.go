@@ -124,9 +124,7 @@ func lex(input string) ([]token, error) {
 // startsNumber reports whether s begins a numeric literal: a digit, a '.'
 // before a digit, or a '-' before either (no other token uses '-').
 func startsNumber(s string) bool {
-	if strings.HasPrefix(s, "-") {
-		s = s[1:]
-	}
+	s = strings.TrimPrefix(s, "-")
 	return len(s) > 0 && isDigit(s[0]) || len(s) > 1 && s[0] == '.' && isDigit(s[1])
 }
 

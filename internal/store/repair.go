@@ -95,8 +95,8 @@ func (s *Store) moveAside(rel string) error {
 // manifest re-merged from the surviving shard manifests. After a nil-error
 // return the store passes Verify and Load. On an already-clean store it is
 // a no-op (all-zero report). The error return is reserved for stores it
-// cannot operate on at all (I/O failures); partial salvage
-// is a report, not an error — check Lossy.
+// cannot operate on at all (I/O failures); partial salvage is a report,
+// not an error — check Lossy.
 func (s *Store) Repair() (*RepairReport, error) {
 	finish := s.eventOp("repair")
 	rep, err := s.repair()
