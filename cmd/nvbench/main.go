@@ -94,8 +94,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	// Observability: every layer shares one Instruments bundle over a
 	// run-scoped registry (so in-process test runs do not bleed counts into
-	// each other). The tracer is only allocated under -trace; metrics are
-	// always on (nil-safe counters make them nearly free).
+	// each other). Metrics and wide events are always on; -trace renders
+	// the run's events, so a traced build grows the event ring to hold
+	// them all.
 	reg := obs.NewRegistry()
 	ins := &obs.Instruments{
 		Metrics: reg,
@@ -111,9 +112,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fault.RegisterEvents(ins.Events)
 	defer fault.RegisterEvents(nil)
 	defer sqlparser.Instrument(ins)()
-	if *tracePath != "" {
-		ins.Tracer = obs.NewTracer(ins.Clock)
-	}
 	if *debugAddr != "" {
 		go func() {
 			if err := server.RunDebug(ctx, *debugAddr, reg); err != nil {
@@ -267,6 +265,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	opts.Workers = *workers
 	opts.Retries = *retries
 	opts.Obs = ins
+	if *tracePath != "" {
+		// Per pair: its own event plus treeedit, deepeye and nledit for
+		// each attempt; the default ring size covers store and fault events.
+		ins.Events.Reserve(obs.DefaultEventCapacity + len(corpus.Pairs)*(1+3*max(opts.Retries, 1)))
+	}
 	fingerprint := store.Fingerprint(opts)
 	if *incr {
 		opts.Cache = st.PairCache(fingerprint)
@@ -323,7 +326,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprintf(w, "\nwrote %s\n", *out)
 	}
 
-	if err := writeTrace(*tracePath, ins.Tracer); err != nil {
+	if err := writeTrace(*tracePath, ins.Events); err != nil {
 		return err
 	}
 	if *serve != "" {
@@ -385,17 +388,22 @@ func writeStageTable(w io.Writer, reg *obs.Registry) {
 	}
 }
 
-// writeTrace flushes the tracer's events as a Chrome trace-event file; a
-// no-op without -trace.
-func writeTrace(path string, tr *obs.Tracer) error {
-	if path == "" || tr == nil {
+// writeTrace renders the run's wide events as a Chrome trace-event file; a
+// no-op without -trace. It refuses to write a truncated trace: when the
+// ring overwrote events, the error says how many were lost.
+func writeTrace(path string, rec *obs.EventRecorder) error {
+	if path == "" {
 		return nil
+	}
+	events := rec.Events(obs.EventFilter{})
+	if total := rec.Total(); total > uint64(len(events)) {
+		return fmt.Errorf("-trace: the event ring kept %d of the run's %d events; not writing a truncated %s", len(events), total, path)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := tr.WriteJSON(f)
+	werr := obs.WriteChromeTrace(f, events)
 	cerr := f.Close()
 	if werr != nil {
 		return werr
@@ -529,7 +537,7 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 		}
 		fmt.Fprintf(w, "\nwrote %s\n", out)
 	}
-	if err := writeTrace(tracePath, ins.Tracer); err != nil {
+	if err := writeTrace(tracePath, ins.Events); err != nil {
 		return err
 	}
 	degraded = replicaDegradation(st, degraded)

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nvbench/internal/obs"
 )
 
 // TestTraceFlagEmitsChromeTrace runs a small build with -trace and checks
@@ -76,6 +78,45 @@ func TestTraceFlagEmitsChromeTrace(t *testing.T) {
 		if stages[stage] == 0 {
 			t.Errorf("no %s spans in trace (have %v)", stage, stages)
 		}
+	}
+}
+
+// TestTraceFlagOnStoreLoad traces the -store load path, which runs no
+// synthesis: the file must hold the store's load event, not a null list.
+func TestTraceFlagOnStoreLoad(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := runCLI(t, append(smallBuild, "-store", dir, "-save")...); err != nil {
+		t.Fatalf("save run: %v\n%s", err, out)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if out, err := runCLI(t, "-store", dir, "-trace", path); err != nil {
+		t.Fatalf("load run with -trace: %v\n%s", err, out)
+	}
+	var file struct {
+		TraceEvents []struct{ Name, Cat string } `json:"traceEvents"`
+	}
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &file)
+	}
+	if err != nil || len(file.TraceEvents) != 1 || file.TraceEvents[0] != struct{ Name, Cat string }{"load", "store"} {
+		t.Fatalf("want one store load span, got %v:\n%s", err, data)
+	}
+}
+
+// TestWriteTraceRefusesTruncatedRing checks that a trace whose events the
+// ring already overwrote fails instead of writing a partial file.
+func TestWriteTraceRefusesTruncatedRing(t *testing.T) {
+	rec := obs.NewEventRecorder(1, nil)
+	rec.Emit("a", obs.LayerBench, "pair", "ok", time.Millisecond)
+	rec.Emit("b", obs.LayerBench, "pair", "ok", time.Millisecond)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	err := writeTrace(path, rec)
+	if err == nil || !strings.Contains(err.Error(), "kept 1 of the run's 2 events") {
+		t.Fatalf("writeTrace over a wrapped ring = %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("truncated trace was written (stat err %v)", err)
 	}
 }
 

@@ -111,8 +111,9 @@ func modulePath(file string) (string, error) {
 // Load resolves package patterns relative to the module root and returns the
 // matched packages, type-checked, sorted by import path. Supported patterns:
 // "./..." (every package under the module), "./dir/..." (every package under
-// dir) and "./dir" (one package). Directories named testdata or vendor and
-// hidden directories are skipped, as the go tool does.
+// dir) and "./dir" (one package). Directories named testdata or vendor,
+// hidden directories, and nested modules (any directory below the module
+// root holding its own go.mod) are skipped, as the go tool does.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	paths, err := l.expandPatterns(patterns)
 	if err != nil {
@@ -151,6 +152,9 @@ func (l *Loader) expandPatterns(patterns []string) ([]string, error) {
 				name := d.Name()
 				if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != l.ModDir {
+					return filepath.SkipDir // a nested module is not part of this one
 				}
 				if l.hasGoFiles(path) {
 					dirs[path] = true

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"errors"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,6 +56,42 @@ func TestLoadPatternSkipsTestdata(t *testing.T) {
 		if pkgs[i-1].ImportPath >= pkgs[i].ImportPath {
 			t.Errorf("packages not sorted: %s before %s", pkgs[i-1].ImportPath, pkgs[i].ImportPath)
 		}
+	}
+}
+
+// TestLoadPatternSkipsNestedModules builds a module holding a nested
+// module and checks "./..." stops at the nested go.mod, as go vet does.
+func TestLoadPatternSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, body := range map[string]string{
+		"go.mod":            "module example.com/outer\n",
+		"a/a.go":            "package a\n",
+		"inner/go.mod":      "module example.com/inner\n",
+		"inner/b/b.go":      "package b\n",
+		"inner/c.go":        "package inner\n",
+		"deep/x/go.mod":     "module example.com/x\n",
+		"deep/x/x.go":       "package x\n",
+		"deep/kept/kept.go": "package kept\n",
+	} {
+		full := filepath.Join(root, path)
+		if err := errors.Join(os.MkdirAll(filepath.Dir(full), 0o755), os.WriteFile(full, []byte(body), 0o644)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.ImportPath)
+	}
+	if want := "example.com/outer/a example.com/outer/deep/kept"; strings.Join(got, " ") != want {
+		t.Fatalf("./... matched %v, want %s", got, want)
 	}
 }
 

@@ -6,16 +6,16 @@
 //     lowercase_underscore identifiers ([a-z][a-z0-9_]*). String-literal
 //     violations carry a suggested fix applied by nvlint -fix;
 //   - counters (Registry.Counter, Instruments.Inc/Add) must end _total and
-//     histograms (Registry.Histogram, Instruments.Observe/TimeHistogram)
+//     histograms (Registry.Histogram, Instruments.TimeHistogram)
 //     must end _seconds, while gauges must end in neither — the Prometheus
 //     type conventions the exposition tests assume;
 //   - inside the obs packages, every package-level _seconds constant must
 //     be referenced by RegisterBase, so the full histogram schema is
 //     visible on a /metrics scrape before the first request or build
 //     touches a series;
-//   - wide-event field keys — the literal kv keys of Emit calls, which
-//     become JSON field names in /debug/events and slowlog.jsonl — must be
-//     canonical identifiers too.
+//   - wide-event field keys — the literal kv keys of Emit and Timing.End
+//     calls, which become JSON field names in /debug/events and
+//     slowlog.jsonl — must be canonical identifiers too.
 package obslabel
 
 import (
@@ -39,14 +39,14 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // Analyzer is the metric/label naming check.
 var Analyzer = &analysis.Analyzer{
 	Name:    "obslabel",
-	Version: "3",
+	Version: "4",
 	Doc: "metric names, label keys and wide-event field keys must be\n" +
 		"canonical lowercase_underscore\n\n" +
 		"Counters end _total, histograms end _seconds, gauges end in\n" +
 		"neither, label keys match [a-z][a-z0-9_]*, and every _seconds\n" +
 		"constant in internal/obs is pre-registered by RegisterBase so the\n" +
-		"schema is scrapeable before traffic. Wide-event Emit calls must use\n" +
-		"canonical literal field keys (they become JSON field names in\n" +
+		"schema is scrapeable before traffic. Wide-event Emit and End calls\n" +
+		"must use canonical literal field keys (they become JSON field names in\n" +
 		"/debug/events and the slow log). Literal violations carry a\n" +
 		"suggested fix for nvlint -fix.",
 	Run: run,
@@ -87,8 +87,8 @@ func run(pass *analysis.Pass) []analysis.Diagnostic {
 			checkLabelCall(pass, call)
 			return
 		}
-		if fn.Name() == "Emit" {
-			checkEmitCall(pass, call)
+		if first, ok := eventKVStart[fn.Name()]; ok {
+			checkEventFields(pass, call, first)
 			return
 		}
 		if kind, ok := metricKinds[fn.Name()]; ok && len(call.Args) >= 1 {
@@ -111,16 +111,21 @@ func checkLabelCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-// checkEmitCall validates the kv extras of a wide-event Emit call — the
-// signature is Emit(op, layer, site, outcome, duration, kv...), so the
-// literal field keys sit at argument indices 5, 7, 9…. They become JSON
-// field names in /debug/events and slowlog.jsonl, so they obey the same
-// canonical shape as label keys. A spread (kv...) is opaque and skipped.
-func checkEmitCall(pass *analysis.Pass, call *ast.CallExpr) {
+// eventKVStart maps the wide-event calls of the obs packages to the
+// argument index of their first kv field key: Emit(op, layer, site,
+// outcome, duration, kv...) and Timing.End(outcome, kv...).
+var eventKVStart = map[string]int{"Emit": 5, "End": 1}
+
+// checkEventFields validates the kv extras of a wide-event call, whose
+// literal field keys sit at argument indices first, first+2, …. They become
+// JSON field names in /debug/events and slowlog.jsonl, so they obey the
+// same canonical shape as label keys. A spread (kv...) is opaque and
+// skipped.
+func checkEventFields(pass *analysis.Pass, call *ast.CallExpr, first int) {
 	if call.Ellipsis.IsValid() {
 		return
 	}
-	for i := 5; i < len(call.Args); i += 2 {
+	for i := first; i < len(call.Args); i += 2 {
 		checkName(pass, call.Args[i], "event field key")
 	}
 }

@@ -43,3 +43,10 @@ type EventRecorder struct{}
 func (r *EventRecorder) Emit(op, layer, site, outcome string, d int64, kv ...string) {
 	_, _, _, _, _, _ = op, layer, site, outcome, d, kv
 }
+
+// Timing is one timed operation in flight.
+type Timing struct{}
+
+// End closes the operation with one wide event; kv holds alternating field
+// keys and values.
+func (t *Timing) End(outcome string, kv ...string) { _, _ = outcome, kv }

@@ -26,3 +26,13 @@ func emit() {
 	kv := []string{"Spread-Keys", "are", "opaque", "here"}
 	rec.Emit("op1", "http", "/", "ok", 5, kv...)
 }
+
+var timing obs.Timing
+
+func end() {
+	timing.End("ok", "shards", "4")
+	timing.End("error", "Failed-Shards", "1")           // want `event field key "Failed-Shards" is not canonical lowercase_underscore; use "failed_shards"`
+	timing.End("ok", "cache_hit", "yes", "pairID", "7") // want `event field key "pairID" is not canonical lowercase_underscore; use "pairid"`
+	kv := []string{"Spread-Keys", "are", "opaque"}
+	timing.End("ok", kv...)
+}

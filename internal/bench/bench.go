@@ -67,9 +67,10 @@ type Options struct {
 	// Cache is the incremental-build cache; pairs with a cached outcome
 	// skip synthesis entirely (nil disables caching).
 	Cache PairCache
-	// Obs receives per-stage latency histograms, build counters, and — when
-	// its Tracer is set — one span per pipeline stage per pair. Nil disables
-	// instrumentation; either way the assembled benchmark is byte-identical.
+	// Obs receives build counters and one timed record per pair and per
+	// pipeline stage: a stage histogram observation plus a wide event
+	// carrying the pair's op ID. Nil disables instrumentation; either way
+	// the assembled benchmark is byte-identical.
 	Obs *obs.Instruments
 }
 

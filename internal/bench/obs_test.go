@@ -35,7 +35,6 @@ func TestInstrumentedBuildIsByteIdentical(t *testing.T) {
 	rec := obs.NewEventRecorder(obs.DefaultEventCapacity, obs.NewManualClock(time.Unix(0, 0)))
 	ins := &obs.Instruments{
 		Metrics: obs.NewRegistry(),
-		Tracer:  obs.NewTracer(obs.NewTickingClock(time.Unix(0, 0), time.Millisecond)),
 		Clock:   obs.RealClock{},
 		Events:  rec,
 		IDs:     obs.NewIDGen(obs.NewManualClock(time.Unix(0, 0))),
@@ -74,14 +73,15 @@ func TestInstrumentedBuildIsByteIdentical(t *testing.T) {
 }
 
 // TestBuildRecordsStageMetricsAndSpans checks that an instrumented build
-// populates the per-stage histograms, the pipeline counters, and one pair
-// span (with nested stage spans) per source pair.
+// populates the per-stage histograms, the pipeline counters, and — in the
+// Chrome trace its events render to — one pair span per source pair, each
+// on its own track with its stage spans nested in it.
 func TestBuildRecordsStageMetricsAndSpans(t *testing.T) {
 	corpus := buildCorpus(t)
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(obs.NewTickingClock(time.Unix(0, 0), time.Millisecond))
+	rec := obs.NewEventRecorder(obs.DefaultEventCapacity, nil)
 	opts := DefaultOptions()
-	opts.Obs = &obs.Instruments{Metrics: reg, Tracer: tr, Clock: obs.RealClock{}}
+	opts.Obs = &obs.Instruments{Metrics: reg, Clock: obs.RealClock{}, Events: rec}
 	b, err := Build(corpus, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +98,11 @@ func TestBuildRecordsStageMetricsAndSpans(t *testing.T) {
 		t.Errorf("pairs counter = %d, stats say %d", got, b.Stats.PairsSynthesized)
 	}
 
+	if total := rec.Total(); total > obs.DefaultEventCapacity {
+		t.Fatalf("build emitted %d events, more than the ring holds", total)
+	}
 	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+	if err := obs.WriteChromeTrace(&sb, rec.Events(obs.EventFilter{})); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -114,12 +117,19 @@ func TestBuildRecordsStageMetricsAndSpans(t *testing.T) {
 	pairSpans := 0
 	stageSpans := map[string]int{}
 	pairTIDs := map[int64]bool{}
+	var stageTIDs []int64
 	for _, ev := range file.TraceEvents {
 		if ev.Name == "pair" {
 			pairSpans++
 			pairTIDs[ev.TID] = true
 		} else {
 			stageSpans[ev.Name]++
+			stageTIDs = append(stageTIDs, ev.TID)
+		}
+	}
+	for _, tid := range stageTIDs {
+		if !pairTIDs[tid] {
+			t.Fatalf("stage span on track %d, which holds no pair span", tid)
 		}
 	}
 	if pairSpans != len(corpus.Pairs) {
@@ -149,25 +159,11 @@ func BenchmarkBuildInstrumentation(b *testing.B) {
 			}
 		}
 	})
-	b.Run("instrumented", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := DefaultOptions()
-			opts.Obs = &obs.Instruments{
-				Metrics: obs.NewRegistry(),
-				Tracer:  obs.NewTracer(obs.RealClock{}),
-				Clock:   obs.RealClock{},
-			}
-			if _, err := Build(corpus, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Metrics + traces + wide events + op IDs: the configuration the
-	// served binary runs with, gated by scripts/bench.sh at <5% overhead.
-	// The recorder and ID generator live outside the loop — in the binary
-	// they are created once at startup and outlive every build — while the
-	// registry and tracer stay per-iteration like the sibling cases (the
-	// tracer accumulates spans without bound).
+	// Metrics + wide events + op IDs: the configuration the served binary
+	// runs with, gated by scripts/bench.sh at <5% overhead. The recorder
+	// and ID generator live outside the loop — in the binary they are
+	// created once at startup and outlive every build — while the registry
+	// stays per-iteration.
 	rec := obs.NewEventRecorder(obs.DefaultEventCapacity, obs.RealClock{})
 	ids := obs.NewIDGen(obs.RealClock{})
 	b.Run("instrumented_events", func(b *testing.B) {
@@ -175,7 +171,6 @@ func BenchmarkBuildInstrumentation(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Obs = &obs.Instruments{
 				Metrics: obs.NewRegistry(),
-				Tracer:  obs.NewTracer(obs.RealClock{}),
 				Clock:   obs.RealClock{},
 				Events:  rec,
 				IDs:     ids,

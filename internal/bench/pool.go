@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"nvbench/internal/core"
@@ -66,17 +67,23 @@ type pairResult struct {
 func processPair(ctx context.Context, opts Options, p *spider.Pair) pairResult {
 	// Each pair is one traced operation: every stage event and histogram
 	// exemplar it produces carries this op ID (build-level callers that
-	// already put one in ctx keep theirs).
+	// already put one in ctx keep theirs), and the pair's own event spans
+	// them all.
 	ctx, _ = opts.Obs.NewOp(ctx)
-	ctx, pairSpan := opts.Obs.StartSpan(ctx, "pair", "pair_id", p.ID)
-	defer pairSpan.End()
+	pair := opts.Obs.Begin(ctx, obs.LayerBench, "pair")
 	var res pairResult
+	defer func() {
+		outcome := "ok"
+		if res.quarantine != nil {
+			outcome = "quarantined"
+		}
+		pair.End(outcome, "pair_id", strconv.Itoa(p.ID), "cache_hit", strconv.FormatBool(res.cacheHit))
+	}()
 	if opts.Cache != nil {
 		if sc, ok := opts.Cache.(ShardedCache); ok {
 			res.cacheShard = sc.Shard(p)
 		}
 		if out, ok := opts.Cache.Get(p); ok {
-			pairSpan.SetArg("cache", "hit")
 			res.outcome, res.cacheHit = out, true
 			return res
 		}
@@ -106,8 +113,8 @@ func processPair(ctx context.Context, opts Options, p *spider.Pair) pairResult {
 			if err := fault.Inject(fault.SiteVariants); err != nil {
 				return err
 			}
-			_, doneNL := opts.Obs.Stage(ctx, obs.StageNLEdit)
-			defer doneNL()
+			nl := opts.Obs.Begin(ctx, obs.LayerBench, obs.StageNLEdit)
+			defer nl.End("ok")
 			variants = make([][]nledit.Variant, len(kept))
 			for i, v := range kept {
 				variants[i] = opts.Edit.Variants(p.NL, v.Query, v.Edit)

@@ -129,7 +129,7 @@ type Synthesizer struct {
 	// Aggregates to enumerate when inserting an aggregate node over a raw
 	// quantitative measure.
 	Aggregates []ast.AggFunc
-	// Obs receives per-stage timings and trace spans (treeedit, deepeye).
+	// Obs receives one timed record per stage (treeedit, deepeye).
 	// Nil disables instrumentation; metrics never influence synthesis
 	// output, so an instrumented run stays byte-identical to a bare one.
 	Obs *obs.Instruments
@@ -155,8 +155,8 @@ func (s *Synthesizer) Synthesize(db *dataset.Database, sql *ast.Query) (kept []*
 	return s.SynthesizeCtx(context.Background(), db, sql)
 }
 
-// SynthesizeCtx is Synthesize with a caller context, so stage trace spans
-// (treeedit, deepeye) nest under the caller's span — one track per source
+// SynthesizeCtx is Synthesize with a caller context, so the stage events
+// (treeedit, deepeye) carry the caller's op ID — one trace track per source
 // pair in a traced build.
 func (s *Synthesizer) SynthesizeCtx(ctx context.Context, db *dataset.Database, sql *ast.Query) (kept []*VisObject, rejected []Rejection, err error) {
 	err = fault.Safely("core/synthesize", func() error {
@@ -176,13 +176,13 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 	if err := sql.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: invalid sql tree: %w", err)
 	}
-	_, doneTE := s.Obs.Stage(ctx, obs.StageTreeEdit)
+	te := s.Obs.Begin(ctx, obs.LayerBench, obs.StageTreeEdit)
 	cands := s.Candidates(db, sql)
-	doneTE()
+	te.End("ok")
 	var kept []*VisObject
 	var rejected []Rejection
-	_, doneDE := s.Obs.Stage(ctx, obs.StageDeepEye)
-	defer doneDE()
+	de := s.Obs.Begin(ctx, obs.LayerBench, obs.StageDeepEye)
+	defer de.End("ok")
 	for _, c := range cands {
 		feats, res, err := deepeye.Extract(db, c.Query)
 		if err != nil {

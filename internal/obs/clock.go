@@ -1,17 +1,18 @@
 // Package obs is the repo's stdlib-only observability layer: a concurrent
 // metrics registry (counters, gauges, fixed-bucket latency histograms with
-// snapshot and quantile support, Prometheus text exposition), span-based
-// tracing exportable as Chrome trace-event JSON, and a structured key=value
-// logger — all behind an injectable Clock.
+// snapshot and quantile support, Prometheus text exposition), wide events
+// with one record per timed operation (renderable as a Chrome trace-event
+// file), and a structured key=value logger — all behind an injectable
+// Clock.
 //
 // The clock rule is the package's contract with the determinism gate:
 // internal/obs is the only sanctioned home of time.Now in this module (the
 // detrand analyzer enforces it). Every other layer that needs wall-clock
 // durations — the synthesis pipeline, the store, the HTTP server — takes an
 // injected Clock, so deterministic packages stay deterministic and tests
-// can drive time by hand. Metrics and traces flow only into the registry
-// and the trace file, never into synthesized artifacts, so an instrumented
-// build is byte-identical to a bare one.
+// can drive time by hand. Metrics and events flow only into the registry,
+// the event ring and the trace file, never into synthesized artifacts, so
+// an instrumented build is byte-identical to a bare one.
 package obs
 
 import (

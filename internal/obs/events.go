@@ -11,6 +11,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -25,8 +26,9 @@ const (
 	LayerFault = "fault"
 )
 
-// Event is one wide event. Fields holds alternating key/value extras, in
-// emission order.
+// Event is one wide event. Time is when the operation started and Duration
+// how long it ran, so Time+Duration is its end. Fields holds alternating
+// key/value extras, in emission order.
 type Event struct {
 	Seq      uint64
 	Op       string
@@ -121,6 +123,65 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// traceEvent is one Chrome trace-event "complete" record; times are in
+// microseconds, ts counted from the earliest event's start.
+type traceEvent struct {
+	Name string            `json:"name"`
+	Cat  string            `json:"cat"`
+	Ph   string            `json:"ph"`
+	TS   float64           `json:"ts"`
+	Dur  float64           `json:"dur"`
+	PID  int64             `json:"pid"`
+	TID  int64             `json:"tid"`
+	Args map[string]string `json:"args"`
+}
+
+// WriteChromeTrace renders events as a Chrome trace-event file (load it in
+// chrome://tracing or https://ui.perfetto.dev): one complete ("X") span per
+// event, named after its site, categorized by its layer, with its op ID,
+// outcome and fields as args. Each op ID gets its own track (tid, numbered
+// in event order), so a build pair's stages nest in the pair's row. Spans
+// sort by (ts, tid, name), so a deterministic clock yields deterministic
+// bytes; no events render as an empty list.
+func WriteChromeTrace(w io.Writer, events []Event) error {
+	var epoch time.Time
+	for i, e := range events {
+		if i == 0 || e.Time.Before(epoch) {
+			epoch = e.Time
+		}
+	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	tids := map[string]int64{}
+	spans := make([]traceEvent, 0, len(events))
+	for _, e := range events {
+		if _, ok := tids[e.Op]; !ok {
+			tids[e.Op] = int64(len(tids) + 1)
+		}
+		args := map[string]string{"op": e.Op, "outcome": e.Outcome}
+		for i := 0; i+1 < len(e.Fields); i += 2 {
+			args[e.Fields[i]] = e.Fields[i+1]
+		}
+		spans = append(spans, traceEvent{Name: e.Site, Cat: e.Layer, Ph: "X", TS: us(e.Time.Sub(epoch)),
+			Dur: us(e.Duration), PID: 1, TID: tids[e.Op], Args: args})
+	}
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.TS != b.TS {
+			return a.TS < b.TS
+		}
+		if a.TID != b.TID {
+			return a.TID < b.TID
+		}
+		return a.Name < b.Name
+	})
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		TraceEvents     []traceEvent `json:"traceEvents"`
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
+	}{spans, "ms"})
+}
+
 // DefaultSlowThresholds maps each layer to the duration past which its
 // events are promoted into the slow-op log.
 var DefaultSlowThresholds = map[string]time.Duration{
@@ -175,21 +236,24 @@ func (r *EventRecorder) SetSlowLog(sl *SlowLog, thresholds map[string]time.Durat
 	r.mu.Unlock()
 }
 
-// Emit records one wide event. kv holds alternating extra field keys and
-// values; keys must be canonical lowercase_underscore identifiers (the
-// obslabel analyzer enforces it at literal call sites). Safe on a nil
-// recorder.
+// Emit records one wide event stamped with the recorder clock's current
+// instant — for events reported as they begin, like a fault injection;
+// timed operations use Instruments.Begin. kv holds alternating extra field
+// keys and values; keys must be canonical lowercase_underscore identifiers
+// (obslabel checks literal call sites). Safe on a nil recorder.
 func (r *EventRecorder) Emit(op, layer, site, outcome string, d time.Duration, kv ...string) {
 	if r == nil {
 		return
 	}
-	ev := Event{
-		Op:       op,
-		Layer:    layer,
-		Site:     site,
-		Outcome:  outcome,
-		Time:     r.clock.Now(),
-		Duration: d,
+	r.record(Event{Op: op, Layer: layer, Site: site, Outcome: outcome, Time: r.clock.Now(), Duration: d}, kv)
+}
+
+// record stores ev with a copy of the kv extras, assigns its sequence
+// number, and promotes it into the slow log when it meets its layer's
+// threshold. Safe on a nil recorder.
+func (r *EventRecorder) record(ev Event, kv []string) {
+	if r == nil {
+		return
 	}
 	if len(kv) > 0 {
 		ev.Fields = append([]string(nil), kv...)
@@ -198,13 +262,33 @@ func (r *EventRecorder) Emit(op, layer, site, outcome string, d time.Duration, k
 	r.seq++
 	ev.Seq = r.seq
 	r.buf[(r.seq-1)%uint64(len(r.buf))] = ev
-	slow, thr := r.slow, r.thr[layer]
+	slow, thr := r.slow, r.thr[ev.Layer]
 	r.mu.Unlock()
 	// Promotion happens outside the ring lock: the slow log serializes and
 	// persists, and emitters must never wait on its I/O.
-	if slow != nil && thr > 0 && d >= thr {
+	if slow != nil && thr > 0 && ev.Duration >= thr {
 		slow.Record(ev)
 	}
+}
+
+// Reserve grows the ring to hold at least n events, keeping the retained
+// ones in order; it never shrinks. A run that must keep every event (a
+// -trace export) sizes the ring this way once it knows its workload.
+func (r *EventRecorder) Reserve(n int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n <= len(r.buf) {
+		return
+	}
+	old, size := uint64(len(r.buf)), uint64(n)
+	buf := make([]Event, size)
+	for i := r.seq - min(r.seq, old); i < r.seq; i++ {
+		buf[i%size] = r.buf[i%old]
+	}
+	r.buf = buf
 }
 
 // Total returns how many events were ever emitted (including those the

@@ -52,6 +52,27 @@ func TestEventRecorderRingAndFilters(t *testing.T) {
 	}
 }
 
+// TestReserveKeepsRetainedEvents grows a ring that has already wrapped and
+// checks every retained event survives, in order, with room for more.
+func TestReserveKeepsRetainedEvents(t *testing.T) {
+	r := NewEventRecorder(2, nil)
+	var ops []string
+	for i, op := range []string{"op1", "op2", "op3", "op4", "op5"} {
+		if i == 3 {
+			r.Reserve(4)
+			r.Reserve(1) // never shrinks
+		}
+		r.Emit(op, LayerBench, "pair", "ok", time.Millisecond)
+	}
+	for _, e := range r.Events(EventFilter{}) {
+		ops = append(ops, e.Op)
+	}
+	if want := []string{"op2", "op3", "op4", "op5"}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("retained %v, want %v", ops, want)
+	}
+	(*EventRecorder)(nil).Reserve(8) // no-op
+}
+
 func TestEventFieldAccessors(t *testing.T) {
 	e := Event{Fields: []string{"shard", "03", "replica", "r1"}}
 	if got := e.Field("shard"); got != "03" {
@@ -171,6 +192,7 @@ func TestEventRecorderConcurrent(t *testing.T) {
 				r.Emit("op", LayerHTTP, "/", "ok", 2*time.Millisecond, "i", "x")
 				r.Events(EventFilter{Layer: LayerHTTP})
 				r.Total()
+				r.Reserve(64 + i)
 			}
 		}()
 	}

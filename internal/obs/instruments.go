@@ -10,7 +10,7 @@ import (
 // tests, and the wiring sites stay in sync.
 const (
 	// StageHistogram times one pipeline stage execution, labeled
-	// stage=sqlparse|treeedit|deepeye|nledit|render.
+	// stage=sqlparse|treeedit|deepeye|nledit|render|query.
 	StageHistogram = "nvbench_stage_seconds"
 
 	// Bench pipeline counters.
@@ -26,7 +26,7 @@ const (
 	FaultCalls      = "nvbench_fault_calls_total"
 	FaultInjections = "nvbench_fault_injections_total"
 
-	// Store durations (labeled op=save|load|repair) and journal recovery
+	// Store durations (labeled op=save|load|repair|scrub) and journal recovery
 	// outcomes (labeled action=rolled_forward|rolled_back).
 	StoreSeconds = "nvbench_store_seconds"
 	StoreJournal = "nvbench_store_journal_total"
@@ -88,22 +88,26 @@ var StoreOps = []string{"save", "load", "repair", "scrub"}
 // route-drift test pins the two together.
 var HTTPRoutes = []string{"/", "/api/entries", "/api/entry/:id", "/api/entry/:id/vega", "/api/query", "/debug/dash", "/debug/events", "/entry/:id", "other"}
 
-// stageSeries precomputes the labeled StageHistogram series name for each
-// pipeline stage, keeping the per-pair hot path free of label assembly.
-var stageSeries = func() map[string]string {
-	m := make(map[string]string, len(Stages))
-	for _, s := range Stages {
-		m[s] = L(StageHistogram, "stage", s)
+// opSeries maps a timed operation's layer and site to the histogram series
+// its End observes: bench stages feed StageHistogram, store entry points
+// StoreSeconds, HTTP routes HTTPSeconds and VQL queries the query stage.
+// Names are precomputed so the per-pair and per-request paths skip label
+// assembly. A site not listed here (the bench "pair" operation) records an
+// event but no series, so timing an operation never adds one to /metrics.
+var opSeries = map[string]map[string]string{
+	LayerBench: labeled(StageHistogram, "stage", Stages),
+	LayerStore: labeled(StoreSeconds, "op", StoreOps),
+	LayerHTTP:  labeled(HTTPSeconds, "route", HTTPRoutes),
+	LayerVQL:   labeled(StageHistogram, "stage", []string{StageQuery}),
+}
+
+// labeled maps each value to the series base{key="value"}.
+func labeled(base, key string, values []string) map[string]string {
+	m := make(map[string]string, len(values))
+	for _, v := range values {
+		m[v] = L(base, key, v)
 	}
 	return m
-}()
-
-// StageSeries returns the canonical StageHistogram series name for a stage.
-func StageSeries(stage string) string {
-	if name, ok := stageSeries[stage]; ok {
-		return name
-	}
-	return L(StageHistogram, "stage", stage)
 }
 
 // RegisterBase pre-creates the canonical pipeline, cache, and server
@@ -142,13 +146,13 @@ func RegisterBase(r *Registry) {
 }
 
 // Instruments bundles the observability handles a layer needs: a metrics
-// registry, an optional tracer, a clock, and an optional structured
-// logger. The zero value and the nil pointer are both fully usable —
-// every method degrades to a no-op (with RealClock as the fallback clock)
-// — so packages thread one *Instruments through unconditionally.
+// registry, a clock, an optional structured logger, a wide-event recorder
+// and an op ID generator. The zero value and the nil pointer are both
+// fully usable — every method degrades to a no-op (with RealClock as the
+// fallback clock) — so packages thread one *Instruments through
+// unconditionally.
 type Instruments struct {
 	Metrics *Registry
-	Tracer  *Tracer
 	Clock   Clock
 	Log     *Logger
 	// Events receives one wide event per operation per layer (nil disables
@@ -167,41 +171,44 @@ func (in *Instruments) clock() Clock {
 	return RealClock{}
 }
 
-// Now reads the instrument clock (RealClock when unset).
-func (in *Instruments) Now() time.Time { return in.clock().Now() }
-
-// StartSpan opens a tracing span when a tracer is configured; otherwise it
-// returns ctx unchanged and a no-op span.
-func (in *Instruments) StartSpan(ctx context.Context, name string, kv ...any) (context.Context, *Span) {
-	if in == nil || in.Tracer == nil {
-		return ctx, nil
-	}
-	return in.Tracer.StartSpan(ctx, name, kv...)
+// Timing is one timed operation in flight, opened by Begin. The zero
+// Timing (from nil Instruments) records nothing.
+type Timing struct {
+	in          *Instruments
+	op          string
+	layer, site string
+	start       time.Time
 }
 
-// Stage instruments one pipeline stage: it opens a span named after the
-// stage and, when the returned func runs, records the elapsed time into
-// StageHistogram{stage=name} (with the context's op ID as the bucket
-// exemplar) and emits one wide event for the stage. Usage:
+// Begin opens a timed operation at site in layer: it stamps the start from
+// the instrument clock and takes the op ID from ctx. Usage:
 //
-//	ctx, done := in.Stage(ctx, obs.StageTreeEdit)
-//	defer done()
-func (in *Instruments) Stage(ctx context.Context, stage string) (context.Context, func()) {
+//	t := in.Begin(ctx, obs.LayerBench, obs.StageTreeEdit)
+//	defer t.End("ok")
+func (in *Instruments) Begin(ctx context.Context, layer, site string) Timing {
 	if in == nil {
-		return ctx, func() {}
+		return Timing{}
 	}
-	ctx, span := in.StartSpan(ctx, stage)
-	op := OpID(ctx)
-	c := in.clock()
-	start := c.Now()
-	return ctx, func() {
-		span.End()
-		elapsed := c.Now().Sub(start)
-		if in.Metrics != nil {
-			in.Metrics.Histogram(StageSeries(stage)).ObserveEx(elapsed.Seconds(), op)
-		}
-		in.Events.Emit(op, LayerBench, stage, "ok", elapsed)
+	return Timing{in: in, op: OpID(ctx), layer: layer, site: site, start: in.clock().Now()}
+}
+
+// End closes the operation with its single record: it reads the clock
+// once, observes the layer/site histogram (see opSeries) with the op ID as
+// exemplar, and emits one wide event timed from the start. kv holds
+// alternating extra field keys and values; keys must be canonical
+// lowercase_underscore identifiers (obslabel checks literal keys). Calls
+// after the first are no-ops.
+func (t *Timing) End(outcome string, kv ...string) {
+	in := t.in
+	if in == nil {
+		return
 	}
+	t.in = nil
+	d := in.clock().Now().Sub(t.start)
+	if name := opSeries[t.layer][t.site]; name != "" && in.Metrics != nil {
+		in.Metrics.Histogram(name).ObserveEx(d.Seconds(), t.op)
+	}
+	in.Events.record(Event{Op: t.op, Layer: t.layer, Site: t.site, Outcome: outcome, Time: t.start, Duration: d}, kv)
 }
 
 // TimeHistogram starts a timer against the named histogram; the returned
@@ -218,33 +225,6 @@ func (in *Instruments) TimeHistogram(name string) func() {
 	}
 }
 
-// Observe records one value into the named histogram.
-func (in *Instruments) Observe(name string, v float64) {
-	if in == nil || in.Metrics == nil {
-		return
-	}
-	in.Metrics.Histogram(name).Observe(v)
-}
-
-// ObserveEx records one value into the named histogram with an operation
-// ID as the containing bucket's exemplar.
-func (in *Instruments) ObserveEx(name string, v float64, op string) {
-	if in == nil || in.Metrics == nil {
-		return
-	}
-	in.Metrics.Histogram(name).ObserveEx(v, op)
-}
-
-// Emit records one wide event when a recorder is configured. kv holds
-// alternating extra field keys and values; keys must be canonical
-// lowercase_underscore identifiers.
-func (in *Instruments) Emit(op, layer, site, outcome string, d time.Duration, kv ...string) {
-	if in == nil {
-		return
-	}
-	in.Events.Emit(op, layer, site, outcome, d, kv...)
-}
-
 // NewOp returns ctx carrying an operation ID, minting one from the
 // configured generator (package default when unset) unless the context
 // already carries one.
@@ -252,18 +232,12 @@ func (in *Instruments) NewOp(ctx context.Context) (context.Context, string) {
 	if id := OpID(ctx); id != "" {
 		return ctx, id
 	}
-	id := in.MintOp()
-	return WithOpID(ctx, id), id
-}
-
-// MintOp mints a fresh operation ID for layers that originate operations
-// outside any request context (store maintenance, scrub cycles).
-func (in *Instruments) MintOp() string {
-	g := defaultIDGen
-	if in != nil && in.IDs != nil {
+	var g *IDGen // nil falls back to the package default
+	if in != nil {
 		g = in.IDs
 	}
-	return g.Next()
+	id := g.Next()
+	return WithOpID(ctx, id), id
 }
 
 // Inc adds one to the named counter.

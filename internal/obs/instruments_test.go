@@ -8,41 +8,38 @@ import (
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var in *Instruments
-	if in.Now().IsZero() {
+	if in.clock().Now().IsZero() {
 		t.Fatal("nil instruments must fall back to the real clock")
 	}
-	ctx, span := in.StartSpan(context.Background(), "x")
-	if span != nil {
-		t.Fatal("nil instruments returned a live span")
-	}
-	ctx, done := in.Stage(ctx, StageRender)
-	done()
+	tm := in.Begin(context.Background(), LayerBench, StageRender)
+	tm.End("ok", "k", "v")
 	in.TimeHistogram("h")()
-	in.Observe("h", 1)
 	in.Inc("c")
 	in.Add("c", 3)
 	in.Logf("msg", "k", "v")
-	_ = ctx
+	if _, id := in.NewOp(context.Background()); id == "" {
+		t.Fatal("nil instruments minted no op ID")
+	}
 }
 
 func TestStageRecordsHistogramAndSpan(t *testing.T) {
-	clock := NewTickingClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
-	reg := NewRegistry()
-	in := &Instruments{Metrics: reg, Tracer: NewTracer(clock), Clock: clock}
+	in, _ := traced(t)
+	tm := in.Begin(context.Background(), LayerBench, StageDeepEye)
+	tm.End("ok")
 
-	ctx, done := in.Stage(context.Background(), StageDeepEye)
-	_ = ctx
-	done()
-
-	s := reg.Snapshot().Histograms[L(StageHistogram, "stage", StageDeepEye)]
-	if s.Count != 1 {
-		t.Fatalf("stage histogram count = %d", s.Count)
+	snap := in.Metrics.Snapshot()
+	if s := snap.Histograms[L(StageHistogram, "stage", StageDeepEye)]; s.Count != 1 || s.Sum != 0.001 {
+		t.Fatalf("stage histogram count=%d sum=%v, want one 1ms tick", s.Count, s.Sum)
 	}
-	if s.Sum <= 0 {
-		t.Fatalf("stage histogram sum = %v", s.Sum)
+	evs := in.Events.Events(EventFilter{})
+	if len(evs) != 1 || evs[0].Duration != time.Millisecond || !evs[0].Time.Equal(traceEpoch) {
+		t.Fatalf("events = %+v, want one stamped with the start and a 1ms duration", evs)
 	}
-	if in.Tracer.Len() != 1 {
-		t.Fatalf("stage recorded %d spans", in.Tracer.Len())
+	// The pair operation is an event only: timing it adds no series.
+	pair := in.Begin(context.Background(), LayerBench, "pair")
+	pair.End("ok")
+	if n := len(in.Metrics.Snapshot().Histograms); n != len(snap.Histograms) {
+		t.Fatalf("pair timing added a histogram series (%d -> %d)", len(snap.Histograms), n)
 	}
 }
 

@@ -10,64 +10,78 @@ import (
 
 var traceEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// TestTracerGoldenJSON drives two nested spans under a ticking clock and
-// pins the exact Chrome trace-event file the tracer exports.
-func TestTracerGoldenJSON(t *testing.T) {
+// traced returns instruments on a 1ms ticking clock with a recorder, plus
+// a func rendering every recorded event as a Chrome trace.
+func traced(t *testing.T) (*Instruments, func() string) {
 	clock := NewTickingClock(traceEpoch, time.Millisecond)
-	tr := NewTracer(clock) // epoch consumes the first tick
-
-	ctx, root := tr.StartSpan(context.Background(), "pair", "pair_id", 7) // start = +1ms
-	_, child := tr.StartSpan(ctx, "treeedit")                             // start = +2ms
-	child.End()                                                           // end   = +3ms
-	root.End()                                                            // end   = +4ms
-
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
+	in := &Instruments{Metrics: NewRegistry(), Clock: clock, Events: NewEventRecorder(0, clock)}
+	return in, func() string {
+		var sb strings.Builder
+		if err := WriteChromeTrace(&sb, in.Events.Events(EventFilter{})); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
+}
+
+// TestTracerGoldenJSON times a pair with one nested stage under a ticking
+// clock and pins the exact Chrome trace-event file its events render to.
+func TestTracerGoldenJSON(t *testing.T) {
+	in, trace := traced(t)
+	ctx := WithOpID(context.Background(), "op-7")
+	pair := in.Begin(ctx, LayerBench, "pair")         // start = +0ms
+	child := in.Begin(ctx, LayerBench, StageTreeEdit) // start = +1ms
+	child.End("ok")                                   // end   = +2ms
+	pair.End("ok", "pair_id", "7")                    // end   = +3ms
+
 	want := `{
   "traceEvents": [
     {
       "name": "pair",
-      "cat": "stage",
+      "cat": "bench",
       "ph": "X",
-      "ts": 1000,
+      "ts": 0,
       "dur": 3000,
       "pid": 1,
       "tid": 1,
       "args": {
-        "pair_id": 7
+        "op": "op-7",
+        "outcome": "ok",
+        "pair_id": "7"
       }
     },
     {
       "name": "treeedit",
-      "cat": "stage",
+      "cat": "bench",
       "ph": "X",
-      "ts": 2000,
+      "ts": 1000,
       "dur": 1000,
       "pid": 1,
-      "tid": 1
+      "tid": 1,
+      "args": {
+        "op": "op-7",
+        "outcome": "ok"
+      }
     }
   ],
   "displayTimeUnit": "ms"
 }
 `
-	if sb.String() != want {
-		t.Fatalf("trace JSON:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
+	if got := trace(); got != want {
+		t.Fatalf("trace JSON:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
+// TestChildSpanSharesParentTrack: events of one op share a track, events
+// of different ops never do.
 func TestChildSpanSharesParentTrack(t *testing.T) {
-	tr := NewTracer(NewTickingClock(traceEpoch, time.Millisecond))
-	ctx1, r1 := tr.StartSpan(context.Background(), "a")
-	_, c1 := tr.StartSpan(ctx1, "a.child")
-	_, r2 := tr.StartSpan(context.Background(), "b")
-	for _, s := range []*Span{c1, r1, r2} {
-		s.End()
-	}
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
+	in, trace := traced(t)
+	ctxA := WithOpID(context.Background(), "a")
+	r1 := in.Begin(ctxA, LayerBench, "a")
+	c1 := in.Begin(ctxA, LayerBench, "a.child")
+	r2 := in.Begin(WithOpID(context.Background(), "b"), LayerBench, "b")
+	for _, tm := range []*Timing{&c1, &r1, &r2} {
+		tm.End("ok")
 	}
 	var file struct {
 		TraceEvents []struct {
@@ -75,7 +89,7 @@ func TestChildSpanSharesParentTrack(t *testing.T) {
 			TID  int64  `json:"tid"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(sb.String()), &file); err != nil {
+	if err := json.Unmarshal([]byte(trace()), &file); err != nil {
 		t.Fatal(err)
 	}
 	tids := map[string]int64{}
@@ -90,47 +104,46 @@ func TestChildSpanSharesParentTrack(t *testing.T) {
 	}
 }
 
+// TestSpanNilAndDoubleEndSafety: timing without instruments is a no-op, an
+// empty trace renders as an empty list, and a second End records nothing.
 func TestSpanNilAndDoubleEndSafety(t *testing.T) {
-	var tr *Tracer
-	ctx, span := tr.StartSpan(context.Background(), "x")
-	if span != nil {
-		t.Fatal("nil tracer returned a live span")
+	var none *Instruments
+	tm := none.Begin(context.Background(), LayerBench, "x")
+	tm.End("ok")
+	in, trace := traced(t)
+	if got := trace(); !strings.Contains(got, `"traceEvents": []`) {
+		t.Fatalf("empty trace does not serialize as []:\n%s", got)
 	}
-	span.End()            // no-op
-	span.SetArg("k", "v") // no-op
-	if err := tr.WriteJSON(&strings.Builder{}); err != nil {
-		t.Fatal(err)
+	once := in.Begin(context.Background(), LayerBench, StageTreeEdit)
+	once.End("ok")
+	once.End("ok")
+	if n := in.Events.Total(); n != 1 {
+		t.Fatalf("double End recorded %d events", n)
 	}
-	if tr.Len() != 0 {
-		t.Fatal("nil tracer has events")
-	}
-	// A context without a tracer yields no-op spans from the package helper.
-	if _, s := StartSpan(ctx, "y"); s != nil {
-		t.Fatal("StartSpan without tracer returned a live span")
-	}
-
-	live := NewTracer(NewTickingClock(traceEpoch, time.Millisecond))
-	_, s := live.StartSpan(context.Background(), "once")
-	s.End()
-	s.End()
-	if live.Len() != 1 {
-		t.Fatalf("double End recorded %d events", live.Len())
+	if n := in.Metrics.Snapshot().Histograms[L(StageHistogram, "stage", StageTreeEdit)].Count; n != 1 {
+		t.Fatalf("double End recorded %d observations", n)
 	}
 }
 
-func TestWithTracerRoundTrip(t *testing.T) {
-	tr := NewTracer(NewTickingClock(traceEpoch, time.Millisecond))
-	ctx := WithTracer(context.Background(), tr)
-	if TracerFromContext(ctx) != tr {
-		t.Fatal("tracer lost in context")
+// TestBeginTakesOpFromContext: the context's op ID reaches the event and
+// the histogram exemplar; a context without one yields an op-less event.
+func TestBeginTakesOpFromContext(t *testing.T) {
+	in, _ := traced(t)
+	tm := in.Begin(WithOpID(context.Background(), "via-context"), LayerHTTP, "/")
+	tm.End("ok")
+	bare := in.Begin(context.Background(), LayerHTTP, "/")
+	bare.End("ok")
+	evs := in.Events.Events(EventFilter{})
+	if len(evs) != 2 || evs[0].Op != "via-context" || evs[1].Op != "" {
+		t.Fatalf("events = %+v", evs)
 	}
-	_, s := StartSpan(ctx, "via-context")
-	s.End()
-	if tr.Len() != 1 {
-		t.Fatalf("events = %d", tr.Len())
+	var ex []string
+	for _, e := range in.Metrics.Snapshot().Histograms[L(HTTPSeconds, "route", "/")].Exemplars {
+		if e.Op != "" {
+			ex = append(ex, e.Op)
+		}
 	}
-	// Attaching nil leaves the context unchanged.
-	if WithTracer(ctx, nil) != ctx {
-		t.Fatal("WithTracer(nil) rewrapped the context")
+	if strings.Join(ex, ",") != "via-context" {
+		t.Fatalf("exemplars = %v", ex)
 	}
 }

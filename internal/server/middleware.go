@@ -154,12 +154,10 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 		r = withOutcome(r, oc)
 		rec := &statusRecorder{ResponseWriter: w}
 		inFlight.Inc()
-		start := in.Now()
+		t := in.Begin(r.Context(), obs.LayerHTTP, route)
 		finished := false
 		defer func() {
 			inFlight.Dec()
-			elapsed := in.Now().Sub(start)
-			in.ObserveEx(obs.L(obs.HTTPSeconds, "route", route), elapsed.Seconds(), op)
 			if !finished {
 				// Unwinding through a panic: recovery above answers 500.
 				oc.set(outcomePanic)
@@ -169,7 +167,7 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 				outcome = classifyStatus(rec.status())
 			}
 			in.Inc(obs.L(obs.HTTPRequests, "outcome", outcome, "route", route))
-			in.Emit(op, obs.LayerHTTP, route, outcome, elapsed,
+			t.End(outcome,
 				"method", r.Method,
 				"status", strconv.Itoa(rec.status()),
 				"bytes", strconv.FormatInt(rec.bytes, 10))

@@ -125,12 +125,12 @@ func (s *Server) handleAPIQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	op := obs.OpID(r.Context())
-	start := s.cfg.Obs.Now()
-	res, err := s.queryBench(q, op)
-	elapsed := s.cfg.Obs.Now().Sub(start)
+	// One timed record: the query stage histogram (with the request's op
+	// ID as the bucket exemplar) and the vql wide event.
+	t := s.cfg.Obs.Begin(r.Context(), obs.LayerVQL, "query")
+	res, err := s.engine.Query(q)
 	if err != nil {
-		s.cfg.Obs.Emit(op, obs.LayerVQL, "query", "error", elapsed, "error", err.Error())
+		t.End("error", "error", err.Error())
 		var verr *vql.Error
 		if errors.As(err, &verr) {
 			s.writeQueryError(w, http.StatusBadRequest, queryError{Error: verr.Msg, Position: verr.Pos})
@@ -140,24 +140,13 @@ func (s *Server) handleAPIQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	shards, failover := s.queryShards(res)
-	s.cfg.Obs.Emit(op, obs.LayerVQL, "query", "ok", elapsed,
+	t.End("ok",
 		"rows", strconv.Itoa(res.RowCount),
 		"scanned", strconv.Itoa(res.Scanned),
 		"index", res.Index,
 		"shards", strings.Join(shards, " "),
 		"failover", strconv.FormatBool(failover))
 	writeJSON(s, w, res)
-}
-
-// queryBench runs one VQL query, timing it into the query stage
-// histogram with the request's op ID as the bucket exemplar.
-func (s *Server) queryBench(q, op string) (*vql.Result, error) {
-	start := s.cfg.Obs.Now()
-	defer func() {
-		s.cfg.Obs.ObserveEx(obs.L(obs.StageHistogram, "stage", obs.StageQuery),
-			s.cfg.Obs.Now().Sub(start).Seconds(), op)
-	}()
-	return s.engine.Query(q)
 }
 
 // queryShards resolves which store shards a query's scan touched — the

@@ -6,18 +6,16 @@
 
 package store
 
-import "nvbench/internal/obs"
+import (
+	"context"
+
+	"nvbench/internal/obs"
+)
 
 // Instrument attaches observability handles to the store. Nil (the
 // default) disables instrumentation; artifacts on disk are identical
 // either way.
 func (s *Store) Instrument(in *obs.Instruments) { s.ins = in }
-
-// timeOp starts a duration timer for one store operation; the returned
-// func records into nvbench_store_seconds{op=op}.
-func (s *Store) timeOp(op string) func() {
-	return s.ins.TimeHistogram(obs.L(obs.StoreSeconds, "op", op))
-}
 
 // timeShardOp starts a duration timer for one operation on one shard; the
 // returned func records into nvbench_store_shard_seconds{op=op,shard=nn}.
@@ -46,17 +44,14 @@ func (s *Store) setReplicaHealthy(replica string, v int64) {
 	s.ins.SetGauge(obs.L(obs.StoreReplicaHealthy, "replica", replica), v)
 }
 
-// eventOp opens one store-layer wide event for one store entry point.
-// Store operations originate outside any request, so each mints its own
-// op ID; the returned finish func emits the event with the outcome and
-// extra fields. Events flow only into the recorder — never into the
-// store's artifacts — so instrumented and bare saves stay byte-identical.
-func (s *Store) eventOp(site string) func(outcome string, kv ...string) {
-	op := s.ins.MintOp()
-	start := s.ins.Now()
-	return func(outcome string, kv ...string) {
-		s.ins.Emit(op, obs.LayerStore, site, outcome, s.ins.Now().Sub(start), kv...)
-	}
+// beginOp opens one store entry point's timed operation: its End records
+// nvbench_store_seconds{op=site} and the store-layer wide event. Store
+// operations originate outside any request, so each mints its own op ID.
+// Events flow only into the recorder — never into the store's artifacts —
+// so instrumented and bare saves stay byte-identical.
+func (s *Store) beginOp(site string) obs.Timing {
+	ctx, _ := s.ins.NewOp(context.Background())
+	return s.ins.Begin(ctx, obs.LayerStore, site)
 }
 
 // failoverCount reads how many read re-routes the store has taken since

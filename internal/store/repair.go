@@ -98,20 +98,19 @@ func (s *Store) moveAside(rel string) error {
 // cannot operate on at all (I/O failures); partial salvage is a report,
 // not an error — check Lossy.
 func (s *Store) Repair() (*RepairReport, error) {
-	finish := s.eventOp("repair")
+	t := s.beginOp("repair")
 	rep, err := s.repair()
 	if err != nil {
-		finish("error", "error", err.Error())
+		t.End("error", "error", err.Error())
 		return nil, err
 	}
-	finish("ok",
+	t.End("ok",
 		"temps_swept", strconv.Itoa(rep.TempsSwept),
 		"lossy", strconv.FormatBool(rep.Lossy()))
 	return rep, nil
 }
 
 func (s *Store) repair() (*RepairReport, error) {
-	defer s.timeOp("repair")()
 	rep := &RepairReport{}
 	swept, err := s.sweepAllTemps()
 	if err != nil {

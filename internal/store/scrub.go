@@ -71,13 +71,13 @@ func (r *ScrubReport) Lossy() bool {
 // replicated store with nothing unrecoverable, every replica passes
 // Verify and reads route to the primary again.
 func (s *Store) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, error) {
-	finish := s.eventOp("scrub")
+	t := s.beginOp("scrub")
 	rep, err := s.scrub(ctx, opts)
 	if err != nil {
-		finish("error", "error", err.Error())
+		t.End("error", "error", err.Error())
 		return rep, err
 	}
-	finish("ok",
+	t.End("ok",
 		"replicas", strconv.Itoa(rep.Replicas),
 		"repaired", strconv.Itoa(len(rep.Repaired)),
 		"escalated", strconv.FormatBool(rep.Escalated))
@@ -85,7 +85,6 @@ func (s *Store) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, err
 }
 
 func (s *Store) scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, error) {
-	defer s.timeOp("scrub")()
 	s.countScrubCycle()
 	rep := &ScrubReport{Replicas: s.replicas}
 	escalate := false

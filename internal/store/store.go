@@ -443,13 +443,13 @@ func decodeStrict(data []byte, v any) error {
 // partway dirties the root journal plus exactly the shards that had not
 // committed, which Open diagnoses and Repair heals.
 func (s *Store) Save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
-	finish := s.eventOp("save")
+	t := s.beginOp("save")
 	m, err := s.save(b, info)
 	if err != nil {
-		finish("error", "error", err.Error())
+		t.End("error", "error", err.Error())
 		return nil, err
 	}
-	finish("ok",
+	t.End("ok",
 		"shards", strconv.Itoa(m.ShardCount),
 		"replicas", strconv.Itoa(m.ReplicaCount),
 		"entries", strconv.Itoa(len(m.Entries)))
@@ -457,7 +457,6 @@ func (s *Store) Save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 }
 
 func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
-	defer s.timeOp("save")()
 	count := s.shardCount
 	plans, parts, err := planShards(b, info, count)
 	if err != nil {
@@ -559,14 +558,14 @@ type ShardFailure struct {
 // build time. The returned benchmark has no Corpus: the corpus is an input
 // of the build, not an artifact of it.
 func (s *Store) Load() (*bench.Benchmark, *Manifest, error) {
-	finish := s.eventOp("load")
+	t := s.beginOp("load")
 	before := s.failoverCount()
 	b, m, err := s.load()
 	if err != nil {
-		finish("error", "error", err.Error())
+		t.End("error", "error", err.Error())
 		return nil, nil, err
 	}
-	finish("ok",
+	t.End("ok",
 		"shards", strconv.Itoa(m.ShardCount),
 		"entries", strconv.Itoa(len(m.Entries)),
 		"failover", strconv.FormatBool(s.failoverCount() > before))
@@ -574,7 +573,6 @@ func (s *Store) Load() (*bench.Benchmark, *Manifest, error) {
 }
 
 func (s *Store) load() (*bench.Benchmark, *Manifest, error) {
-	defer s.timeOp("load")()
 	m, _, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, err
@@ -598,18 +596,18 @@ func (s *Store) load() (*bench.Benchmark, *Manifest, error) {
 // error return is reserved for stores with nothing to serve at all (no
 // readable root manifest).
 func (s *Store) LoadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, error) {
-	finish := s.eventOp("load")
+	t := s.beginOp("load")
 	before := s.failoverCount()
 	b, m, fails, err := s.loadPartial()
 	if err != nil {
-		finish("error", "error", err.Error())
+		t.End("error", "error", err.Error())
 		return nil, nil, nil, err
 	}
 	outcome := "ok"
 	if len(fails) > 0 {
 		outcome = "degraded"
 	}
-	finish(outcome,
+	t.End(outcome,
 		"shards", strconv.Itoa(m.ShardCount),
 		"entries", strconv.Itoa(len(m.Entries)),
 		"failed_shards", strconv.Itoa(len(fails)),
@@ -618,7 +616,6 @@ func (s *Store) LoadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, erro
 }
 
 func (s *Store) loadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, error) {
-	defer s.timeOp("load")()
 	m, _, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, nil, err

@@ -115,36 +115,30 @@ bench_ns() {
 
 # run_obs_bench runs the registry hot path, the wide-event recorder, and
 # the bare-vs-instrumented build comparison once, writing BENCH_obs.json;
-# returns non-zero when the full instrumentation — metrics, traces, wide
-# events, op IDs — costs 5% or more over a bare build.
+# returns non-zero when the full instrumentation — metrics, wide events,
+# op IDs — costs 5% or more over a bare build.
 run_obs_bench() {
     : > "$tmp"
     go test -run '^$' -bench 'BenchmarkRegistry|BenchmarkEventRecorder' -benchtime "$OBS_BENCHTIME" ./internal/obs | tee -a "$tmp"
     go test -run '^$' -bench 'BenchmarkBuildInstrumentation' -benchtime "$OBS_BENCHTIME" ./internal/bench | tee -a "$tmp"
 
     bare=$(bench_ns "BenchmarkBuildInstrumentation/bare")
-    instr=$(bench_ns "BenchmarkBuildInstrumentation/instrumented")
     events=$(bench_ns "BenchmarkBuildInstrumentation/instrumented_events")
-    if [ -z "$bare" ] || [ -z "$instr" ] || [ -z "$events" ]; then
+    if [ -z "$bare" ] || [ -z "$events" ]; then
         echo "bench: build instrumentation numbers missing" >&2
         return 1
     fi
-    # The gated headline is the full events-on configuration; the
-    # metrics+traces-only overhead rides along for comparison.
+    # The gated headline is the full events-on configuration.
     overhead=$(awk -v b="$bare" -v i="$events" 'BEGIN { printf "%.2f", (i - b) / b * 100 }')
-    trace_overhead=$(awk -v b="$bare" -v i="$instr" 'BEGIN { printf "%.2f", (i - b) / b * 100 }')
 
-    awk -v overhead="$overhead" -v trace_overhead="$trace_overhead" '
+    awk -v overhead="$overhead" '
       BEGIN { print "{" }
       /^Benchmark(Registry|EventRecorder|BuildInstrumentation)/ && $3 ~ /^[0-9.]+$/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
         printf "  \"%s\": %s,\n", name, $3
       }
-      END {
-        printf "  \"trace_overhead_pct\": %s,\n", trace_overhead
-        printf "  \"build_overhead_pct\": %s\n}\n", overhead
-      }
+      END { printf "  \"build_overhead_pct\": %s\n}\n", overhead }
     ' "$tmp" > "$OBS_OUT"
 
     echo "wrote $OBS_OUT:"
