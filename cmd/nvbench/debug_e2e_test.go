@@ -14,8 +14,8 @@ import (
 // served store: one /api/query request answers with an X-Request-ID
 // whose wide events — the HTTP request and the VQL execution with the
 // shards it read — are retrievable at /debug/events?op=, the request's
-// op ID lands as a /metrics exemplar, /debug/dash renders, and the
-// build-info and runtime series are exposed.
+// op ID lands as a /metrics exemplar, and the build-info and runtime
+// series are exposed.
 func TestServeOpsSurfaceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := runCLI(t, append(smallBuild, "-store", dir, "-save")...); err != nil {
@@ -98,20 +98,6 @@ func TestServeOpsSurfaceEndToEnd(t *testing.T) {
 				t.Fatalf("vql event = %+v", e)
 			}
 		}
-	}
-
-	// The dashboard renders without JavaScript.
-	resp, err = http.Get(base + "/debug/dash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dash, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/dash = %d (%v)", resp.StatusCode, err)
-	}
-	if !strings.Contains(string(dash), "nvbench ops dashboard") || strings.Contains(string(dash), "<script") {
-		t.Fatalf("dash body unexpected:\n%.400s", dash)
 	}
 
 	// The scrape carries the query's op as an exemplar, the build-info

@@ -132,8 +132,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprintf(w, "fault plan active: %s (seed %d)\n\n", plan, *faultSeed)
 	}
 
-	if (*save || *incr || *fsck || *repair || *scrub) && *storeDir == "" {
-		return fmt.Errorf("-save, -incremental, -fsck, -repair, -scrub and -resume require -store")
+	if (*save || *incr || *fsck || *repair || *scrub || *scrubIvl != 0) && *storeDir == "" {
+		return fmt.Errorf("-save, -incremental, -fsck, -repair, -scrub, -scrub-interval and -resume require -store")
 	}
 	var st *store.Store
 	if *storeDir != "" {
@@ -330,40 +330,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	if *serve != "" {
-		fmt.Fprintf(w, "\nserving benchmark browser on %s\n", *serve)
-		cfg := server.DefaultConfig()
-		cfg.Obs = ins
-		srv := server.NewWithConfig(b, cfg)
-		srv.SetDegraded(degraded)
-		shardCount, replicaCount := 0, 0
-		if manifest != nil {
-			shardCount, replicaCount = manifest.ShardCount, manifest.ReplicaCount
-			if err := srv.SetEntryETags(manifest.EntryHashes()); err != nil {
-				return err
-			}
-			if err := srv.SetEntryShards(manifest.EntryShards()); err != nil {
-				return err
-			}
-			attachQueryIndexes(w, srv, st)
-		}
-		obs.PublishBuildInfo(reg, shardCount, replicaCount)
-		stopSampler := startSampler(ctx, srv, ins)
-		defer stopSampler()
-		return srv.Run(ctx, *serve)
+		return serveBenchmark(ctx, w, *serve, b, st, manifest, degraded, ins, *scrubIvl)
 	}
 	return nil
-}
-
-// startSampler attaches a metrics-history sampler to a serving server and
-// feeds it wall-clock ticks once per second — the only timer in the
-// sampling path; the sampler itself never reads a clock. The returned stop
-// func releases the ticker.
-func startSampler(ctx context.Context, srv *server.Server, ins *obs.Instruments) (stop func()) {
-	sp := obs.NewSampler(ins.Metrics, ins.Events, obs.DefaultSampleCapacity)
-	srv.SetSampler(sp)
-	t := time.NewTicker(time.Second)
-	go sp.Run(ctx, t.C)
-	return t.Stop
 }
 
 // writeStageTable prints the end-of-run per-stage timing summary from the
@@ -490,8 +459,7 @@ func replicaDegradation(st *store.Store, d *server.Degradation) *server.Degradat
 // LoadPartial — the healthy shards keep serving, and /readyz names the
 // shards that did not (on top of any repair degradation already noted).
 // On a replicated store, shard reads that failed over to a replica are
-// reported the same way, and scrubIvl > 0 runs a background anti-entropy
-// scrubber that re-heals the store (and refreshes /readyz) while serving.
+// reported the same way.
 func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, vega bool, serve string, degraded *server.Degradation, ins *obs.Instruments, tracePath string, scrubIvl time.Duration) error {
 	b, m, err := st.Load()
 	if err != nil {
@@ -545,11 +513,27 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 		fmt.Fprintf(w, "\n%d shard(s) failed over to a replica: %v (run -scrub to heal the primary)\n", len(fo), fo)
 	}
 	if serve != "" {
-		fmt.Fprintf(w, "\nserving benchmark browser on %s\n", serve)
-		cfg := server.DefaultConfig()
-		cfg.Obs = ins
-		srv := server.NewWithConfig(b, cfg)
-		srv.SetDegraded(degraded)
+		return serveBenchmark(ctx, w, serve, b, st, m, degraded, ins, scrubIvl)
+	}
+	return nil
+}
+
+// serveBenchmark serves b on addr until ctx is canceled. m is the manifest
+// of the store st that b was saved to or loaded from, nil for a build that
+// was not saved: with it the server answers with the manifest's content
+// hashes as cache validators, reports the shards each query reads, uses
+// the store's persisted query indexes, and — when scrubIvl > 0 — runs a
+// background anti-entropy scrubber that re-heals the store and refreshes
+// /readyz while serving.
+func serveBenchmark(ctx context.Context, w io.Writer, addr string, b *bench.Benchmark, st *store.Store, m *store.Manifest, degraded *server.Degradation, ins *obs.Instruments, scrubIvl time.Duration) error {
+	fmt.Fprintf(w, "\nserving benchmark browser on %s\n", addr)
+	cfg := server.DefaultConfig()
+	cfg.Obs = ins
+	srv := server.NewWithConfig(b, cfg)
+	srv.SetDegraded(degraded)
+	shardCount, replicaCount := 0, 0
+	if m != nil {
+		shardCount, replicaCount = m.ShardCount, m.ReplicaCount
 		if err := srv.SetEntryETags(m.EntryHashes()); err != nil {
 			return err
 		}
@@ -557,9 +541,6 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 			return err
 		}
 		attachQueryIndexes(w, srv, st)
-		obs.PublishBuildInfo(ins.Metrics, m.ShardCount, m.ReplicaCount)
-		stopSampler := startSampler(ctx, srv, ins)
-		defer stopSampler()
 		if scrubIvl > 0 {
 			t := time.NewTicker(scrubIvl)
 			defer t.Stop()
@@ -575,9 +556,9 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 				srv.SetDegraded(replicaDegradation(st, nil))
 			})
 		}
-		return srv.Run(ctx, serve)
 	}
-	return nil
+	obs.PublishBuildInfo(ins.Metrics, shardCount, replicaCount)
+	return srv.Run(ctx, addr)
 }
 
 // corpusFromCSV loads one CSV table and auto-generates (nl, sql) pairs over

@@ -248,6 +248,53 @@ func TestScrubIntervalHealsWhileServing(t *testing.T) {
 	}
 }
 
+// TestScrubIntervalAfterSaveBuild covers the build path: a run that
+// builds, saves and serves scrubs the store it just saved.
+func TestScrubIntervalAfterSaveBuild(t *testing.T) {
+	dir := t.TempDir()
+	addr := "127.0.0.1:39428"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		var out strings.Builder
+		done <- run(ctx, append(smallBuild, "-store", dir, "-save", "-replicas", "2", "-serve", addr, "-scrub-interval", "100ms"), &out)
+	}()
+
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		if resp, err := http.Get("http://" + addr + "/readyz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	victim := replicaGlob(t, dir, "r1", filepath.Join("shards", "*", "MANIFEST.json"))[0]
+	want, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipFile(t, victim)
+
+	healed := false
+	for deadline = time.Now().Add(20 * time.Second); time.Now().Before(deadline) && !healed; time.Sleep(50 * time.Millisecond) {
+		got, err := os.ReadFile(victim)
+		healed = err == nil && string(got) == string(want)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve returned %v after cancel", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after cancel")
+	}
+	if !healed {
+		t.Fatal("background scrubber never healed the store the run saved")
+	}
+}
+
 // writeLegacyFixture hand-builds a minimal format-1 flat store (empty
 // benchmark): a format-1 manifest, its sum, and a committed journal.
 func writeLegacyFixture(t *testing.T, dir string) {
@@ -350,8 +397,10 @@ func TestHealthVerbExitCodeParity(t *testing.T) {
 }
 
 func TestReplicaFlagValidation(t *testing.T) {
-	if out, err := runCLI(t, "-scrub"); err == nil || !strings.Contains(err.Error(), "-store") {
-		t.Fatalf("-scrub without -store: err = %v\n%s", err, out)
+	for _, args := range [][]string{{"-scrub"}, append(smallBuild, "-scrub-interval", "1s")} {
+		if out, err := runCLI(t, args...); err == nil || !strings.Contains(err.Error(), "-store") {
+			t.Fatalf("%v without -store: err = %v\n%s", args, err, out)
+		}
 	}
 	if out, err := runCLI(t, append(smallBuild, "-store", t.TempDir(), "-save", "-replicas", "9")...); err == nil {
 		t.Fatalf("-replicas 9 accepted:\n%s", out)

@@ -86,7 +86,7 @@ var StoreOps = []string{"save", "load", "repair", "scrub"}
 // HTTPRoutes lists the bounded route= label set the server middleware emits
 // for HTTPSeconds and HTTPRequests (see server.routeLabel); the server's
 // route-drift test pins the two together.
-var HTTPRoutes = []string{"/", "/api/entries", "/api/entry/:id", "/api/entry/:id/vega", "/api/query", "/debug/dash", "/debug/events", "/entry/:id", "other"}
+var HTTPRoutes = []string{"/", "/api/entries", "/api/entry/:id", "/api/entry/:id/vega", "/api/query", "/debug/events", "/entry/:id", "other"}
 
 // opSeries maps a timed operation's layer and site to the histogram series
 // its End observes: bench stages feed StageHistogram, store entry points

@@ -1,6 +1,6 @@
 // Tests for the ops surface: X-Request-ID propagation, the per-request
-// wide event, /debug/events filtering, /debug/dash rendering, and the
-// end-to-end exemplar path from a request to the /metrics exposition.
+// wide event, /debug/events filtering, and the end-to-end exemplar path
+// from a request to the /metrics exposition.
 
 package server
 
@@ -155,7 +155,7 @@ func TestDebugEventsFilters(t *testing.T) {
 
 func TestDebugEventsBadMinMS(t *testing.T) {
 	s, _ := newDebugServer(t, DefaultConfig())
-	for _, bad := range []string{"abc", "-1", "1e"} {
+	for _, bad := range []string{"abc", "-1", "1e", "NaN", "inf", "1e300"} {
 		if rec := doGet(s, "/debug/events?min_ms="+bad); rec.Code != http.StatusBadRequest {
 			t.Errorf("min_ms=%q = %d, want 400", bad, rec.Code)
 		}
@@ -169,38 +169,6 @@ func TestDebugEventsWithoutRecorder(t *testing.T) {
 	page := decodeEventsPage(t, doGet(s, "/debug/events"))
 	if page.Total != 0 || page.Count != 0 || page.Events == nil {
 		t.Fatalf("recorderless page = %+v", page)
-	}
-}
-
-func TestDebugDashRenders(t *testing.T) {
-	s, reg := newDebugServer(t, DefaultConfig())
-	doGet(s, "/")
-
-	// Without a sampler the page still renders tiles and recent events.
-	rec := doGet(s, "/debug/dash")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/debug/dash = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/html") {
-		t.Fatalf("content type = %q", ct)
-	}
-	body := rec.Body.String()
-	if !strings.Contains(body, "nvbench ops dashboard") {
-		t.Fatalf("dash missing title:\n%s", body)
-	}
-	if strings.Contains(body, "<script") {
-		t.Fatal("dash page contains JavaScript")
-	}
-
-	// With a sampled history the sparklines appear as inline SVG.
-	sp := obs.NewSampler(reg, s.cfg.Obs.Events, 8)
-	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	sp.Sample(t0)
-	sp.Sample(t0.Add(time.Second))
-	s.SetSampler(sp)
-	body = doGet(s, "/debug/dash").Body.String()
-	if !strings.Contains(body, "<svg") {
-		t.Fatalf("dash with sampler has no sparkline SVG:\n%s", body)
 	}
 }
 
@@ -275,14 +243,16 @@ func TestDebugRoutesOutcomeLabels(t *testing.T) {
 	s, reg := newDebugServer(t, DefaultConfig())
 	doGet(s, "/debug/events")
 	doGet(s, "/debug/events?min_ms=abc")
-	doGet(s, "/debug/dash")
+	if rec := doGet(s, "/debug/dash"); rec.Code != http.StatusNotFound {
+		t.Errorf("/debug/dash = %d, want 404", rec.Code)
+	}
 	if got := requestCount(reg, "ok", "/debug/events"); got != 1 {
 		t.Errorf("ok /debug/events count = %d", got)
 	}
 	if got := requestCount(reg, "client_error", "/debug/events"); got != 1 {
 		t.Errorf("client_error /debug/events count = %d", got)
 	}
-	if got := requestCount(reg, "ok", "/debug/dash"); got != 1 {
-		t.Errorf("ok /debug/dash count = %d", got)
+	if got := requestCount(reg, "client_error", "other"); got != 1 {
+		t.Errorf("client_error other count = %d", got)
 	}
 }

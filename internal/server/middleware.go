@@ -112,8 +112,6 @@ func routeLabel(path string) string {
 		return "/api/query"
 	case path == "/debug/events":
 		return "/debug/events"
-	case path == "/debug/dash":
-		return "/debug/dash"
 	case strings.HasPrefix(path, "/api/entry/"):
 		if strings.HasSuffix(path, "/vega") {
 			return "/api/entry/:id/vega"

@@ -16,7 +16,6 @@ func TestRouteLabelsMatchRegisteredSchema(t *testing.T) {
 		"/api/entry/7":      "/api/entry/:id",
 		"/api/entry/7/vega": "/api/entry/:id/vega",
 		"/api/query":        "/api/query",
-		"/debug/dash":       "/debug/dash",
 		"/debug/events":     "/debug/events",
 		"/entry/7":          "/entry/:id",
 		"/healthz":          "other",

@@ -92,9 +92,6 @@ type Server struct {
 	// store-less server); /api/query's wide event attributes reads to
 	// shards through it. See SetEntryShards.
 	entryShards []string
-	// sampler, when attached, feeds /debug/dash's sparklines; see
-	// SetSampler.
-	sampler atomic.Pointer[obs.Sampler]
 }
 
 // ShardDegradation is the damage report for one store shard the server is
@@ -203,7 +200,6 @@ func NewWithConfig(b *bench.Benchmark, cfg Config) *Server {
 	root.HandleFunc("/readyz", s.handleReadyz)
 	root.HandleFunc("/metrics", s.handleMetrics)
 	root.Handle("/debug/events", s.withMetrics(http.HandlerFunc(s.handleDebugEvents)))
-	root.Handle("/debug/dash", s.withMetrics(http.HandlerFunc(s.handleDebugDash)))
 	root.Handle("/", h)
 	s.handler = s.withRecover(root)
 	s.ready.Store(true)
@@ -240,10 +236,6 @@ func (s *Server) SetEntryShards(shards []string) error {
 	s.entryShards = shards
 	return nil
 }
-
-// SetSampler attaches the metrics-history sampler /debug/dash draws its
-// sparklines from. Safe to call concurrently with requests.
-func (s *Server) SetSampler(sp *obs.Sampler) { s.sampler.Store(sp) }
 
 // notModified sets the entry's cache-validator headers and answers an
 // If-None-Match hit with 304, reporting whether the response is complete.
