@@ -399,28 +399,20 @@ func repairDetail(rep *store.RepairReport) *server.Degradation {
 	return d
 }
 
-// attachQueryIndexes feeds the server's /api/query engine the store's
-// persisted secondary indexes. Degrades, never fails: a store without
-// usable indexes (pre-index save, stale after damage, injected fault)
-// serves every query by full scan instead, with a note on the run log.
-// Call after SetEntryETags — the manifest hashes are how the engine
-// resolves index postings to rows.
-func attachQueryIndexes(w io.Writer, srv *server.Server, st *store.Store) {
+// attachQueryIndexes feeds the server's /api/query engine the secondary
+// indexes of the benchmark st last saved or loaded. Call after
+// SetEntryETags — the manifest hashes are how the engine resolves index
+// postings to rows.
+func attachQueryIndexes(srv *server.Server, st *store.Store) error {
 	idx, err := st.LoadIndexes()
 	if err != nil {
-		fmt.Fprintf(w, "query indexes unavailable (%v); /api/query falls back to full scans\n", err)
-		return
-	}
-	if len(idx) == 0 {
-		return // pre-index store
+		return err
 	}
 	vidx := make(map[string]vql.Index, len(idx))
 	for f, ix := range idx {
 		vidx[f] = ix
 	}
-	if err := srv.SetQueryIndexes(vidx); err != nil {
-		fmt.Fprintf(w, "query indexes rejected (%v); /api/query falls back to full scans\n", err)
-	}
+	return srv.SetQueryIndexes(vidx)
 }
 
 // replicaDegradation folds a replicated store's failover state into the
@@ -522,7 +514,7 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 // of the store st that b was saved to or loaded from, nil for a build that
 // was not saved: with it the server answers with the manifest's content
 // hashes as cache validators, reports the shards each query reads, uses
-// the store's persisted query indexes, and — when scrubIvl > 0 — runs a
+// the store's query indexes, and — when scrubIvl > 0 — runs a
 // background anti-entropy scrubber that re-heals the store and refreshes
 // /readyz while serving.
 func serveBenchmark(ctx context.Context, w io.Writer, addr string, b *bench.Benchmark, st *store.Store, m *store.Manifest, degraded *server.Degradation, ins *obs.Instruments, scrubIvl time.Duration) error {
@@ -540,21 +532,30 @@ func serveBenchmark(ctx context.Context, w io.Writer, addr string, b *bench.Benc
 		if err := srv.SetEntryShards(m.EntryShards()); err != nil {
 			return err
 		}
-		attachQueryIndexes(w, srv, st)
+		if err := attachQueryIndexes(srv, st); err != nil {
+			return err
+		}
 		if scrubIvl > 0 {
 			t := time.NewTicker(scrubIvl)
 			defer t.Stop()
-			go st.RunScrubber(ctx, t.C, func(rep *store.ScrubReport, err error) {
-				if err != nil {
-					log.Printf("background scrub: %v", err)
-					return
-				}
-				if !rep.Clean() {
-					log.Printf("background scrub: repaired %d artifact copies, %d moved aside, %d unrecoverable",
-						len(rep.Repaired), len(rep.MovedAside), len(rep.Unrecoverable))
-				}
-				srv.SetDegraded(replicaDegradation(st, nil))
-			})
+			// Return only once the scrubber has stopped writing to the store.
+			scrubCtx, stop := context.WithCancel(ctx)
+			scrubbed := make(chan struct{})
+			defer func() { stop(); <-scrubbed }()
+			go func() {
+				defer close(scrubbed)
+				st.RunScrubber(scrubCtx, t.C, func(rep *store.ScrubReport, err error) {
+					if err != nil {
+						log.Printf("background scrub: %v", err)
+						return
+					}
+					if !rep.Clean() {
+						log.Printf("background scrub: repaired %d artifact copies, %d moved aside, %d unrecoverable",
+							len(rep.Repaired), len(rep.MovedAside), len(rep.Unrecoverable))
+					}
+					srv.SetDegraded(replicaDegradation(st, nil))
+				})
+			}()
 		}
 	}
 	obs.PublishBuildInfo(ins.Metrics, shardCount, replicaCount)

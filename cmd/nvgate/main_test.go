@@ -73,6 +73,11 @@ func TestGateTable(t *testing.T) {
 	if sections[0].name != "root" || sections[0].out != "" {
 		t.Fatalf("first section = %+v, want the unrecorded root run", sections[0])
 	}
+	for _, s := range sections {
+		if want := map[string]int{"obs": 5}[s.name]; s.count != want {
+			t.Errorf("%s: count = %d, want %d", s.name, s.count, want)
+		}
+	}
 }
 
 // TestGateBoundaries checks each gate fails exactly at its bound and
@@ -206,6 +211,53 @@ func TestBenchFileFormat(t *testing.T) {
 `
 	if string(got) != want {
 		t.Fatalf("BENCH_obs.json =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestObsMedians runs the obs section on five canned runs: the BENCH file
+// records each key's median as printed, and build_overhead_pct and the
+// gate read those medians. One run alone (the 4th) would fail the gate.
+func TestObsMedians(t *testing.T) {
+	const out = `BenchmarkRegistryObserve-2 	 6000000	       193.3 ns/op
+BenchmarkBuildInstrumentation/bare-2 	 400	   2700000 ns/op
+BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2710000 ns/op
+BenchmarkRegistryObserve-2 	 6000000	       201.0 ns/op
+BenchmarkBuildInstrumentation/bare-2 	 400	   2600000 ns/op
+BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2650000 ns/op
+BenchmarkRegistryObserve-2 	 6000000	       190.1 ns/op
+BenchmarkBuildInstrumentation/bare-2 	 400	   2900000 ns/op
+BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2690000 ns/op
+BenchmarkRegistryObserve-2 	 6000000	       199.9 ns/op
+BenchmarkBuildInstrumentation/bare-2 	 400	   2500000 ns/op
+BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   3100000 ns/op
+BenchmarkRegistryObserve-2 	 6000000	       195.0 ns/op
+BenchmarkBuildInstrumentation/bare-2 	 400	   2800000 ns/op
+BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2720000 ns/op
+PASS
+`
+	dir := t.TempDir()
+	s := sectionNamed(t, "obs")
+	s.retry = false
+	vs, err := s.run(io.Discard, dir, func(section) ([]metric, error) { return parseBench(out), nil })
+	if err != nil || len(vs) != 1 || !vs[0].pass {
+		t.Fatalf("obs run: %v, %+v", err, vs)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, s.out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "BenchmarkRegistryObserve": 195.0,
+  "BenchmarkBuildInstrumentation/bare": 2700000,
+  "BenchmarkBuildInstrumentation/instrumented_events": 2710000,
+  "build_overhead_pct": 0.37
+}
+`
+	if string(got) != want {
+		t.Fatalf("BENCH_obs.json =\n%s\nwant\n%s", got, want)
+	}
+	if got := medians([]metric{{"k", "4"}, {"k", "1"}, {"k", "3"}, {"k", "2"}}); !reflect.DeepEqual(got, []metric{{"k", "2"}}) {
+		t.Fatalf("median of an even count = %v, want the lower middle value", got)
 	}
 }
 

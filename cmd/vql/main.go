@@ -1,8 +1,8 @@
 // Command vql is the synthesizer's interactive utility. It has two modes:
 //
 // Query mode runs a VQL query against a saved benchmark store, answering
-// equality predicates from the store's persisted secondary indexes when
-// it can:
+// equality predicates from secondary indexes built over the loaded
+// entries when it can:
 //
 //	vql -store ./store -query "SELECT hardness, chart, count(*) FROM entries WHERE db = 'flight_0' GROUP BY 1, 2 ORDER BY 3 DESC"
 //	vql -store ./store -query "..." -json      # machine-readable result
@@ -129,9 +129,8 @@ func main() {
 	}
 }
 
-// runQuery loads the store, feeds the engine its persisted indexes, and
-// answers one VQL query. A store without usable indexes still answers —
-// every query falls back to a full scan — with a note on stderr.
+// runQuery loads the store, feeds the engine the loaded benchmark's
+// secondary indexes, and answers one VQL query.
 func runQuery(dir, q string, asJSON, explain bool) error {
 	st, err := store.Open(dir)
 	if err != nil {
@@ -141,17 +140,17 @@ func runQuery(dir, q string, asJSON, explain bool) error {
 	if err != nil {
 		return err
 	}
+	idx, err := st.LoadIndexes()
+	if err != nil {
+		return err
+	}
+	vidx := make(map[string]vql.Index, len(idx))
+	for f, ix := range idx {
+		vidx[f] = ix
+	}
 	eng := vql.NewEngine(b)
-	if idx, err := st.LoadIndexes(); err != nil {
-		log.Printf("indexes unavailable, falling back to full scans: %v", err)
-	} else if len(idx) > 0 {
-		vidx := make(map[string]vql.Index, len(idx))
-		for f, ix := range idx {
-			vidx[f] = ix
-		}
-		if err := eng.SetIndexes(m.EntryHashes(), vidx); err != nil {
-			return err
-		}
+	if err := eng.SetIndexes(m.EntryHashes(), vidx); err != nil {
+		return err
 	}
 
 	if explain {

@@ -120,3 +120,29 @@ func TestSeq2VisDataRoundTrip(t *testing.T) {
 		t.Errorf("value-fill accuracy %.3f below expectation", acc)
 	}
 }
+
+// TestReferenceCorpusDigest pins the seed-1, 40-database reference corpus
+// (EXPERIMENTS.md): its entry and (nl, vis) pair counts and the digest of
+// every synthesized entry. A change that moves any entry fails here.
+func TestReferenceCorpusDigest(t *testing.T) {
+	corpus, err := spider.Generate(spider.Config{Seed: 1, NumDatabases: 40, PairsPerDB: 16, MaxRows: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bench.Build(corpus, bench.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantEntries = 2331
+		wantPairs   = 9351
+		wantDigest  = "123128b151f8cf5b806aa7a36ad2f6688a747712df02e3cd7e22457f27406e30"
+	)
+	if len(b.Entries) != wantEntries || b.NumPairs() != wantPairs {
+		t.Fatalf("reference corpus built %d entries and %d pairs, want %d and %d",
+			len(b.Entries), b.NumPairs(), wantEntries, wantPairs)
+	}
+	if got := bench.Digest(b); got != wantDigest {
+		t.Fatalf("reference corpus digest %s, want %s", got, wantDigest)
+	}
+}

@@ -7,7 +7,11 @@ package bench
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"nvbench/internal/ast"
@@ -238,36 +242,23 @@ func diverseTruncate(kept []*core.VisObject, n int) []*core.VisObject {
 // failure families.
 func bucketReason(reason string) string {
 	switch {
-	case contains(reason, "transient"):
+	case strings.Contains(reason, "transient"):
 		return "transient failure"
-	case contains(reason, "single value"):
+	case strings.Contains(reason, "single value"):
 		return "single value"
-	case contains(reason, "slices"):
+	case strings.Contains(reason, "slices"):
 		return "pie with many slices"
-	case contains(reason, "categories"):
+	case strings.Contains(reason, "categories"):
 		return "bar with too many categories"
-	case contains(reason, "qualitative"):
+	case strings.Contains(reason, "qualitative"):
 		return "line with qualitative variables"
-	case contains(reason, "classifier"):
+	case strings.Contains(reason, "classifier"):
 		return "classifier"
-	case contains(reason, "empty"):
+	case strings.Contains(reason, "empty"):
 		return "empty result"
 	default:
 		return "other"
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // NumPairs returns the total number of (nl, vis) pairs (each NL variant
@@ -278,6 +269,23 @@ func (b *Benchmark) NumPairs() int {
 		n += len(e.NLs)
 	}
 	return n
+}
+
+// Digest is the hex SHA-256 of every field of every entry a build
+// produces, in entry order: the fingerprint that pins a reference corpus.
+func Digest(b *Benchmark) string {
+	h := sha256.New()
+	for _, e := range b.Entries {
+		fmt.Fprintf(h, "%d|%d|%s|%s|%s|%t|%s|%s|", e.ID, e.PairID, e.DB.Name, e.SourceNL, e.Vis, e.Manual, e.Hardness, e.Chart)
+		for _, op := range e.Edit.Ops {
+			fmt.Fprintf(h, "%s:%s;", op.Kind, op.Attr.Key())
+		}
+		for _, nl := range e.NLs {
+			fmt.Fprintf(h, "\n\t%s", nl)
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ChartStats is one Table 3 row.

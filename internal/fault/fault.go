@@ -66,11 +66,9 @@ const (
 	SiteShardMerge  = "store.shard.merge"  // root-manifest merge writes
 	SiteShardRepair = "store.shard.repair" // per-shard (and root re-merge) repair
 
-	// VQL query-engine sites: the executor entry (every query evaluated
-	// over the loaded benchmark) and the persisted secondary-index path
-	// (index assembly during Save, index reads in LoadIndexes).
+	// VQL query-engine site: the executor entry (every query evaluated
+	// over the loaded benchmark).
 	SiteVQLQuery = "vql.query" // vql.Engine query execution
-	SiteVQLIndex = "vql.index" // store index build and load
 
 	// Replicated-store sites: writes into non-primary replica trees
 	// during Save, reads of the primary replica's shard artifacts in a
@@ -89,7 +87,7 @@ func Sites() []string {
 		SiteVariants, SiteRender, SiteServer,
 		SiteStoreSave, SiteStoreLoad,
 		SiteShardSave, SiteShardMerge, SiteShardRepair,
-		SiteVQLQuery, SiteVQLIndex,
+		SiteVQLQuery,
 		SiteReplicaSave, SiteReplicaRead, SiteReplicaScrub,
 	}
 }

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -27,7 +28,7 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 			if p == http.ErrAbortHandler {
 				panic(p)
 			}
-			s.logf("server: panic serving %s %s: %v", r.Method, r.URL.Path, p)
+			log.Printf("server: panic serving %s %s: %v", r.Method, r.URL.Path, p)
 			// Best effort: if the response has not started, this is a
 			// clean 500; mid-stream, net/http closes the connection.
 			http.Error(w, "internal server error", http.StatusInternalServerError)

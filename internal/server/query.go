@@ -1,6 +1,6 @@
 // /api/query: the VQL endpoint. One engine is built over the served
 // benchmark at construction; a store-backed server additionally feeds it
-// the persisted secondary indexes (SetQueryIndexes) so equality
+// the store's secondary indexes (SetQueryIndexes) so equality
 // predicates on db/chart/hardness answer from postings instead of a full
 // scan. Queries are read-only and the engine is immutable after setup,
 // so requests execute concurrently without locking.
@@ -38,10 +38,10 @@ type queryError struct {
 	Position int    `json:"position,omitempty"`
 }
 
-// SetQueryIndexes hands the engine the store's persisted secondary
-// indexes. Call after SetEntryETags: index postings are entry content
-// hashes, and the etags — positionally aligned with the engine's rows —
-// are how the engine resolves them. Not safe concurrently with requests.
+// SetQueryIndexes hands the engine the store's secondary indexes. Call
+// after SetEntryETags: index postings are entry content hashes, and the
+// etags — positionally aligned with the engine's rows — are how the
+// engine resolves them. Not safe concurrently with requests.
 func (s *Server) SetQueryIndexes(indexes map[string]vql.Index) error {
 	return s.engine.SetIndexes(s.etags, indexes)
 }
@@ -114,15 +114,8 @@ func (s *Server) handleAPIQuery(w http.ResponseWriter, r *http.Request) {
 	// validator is a hash of both: identical queries against an unchanged
 	// store revalidate with 304 before any execution work.
 	sum := sha256.Sum256([]byte(s.queryTag + "\x00" + q))
-	tag := `"` + hex.EncodeToString(sum[:]) + `"`
-	w.Header().Set("ETag", tag)
-	w.Header().Set("Cache-Control", "no-cache")
-	for _, c := range strings.Split(r.Header.Get("If-None-Match"), ",") {
-		c = strings.TrimPrefix(strings.TrimSpace(c), "W/")
-		if c == tag || c == "*" {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	if revalidate(w, r, `"`+hex.EncodeToString(sum[:])+`"`) {
+		return
 	}
 
 	// One timed record: the query stage histogram (with the request's op

@@ -42,8 +42,6 @@ type Config struct {
 	MaxInFlight int
 	// DrainTimeout bounds graceful shutdown's wait for in-flight requests.
 	DrainTimeout time.Duration
-	// Logger receives middleware diagnostics; nil uses the process logger.
-	Logger *log.Logger
 	// Obs provides the metrics registry behind /metrics and the per-route
 	// middleware, plus the structured request logger. Nil defaults to the
 	// process-wide obs.Default registry (instrumentation is always on; it
@@ -79,7 +77,7 @@ type Server struct {
 	// servable data).
 	degraded atomic.Pointer[Degradation]
 	// engine answers /api/query; built over Bench at construction,
-	// optionally fed persisted store indexes via SetQueryIndexes.
+	// optionally fed the store's indexes via SetQueryIndexes.
 	engine *vql.Engine
 	// queryTag is the cache-validator base for /api/query responses,
 	// derived from the per-entry validators (see recomputeQueryTag).
@@ -240,14 +238,20 @@ func (s *Server) SetEntryShards(shards []string) error {
 // notModified sets the entry's cache-validator headers and answers an
 // If-None-Match hit with 304, reporting whether the response is complete.
 // Validators are strong — two entries with the same bytes revalidate
-// interchangeably — and Cache-Control: no-cache makes clients revalidate
-// every use, so a rebuilt store invalidates stale copies immediately.
+// interchangeably.
 func (s *Server) notModified(w http.ResponseWriter, r *http.Request, e *bench.Entry) bool {
 	i, ok := s.byID[e.ID]
 	if !ok || i >= len(s.etags) || s.etags[i] == "" {
 		return false
 	}
-	tag := `"` + s.etags[i] + `"`
+	return revalidate(w, r, `"`+s.etags[i]+`"`)
+}
+
+// revalidate is the one conditional-GET check: it sets ETag to tag and
+// Cache-Control: no-cache (clients revalidate every use, so a rebuilt
+// store invalidates stale copies immediately), then answers 304 and
+// reports true when If-None-Match lists tag or "*".
+func revalidate(w http.ResponseWriter, r *http.Request, tag string) bool {
 	w.Header().Set("ETag", tag)
 	w.Header().Set("Cache-Control", "no-cache")
 	for _, c := range strings.Split(r.Header.Get("If-None-Match"), ",") {
@@ -258,15 +262,6 @@ func (s *Server) notModified(w http.ResponseWriter, r *http.Request, e *bench.En
 		}
 	}
 	return false
-}
-
-// logf writes one middleware diagnostic line.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }
 
 // Ready reports whether the server accepts benchmark traffic (true from
@@ -604,7 +599,7 @@ func writeJSON(s *Server, w http.ResponseWriter, v any) error {
 // errdrop analyzer.
 func writeBytes(s *Server, w http.ResponseWriter, b []byte) error {
 	if _, err := w.Write(b); err != nil {
-		s.logf("server: write %d bytes: %v", len(b), err)
+		log.Printf("server: write %d bytes: %v", len(b), err)
 		return err
 	}
 	return nil

@@ -1,443 +1,76 @@
-// Persisted secondary indexes: the store side of the VQL query engine.
-// Alongside the root manifest, a saved store carries indexes/<field>.json
-// for each of IndexFields — a self-hashed canonical-JSON map from key to
-// the content hashes of the matching entries, linked to the exact root
-// manifest it was built from. Like the manifest, every index is built
-// per shard (planShards computes each shard's postings with zero extra
-// encoding work) and merged deterministically, and the merged bytes are
-// written through the root journal's intent machinery: a crash mid-write
-// leaves an in-progress journal, and Repair — which rebuilds the
-// expected index bytes from the healed shard manifests and entry
-// records — rewrites any index that disagrees, so a store can never
-// serve a stale or torn index without fsck noticing first.
-//
-// The db index is keyed by database content hash (the manifest's
-// address for the payload), with a side table mapping database names to
-// their hashes, so queries by name resolve through it without loading
-// any payload.
+// Secondary indexes: the store side of the VQL query engine. They are
+// built in memory from the benchmark a handle last saved or loaded — its
+// entries plus the manifest's content hashes in the same order — and are
+// never written to disk: the whole benchmark is already in memory when a
+// caller asks for them. A store saved by an older build may still carry an
+// indexes/ directory; nothing reads, verifies or sweeps it.
 
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"sort"
-	"strings"
 
-	"nvbench/internal/fault"
+	"nvbench/internal/bench"
 )
 
-const (
-	indexesDir         = "indexes"
-	indexFormatVersion = 1
-)
-
-// IndexFields are the entry fields with a persisted secondary index,
-// in artifact-name order.
+// IndexFields are the entry fields with a secondary index, in name order.
 var IndexFields = []string{"chart", "db", "hardness"}
 
-// indexRecord is the payload of one indexes/<field>.json artifact
-// (wrapped self-hashed on disk, like cache records).
-type indexRecord struct {
-	FormatVersion int    `json:"format_version"`
-	Field         string `json:"field"`
-	// Manifest is the hex SHA-256 of the root MANIFEST.json this index
-	// was merged from — the staleness link Verify and LoadIndexes check.
-	Manifest string `json:"manifest"`
-	// Keys maps an index key (hardness name, chart name, or database
-	// content hash) to the sorted content hashes of the matching entries.
-	Keys map[string][]string `json:"keys"`
-	// DBNames (db index only) maps a database name to the sorted content
-	// hashes of its payloads, so lookups by name need no payload reads.
-	DBNames map[string][]string `json:"db_names,omitempty"`
-}
-
-// Index is one loaded secondary index; it implements vql.Index. For
-// the db index, Lookup takes the database *name* and unions the
-// postings of every payload hash carrying that name.
+// Index is one secondary index; it implements vql.Index.
 type Index struct {
-	field   string
-	keys    map[string][]string
-	dbNames map[string][]string
+	field string
+	keys  map[string][]string
 }
 
 // Field names the indexed entry field.
 func (ix *Index) Field() string { return ix.field }
 
-// Lookup returns the content hashes of the entries matching key, sorted;
-// nil for an unknown key. The returned slice is shared — do not mutate.
-func (ix *Index) Lookup(key string) []string {
-	if ix.field != "db" {
-		return ix.keys[key]
+// Lookup returns the content hashes of the entries whose field equals key
+// (the database name for the db index), sorted; nil for an unknown key.
+// The returned slice is shared — do not mutate.
+func (ix *Index) Lookup(key string) []string { return ix.keys[key] }
+
+// buildIndexes builds every index of IndexFields over entries, whose
+// content hashes are hashes in the same order.
+func buildIndexes(entries []*bench.Entry, hashes []string) map[string]*Index {
+	out := make(map[string]*Index, len(IndexFields))
+	for _, f := range IndexFields {
+		out[f] = &Index{field: f, keys: map[string][]string{}}
 	}
-	hashes := ix.dbNames[key]
-	if len(hashes) == 1 {
-		return ix.keys[hashes[0]]
+	add := func(field, key, hash string) {
+		ix := out[field]
+		ix.keys[key] = append(ix.keys[key], hash)
 	}
-	var out []string
-	for _, h := range hashes {
-		out = append(out, ix.keys[h]...)
+	for i, e := range entries {
+		add("chart", e.Chart.String(), hashes[i])
+		add("db", e.DB.Name, hashes[i])
+		add("hardness", e.Hardness.String(), hashes[i])
 	}
-	sort.Strings(out)
+	for _, ix := range out {
+		for _, postings := range ix.keys {
+			sort.Strings(postings)
+		}
+	}
 	return out
 }
 
-// indexPart is one shard's contribution to the merged indexes:
-// field → key → set of entry hashes, plus the db name → hash side table.
-type indexPart struct {
-	keys  map[string]map[string]map[string]bool
-	names map[string]map[string]bool
-}
-
-func newIndexPart() *indexPart {
-	p := &indexPart{keys: map[string]map[string]map[string]bool{}, names: map[string]map[string]bool{}}
-	for _, f := range IndexFields {
-		p.keys[f] = map[string]map[string]bool{}
-	}
-	return p
-}
-
-// add records one entry's posting under one field's key.
-func (p *indexPart) add(field, key, entryHash string) {
-	set := p.keys[field][key]
-	if set == nil {
-		set = map[string]bool{}
-		p.keys[field][key] = set
-	}
-	set[entryHash] = true
-}
-
-// addName records one database name → payload hash association.
-func (p *indexPart) addName(name, dbHash string) {
-	set := p.names[name]
-	if set == nil {
-		set = map[string]bool{}
-		p.names[name] = set
-	}
-	set[dbHash] = true
-}
-
-// addEntry records every indexed field of one entry record.
-func (p *indexPart) addEntry(entryHash, dbHash, dbName, hardness, chart string) {
-	p.add("db", dbHash, entryHash)
-	p.add("hardness", hardness, entryHash)
-	p.add("chart", chart, entryHash)
-	p.addName(dbName, dbHash)
-}
-
-// mergeIndexRecords assembles the self-hashed index artifacts from the
-// shard contributions. Like mergeManifest it is a pure function of
-// deterministic inputs — sets merge and render sorted — so the bytes
-// are identical at any worker count. Parts without index contributions
-// (Verify-built shardParts) contribute nothing.
-func mergeIndexRecords(parts []shardPart, manifestHash string) (map[string][]byte, error) {
-	merged := map[string]map[string]map[string]bool{}
-	for _, f := range IndexFields {
-		merged[f] = map[string]map[string]bool{}
-	}
-	names := map[string]map[string]bool{}
-	for _, p := range parts {
-		if p.idx == nil {
-			continue
-		}
-		for _, f := range IndexFields {
-			for key, set := range p.idx.keys[f] {
-				dst := merged[f][key]
-				if dst == nil {
-					dst = map[string]bool{}
-					merged[f][key] = dst
-				}
-				for h := range set {
-					dst[h] = true
-				}
-			}
-		}
-		for name, set := range p.idx.names {
-			dst := names[name]
-			if dst == nil {
-				dst = map[string]bool{}
-				names[name] = dst
-			}
-			for h := range set {
-				dst[h] = true
-			}
-		}
-	}
-	out := make(map[string][]byte, len(IndexFields))
-	for _, f := range IndexFields {
-		rec := indexRecord{
-			FormatVersion: indexFormatVersion,
-			Field:         f,
-			Manifest:      manifestHash,
-			Keys:          map[string][]string{},
-		}
-		for key, set := range merged[f] {
-			rec.Keys[key] = sortedKeys(set)
-		}
-		if f == "db" {
-			rec.DBNames = map[string][]string{}
-			for name, set := range names {
-				rec.DBNames[name] = sortedKeys(set)
-			}
-		}
-		payload, err := canonicalJSON(rec)
-		if err != nil {
-			return nil, err
-		}
-		out[f] = selfHashed(payload)
-	}
-	return out, nil
-}
-
-// indexRel is the root-relative path of one field's index artifact.
-func indexRel(field string) string { return indexesDir + "/" + field + ".json" }
-
-// writeIndexes writes the merged index artifacts through the root
-// journal's intent machinery; it runs inside the save (or repair) merge
-// step, between the manifest intents and the commit.
-func writeIndexes(root box, idx map[string][]byte) error {
-	for _, f := range IndexFields {
-		data := idx[f]
-		if err := root.writeIntended(indexRel(f), hashBytes(data), data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadIndexes reads the persisted secondary indexes, validating each
-// against its self-hash and against the current root manifest. A store
-// saved before indexes existed returns an empty map (callers fall back
-// to full scans); a torn or stale index is an error — run Repair or
-// re-save. The map is keyed by field name.
+// LoadIndexes returns the secondary indexes of the benchmark this handle
+// last saved or loaded, keyed by field name. The first call after that
+// Save or Load builds them; later calls share the same set. Calling it
+// before any Save or Load is an error.
 func (s *Store) LoadIndexes() (map[string]*Index, error) {
-	if err := fault.Inject(fault.SiteVQLIndex); err != nil {
-		return nil, fmt.Errorf("store: load indexes: %w", err)
+	if s.indexed == nil {
+		return nil, errors.New("store: load indexes: no benchmark saved or loaded on this handle")
 	}
-	_, mdata, err := s.loadManifest()
-	if err != nil {
-		return nil, err
+	if s.indexes == nil {
+		s.indexes = buildIndexes(s.indexed.Entries, s.indexedManifest.EntryHashes())
 	}
-	want := hashBytes(mdata)
-	out := map[string]*Index{}
-	for _, f := range IndexFields {
-		data, err := s.rootBox().readArtifact(indexRel(f))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			return nil, err
-		}
-		payload, err := verifySelfHashed(data)
-		if err != nil {
-			return nil, fmt.Errorf("store: %s corrupt: %w", indexRel(f), err)
-		}
-		var rec indexRecord
-		if err := decodeStrict(payload, &rec); err != nil {
-			return nil, fmt.Errorf("store: decode %s: %w", indexRel(f), err)
-		}
-		if rec.FormatVersion != indexFormatVersion || rec.Field != f {
-			return nil, fmt.Errorf("store: %s describes field %q (format %d)", indexRel(f), rec.Field, rec.FormatVersion)
-		}
-		if rec.Manifest != want {
-			return nil, fmt.Errorf("store: %s is stale: built for manifest %s, current is %s (run -repair)", indexRel(f), rec.Manifest, want)
-		}
-		out[f] = &Index{field: f, keys: rec.Keys, dbNames: rec.DBNames}
-	}
-	return out, nil
+	return s.indexes, nil
 }
 
-// verifyIndexes is the fsck walk of indexes/: every present artifact
-// must self-hash, decode, describe its filename's field, link to the
-// current root manifest, and reference only entries (and databases) the
-// manifest knows; unknown files are orphans. Index artifacts are
-// all-or-nothing — a store with some but not all of IndexFields is
-// corrupt — but a store with none at all (saved before indexes existed)
-// passes. m/mdata are the decoded root manifest and its exact bytes.
-func (s *Store) verifyIndexes(rep *FsckReport, m *Manifest, mdata []byte) {
-	bx := s.rootBox()
-	fnames, err := bx.listJSON(indexesDir)
-	if err != nil {
-		rep.Corrupt = append(rep.Corrupt, Corruption{Path: indexesDir, Detail: err.Error()})
-		return
-	}
-	if len(fnames) == 0 {
-		return // pre-index store: nothing to check
-	}
-	entrySet := map[string]bool{}
-	for _, ref := range m.Entries {
-		entrySet[ref.Hash] = true
-	}
-	dbSet := map[string]bool{}
-	for _, h := range m.Databases {
-		dbSet[h] = true
-	}
-	present := map[string]bool{}
-	for _, fname := range fnames {
-		rel := indexesDir + "/" + fname
-		field := strings.TrimSuffix(fname, ".json")
-		known := false
-		for _, f := range IndexFields {
-			if f == field {
-				known = true
-				break
-			}
-		}
-		if !known {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: rel, Detail: "unknown index artifact (orphan)"})
-			continue
-		}
-		present[field] = true
-		rep.Checked++
-		data, err := bx.readArtifact(rel)
-		if err != nil {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: rel, Detail: err.Error()})
-			continue
-		}
-		payload, err := verifySelfHashed(data)
-		if err != nil {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: rel, Detail: err.Error()})
-			continue
-		}
-		var rec indexRecord
-		if err := decodeStrict(payload, &rec); err != nil {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: rel, Detail: "undecodable: " + err.Error()})
-			continue
-		}
-		if rec.FormatVersion != indexFormatVersion || rec.Field != field {
-			rep.Corrupt = append(rep.Corrupt, Corruption{
-				Path:   rel,
-				Detail: fmt.Sprintf("describes field %q (format %d)", rec.Field, rec.FormatVersion),
-			})
-			continue
-		}
-		if rec.Manifest != hashBytes(mdata) {
-			rep.Corrupt = append(rep.Corrupt, Corruption{
-				Path:   rel,
-				Detail: fmt.Sprintf("stale: built for manifest %s (run -repair)", rec.Manifest),
-			})
-			continue
-		}
-		bad := 0
-		for _, key := range sortedKeysAny(rec.Keys) {
-			if field == "db" && !dbSet[key] {
-				bad++
-				continue
-			}
-			for _, h := range rec.Keys[key] {
-				if !entrySet[h] {
-					bad++
-				}
-			}
-		}
-		for _, name := range sortedKeysAny(rec.DBNames) {
-			for _, h := range rec.DBNames[name] {
-				if !dbSet[h] {
-					bad++
-				}
-			}
-		}
-		if bad > 0 {
-			rep.Corrupt = append(rep.Corrupt, Corruption{
-				Path:   rel,
-				Detail: fmt.Sprintf("%d postings reference artifacts the manifest does not list", bad),
-			})
-		}
-	}
-	for _, f := range IndexFields {
-		if !present[f] {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: indexRel(f), Detail: "missing index artifact"})
-		}
-	}
-}
-
-// rebuildIndexParts recomputes every shard's index contribution from
-// its healed artifacts: each entry record named by the shard manifest
-// decodes into its indexed fields, and the database name comes from the
-// (already hash-verified) payload. Used by Repair, which compares the
-// resulting merge against the on-disk indexes. Parts are filled in
-// place.
-func (s *Store) rebuildIndexParts(parts []shardPart) error {
-	// Database payloads are duplicated per shard but names only need
-	// resolving once per content hash.
-	dbName := map[string]string{}
-	for i := range parts {
-		bx := s.shardBoxName(parts[i].name)
-		idx := newIndexPart()
-		for _, dh := range parts[i].m.Databases {
-			if _, ok := dbName[dh]; ok {
-				continue
-			}
-			data, err := os.ReadFile(bx.path(dbsDir + "/" + dh + ".json"))
-			if err != nil {
-				return fmt.Errorf("store: rebuild index: %w", err)
-			}
-			// Lenient decode on purpose: the payload is hash-verified and
-			// only the name matters here.
-			var rec struct {
-				Name string `json:"name"`
-			}
-			if err := json.Unmarshal(data, &rec); err != nil {
-				return fmt.Errorf("store: rebuild index: decode %s: %w", bx.key(dbsDir+"/"+dh+".json"), err)
-			}
-			dbName[dh] = rec.Name
-		}
-		for _, ref := range parts[i].m.Entries {
-			data, err := os.ReadFile(bx.path(entriesDir + "/" + ref.Hash + ".json"))
-			if err != nil {
-				return fmt.Errorf("store: rebuild index: %w", err)
-			}
-			rec, err := decodeEntryRecord(data)
-			if err != nil {
-				return fmt.Errorf("store: rebuild index: decode %s: %w", bx.key(entriesDir+"/"+ref.Hash+".json"), err)
-			}
-			idx.addEntry(ref.Hash, ref.DB, dbName[ref.DB], rec.Hardness, rec.Chart)
-		}
-		parts[i].idx = idx
-	}
-	return nil
-}
-
-// repairIndexes compares the expected index artifacts (merged from the
-// healed shards) against disk, moves unknown index files aside, and
-// reports whether a journaled rewrite is needed. Called by Repair
-// before its root write-back decision.
-func (s *Store) repairIndexes(parts []shardPart, manifestHash string, rep *RepairReport) (map[string][]byte, bool, error) {
-	if err := fault.Inject(fault.SiteVQLIndex); err != nil {
-		return nil, false, fmt.Errorf("store: repair indexes: %w", err)
-	}
-	if err := s.rebuildIndexParts(parts); err != nil {
-		return nil, false, err
-	}
-	idx, err := mergeIndexRecords(parts, manifestHash)
-	if err != nil {
-		return nil, false, err
-	}
-	root := s.rootBox()
-	fnames, err := root.listJSON(indexesDir)
-	if err != nil {
-		return nil, false, fmt.Errorf("store: repair: %w", err)
-	}
-	for _, fname := range fnames {
-		field := strings.TrimSuffix(fname, ".json")
-		if _, ok := idx[field]; ok {
-			continue
-		}
-		if err := s.moveAside(indexesDir + "/" + fname); err != nil {
-			return nil, false, err
-		}
-		rep.OrphansMoved = append(rep.OrphansMoved, indexesDir+"/"+fname)
-	}
-	dirty := false
-	for _, f := range IndexFields {
-		cur, err := os.ReadFile(root.path(indexRel(f)))
-		if err != nil || !bytes.Equal(cur, idx[f]) {
-			dirty = true
-			break
-		}
-	}
-	return idx, dirty, nil
+// setIndexed records b, saved or loaded with manifest m, as the benchmark
+// LoadIndexes serves.
+func (s *Store) setIndexed(b *bench.Benchmark, m *Manifest) {
+	s.indexed, s.indexedManifest, s.indexes = b, m, nil
 }

@@ -1,86 +1,110 @@
-// Tests for the persisted secondary indexes: the save→LoadIndexes round
-// trip, posting correctness against the manifest, the fsck walk over
-// indexes/, Repair's rebuild of damaged/stale/missing artifacts, and the
-// vql.index fault site.
+// Tests for the in-memory secondary indexes: LoadIndexes against a full
+// scan after Save, Load and LoadPartial (and its error before either), a
+// saved tree with no indexes/ path, the indexed query stack, and a store
+// with a leftover indexes/ directory from an older build.
 
 package store
 
 import (
-	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"nvbench/internal/bench"
-	"nvbench/internal/fault"
 	"nvbench/internal/vql"
 )
 
-// indexPath is the absolute path of one field's index artifact.
-func indexPath(st *Store, field string) string {
-	return st.rootBox().path(indexRel(field))
-}
-
-func TestSaveLoadIndexesRoundTrip(t *testing.T) {
-	_, b := testBench(t)
-	st, m := mustSave(t, t.TempDir(), b)
+// checkIndexesMatchScan asserts that, for every key of every indexed
+// field, Lookup returns exactly the hashes a full scan of b selects —
+// b's entries and m's hashes are positionally aligned.
+func checkIndexesMatchScan(t *testing.T, st *Store, b *bench.Benchmark, m *Manifest) {
+	t.Helper()
 	idx, err := st.LoadIndexes()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if again, _ := st.LoadIndexes(); again["db"] != idx["db"] {
+		t.Fatal("a second LoadIndexes call built a new index set")
+	}
 	if len(idx) != len(IndexFields) {
 		t.Fatalf("loaded %d indexes, want %d", len(idx), len(IndexFields))
 	}
+	if len(b.Entries) != len(m.Entries) {
+		t.Fatalf("%d entries, %d manifest refs", len(b.Entries), len(m.Entries))
+	}
+	fieldOf := map[string]func(*bench.Entry) string{
+		"chart":    func(e *bench.Entry) string { return e.Chart.String() },
+		"db":       func(e *bench.Entry) string { return e.DB.Name },
+		"hardness": func(e *bench.Entry) string { return e.Hardness.String() },
+	}
 	for _, f := range IndexFields {
-		if idx[f] == nil {
-			t.Fatalf("index %s missing from load", f)
+		ix := idx[f]
+		if ix == nil || ix.Field() != f {
+			t.Fatalf("index %s missing or misnamed: %+v", f, ix)
 		}
-		if idx[f].Field() != f {
-			t.Fatalf("index %s reports field %s", f, idx[f].Field())
+		want := map[string][]string{}
+		for i, e := range b.Entries {
+			k := fieldOf[f](e)
+			want[k] = append(want[k], m.Entries[i].Hash)
 		}
-	}
-
-	// Every lookup must return exactly the manifest entries carrying that
-	// value, in sorted hash order. The manifest stores hardness/chart on
-	// its refs and the db name on entries, so the expectation is computed
-	// independently of the index machinery.
-	wantBy := func(pick func(ref EntryRef, i int) string) map[string][]string {
-		out := map[string][]string{}
-		for i, ref := range m.Entries {
-			k := pick(ref, i)
-			out[k] = append(out[k], ref.Hash)
-		}
-		for _, hashes := range out {
+		for key, hashes := range want {
 			sort.Strings(hashes)
-		}
-		return out
-	}
-	cases := []struct {
-		field string
-		want  map[string][]string
-	}{
-		{"db", wantBy(func(ref EntryRef, i int) string { return b.Entries[i].DB.Name })},
-		{"hardness", wantBy(func(ref EntryRef, i int) string { return b.Entries[i].Hardness.String() })},
-		{"chart", wantBy(func(ref EntryRef, i int) string { return b.Entries[i].Chart.String() })},
-	}
-	for _, tc := range cases {
-		total := 0
-		for key, want := range tc.want {
-			got := idx[tc.field].Lookup(key)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s index lookup %q = %d hashes, want %d", tc.field, key, len(got), len(want))
+			if got := ix.Lookup(key); !reflect.DeepEqual(got, hashes) {
+				t.Fatalf("%s index lookup %q = %d hashes, want %d", f, key, len(got), len(hashes))
 			}
-			total += len(got)
 		}
-		if total != len(m.Entries) {
-			t.Fatalf("%s index covers %d entries, want %d", tc.field, total, len(m.Entries))
+		if len(ix.keys) != len(want) {
+			t.Fatalf("%s index has %d keys, a scan finds %d", f, len(ix.keys), len(want))
 		}
-		if got := idx[tc.field].Lookup("no-such-key"); got != nil {
-			t.Fatalf("%s index lookup of unknown key = %v, want nil", tc.field, got)
+		if got := ix.Lookup("no-such-key"); got != nil {
+			t.Fatalf("%s index lookup of unknown key = %v, want nil", f, got)
 		}
 	}
+}
+
+func TestSaveLoadIndexesRoundTrip(t *testing.T) {
+	_, b := testBench(t)
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LoadIndexes(); err == nil {
+		t.Fatal("LoadIndexes before any Save or Load succeeded")
+	}
+	m, err := st.Save(b, BuildInfo{Seed: testCfg.Seed, Fingerprint: Fingerprint(bench.DefaultOptions())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndexesMatchScan(t, st, b, m)
+
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LoadIndexes(); err == nil {
+		t.Fatal("LoadIndexes on a freshly opened store succeeded before Load")
+	}
+	lb, lm, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndexesMatchScan(t, st, lb, lm)
+
+	// LoadPartial drops the damaged shard's entries from the benchmark and
+	// the manifest alike, so the indexes cover only what is served.
+	flipByte(t, anyArtifact(t, dir, entriesDir))
+	pb, pm, fails, err := st.LoadPartial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fails) != 1 || len(pm.Entries) >= len(lm.Entries) {
+		t.Fatalf("partial load: %d failed shards, %d of %d entries", len(fails), len(pm.Entries), len(lm.Entries))
+	}
+	checkIndexesMatchScan(t, st, pb, pm)
 }
 
 func TestIndexSaveIsIdempotent(t *testing.T) {
@@ -88,6 +112,11 @@ func TestIndexSaveIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := mustSave(t, dir, b)
 	before := treeBytes(t, dir)
+	for rel := range before {
+		if strings.HasPrefix(rel, "indexes/") {
+			t.Fatalf("saved store holds %s", rel)
+		}
+	}
 	if _, err := st.Save(b, BuildInfo{Seed: testCfg.Seed, Fingerprint: Fingerprint(bench.DefaultOptions())}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +124,9 @@ func TestIndexSaveIsIdempotent(t *testing.T) {
 }
 
 // TestIndexedQueryMatchesScan drives the full stack the /api/query
-// endpoint uses: benchmark loaded from the store, persisted indexes fed
-// to a vql.Engine, and the acceptance query answered identically by the
-// index scan and the full scan — with strictly fewer rows touched.
+// endpoint uses: benchmark loaded from the store, its indexes fed to a
+// vql.Engine, and the acceptance query answered identically by the index
+// scan and the full scan — with strictly fewer rows touched.
 func TestIndexedQueryMatchesScan(t *testing.T) {
 	_, b := testBench(t)
 	st, m := mustSave(t, t.TempDir(), b)
@@ -148,247 +177,69 @@ func TestIndexedQueryMatchesScan(t *testing.T) {
 	}
 }
 
-func TestVerifyFlagsDamagedIndexAndRepairRebuilds(t *testing.T) {
+// TestLeftoverIndexesDirIsIgnored covers a store saved by an older build,
+// which wrote indexes/<field>.json: whatever lies under indexes/ is never
+// read, verified, repaired or swept.
+func TestLeftoverIndexesDirIsIgnored(t *testing.T) {
 	_, b := testBench(t)
 	dir := t.TempDir()
-	st, _ := mustSave(t, dir, b)
-	flipByte(t, indexPath(st, "db"))
-
-	rep, err := st.Verify()
-	if err != nil {
+	mustSave(t, dir, b)
+	junk := map[string]string{
+		"indexes/db.json":        "not json",
+		"indexes/bogus.json":     "{}\n",
+		"indexes/.db.json.tmp42": "torn",
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "indexes"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, c := range rep.Corrupt {
-		if c.Path == indexRel("db") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fsck did not flag the damaged index: %+v", rep.Corrupt)
-	}
-	if _, err := st.LoadIndexes(); err == nil {
-		t.Fatal("LoadIndexes accepted a damaged index")
-	}
-
-	rrep, err := st.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rrep.IndexesRebuilt {
-		t.Fatalf("repair did not rebuild indexes: %+v", rrep)
-	}
-	if rrep.Lossy() {
-		t.Fatalf("index repair lost content: %+v", rrep)
-	}
-	rep, err = st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("store still corrupt after index repair: %+v", rep.Corrupt)
-	}
-	if _, err := st.LoadIndexes(); err != nil {
-		t.Fatalf("LoadIndexes after repair: %v", err)
-	}
-}
-
-func TestVerifyFlagsMissingAndStaleIndexes(t *testing.T) {
-	_, b := testBench(t)
-	dir := t.TempDir()
-	st, _ := mustSave(t, dir, b)
-
-	// One missing field among present ones is corruption (all-or-nothing).
-	if err := os.Remove(indexPath(st, "chart")); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	missing := false
-	for _, c := range rep.Corrupt {
-		if c.Path == indexRel("chart") && strings.Contains(c.Detail, "missing index artifact") {
-			missing = true
-		}
-	}
-	if !missing {
-		t.Fatalf("fsck did not flag the missing index: %+v", rep.Corrupt)
-	}
-
-	// A self-consistent index linked to the wrong manifest is stale: both
-	// fsck and LoadIndexes must refuse it.
-	data, err := st.rootBox().readArtifact(indexRel("hardness"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := verifySelfHashed(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec indexRecord
-	if err := decodeStrict(payload, &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec.Manifest = hashBytes([]byte("some other manifest"))
-	stale, err := canonicalJSON(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(indexPath(st, "hardness"), selfHashed(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	staleFlagged := false
-	for _, c := range rep.Corrupt {
-		if c.Path == indexRel("hardness") && strings.Contains(c.Detail, "stale") {
-			staleFlagged = true
-		}
-	}
-	if !staleFlagged {
-		t.Fatalf("fsck did not flag the stale index: %+v", rep.Corrupt)
-	}
-	if _, err := st.LoadIndexes(); err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Fatalf("LoadIndexes on stale index: err = %v, want stale", err)
-	}
-
-	// Repair heals both findings in one pass.
-	rrep, err := st.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rrep.IndexesRebuilt {
-		t.Fatalf("repair did not rebuild indexes: %+v", rrep)
-	}
-	rep, err = st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("store still corrupt after repair: %+v", rep.Corrupt)
-	}
-}
-
-func TestVerifyFlagsUnknownIndexArtifact(t *testing.T) {
-	_, b := testBench(t)
-	st, _ := mustSave(t, t.TempDir(), b)
-	if err := os.WriteFile(st.rootBox().path(indexesDir+"/bogus.json"), []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := false
-	for _, c := range rep.Corrupt {
-		if c.Path == indexesDir+"/bogus.json" && strings.Contains(c.Detail, "orphan") {
-			flagged = true
-		}
-	}
-	if !flagged {
-		t.Fatalf("fsck did not flag the unknown index artifact: %+v", rep.Corrupt)
-	}
-	rrep, err := st.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := false
-	for _, rel := range rrep.OrphansMoved {
-		if rel == indexesDir+"/bogus.json" {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatalf("repair did not move the unknown index aside: %+v", rrep)
-	}
-}
-
-// TestPreIndexStorePasses simulates a store saved before indexes existed:
-// no indexes/ artifacts at all. Verify accepts it, LoadIndexes returns an
-// empty map (callers fall back to full scans), and Repair upgrades it in
-// place.
-func TestPreIndexStorePasses(t *testing.T) {
-	_, b := testBench(t)
-	dir := t.TempDir()
-	st, _ := mustSave(t, dir, b)
-	for _, f := range IndexFields {
-		if err := os.Remove(indexPath(st, f)); err != nil {
+	for rel, data := range junk {
+		if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(rel)), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("pre-index store reported corrupt: %+v", rep.Corrupt)
-	}
-	idx, err := st.LoadIndexes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 0 {
-		t.Fatalf("pre-index store loaded %d indexes, want 0", len(idx))
-	}
-	rrep, err := st.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rrep.IndexesRebuilt {
-		t.Fatalf("repair did not upgrade the pre-index store: %+v", rrep)
-	}
-	if idx, err = st.LoadIndexes(); err != nil || len(idx) != len(IndexFields) {
-		t.Fatalf("post-upgrade LoadIndexes = %d indexes, err %v", len(idx), err)
-	}
-}
 
-func TestChaosIndexSiteFailsSaveAndLoad(t *testing.T) {
-	_, b := testBench(t)
-	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := fault.Activate(fault.NewPlan(1).Add(
-		fault.Rule{Site: fault.SiteVQLIndex, Kind: fault.KindError, Rate: 1}))
-	_, err = st.Save(b, BuildInfo{})
-	restore()
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("Save under vql.index faults: err = %v, want injected", err)
-	}
-
-	// The failed save died inside the journaled root merge; Repair (with
-	// faults off) must finish the job and leave a clean, indexed store.
-	rrep, err := st.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rrep.Lossy() {
-		t.Fatalf("repair after injected index failure lost content: %+v", rrep)
-	}
 	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("store corrupt after repair: %+v", rep.Corrupt)
+		t.Fatalf("store with a leftover indexes/ reported corrupt: %+v", rep.Corrupt)
 	}
-
-	restore = fault.Activate(fault.NewPlan(2).Add(
-		fault.Rule{Site: fault.SiteVQLIndex, Kind: fault.KindError, Rate: 1}))
-	_, lerr := st.LoadIndexes()
-	_, rerr := st.Repair()
-	restore()
-	if !errors.Is(lerr, fault.ErrInjected) {
-		t.Fatalf("LoadIndexes under vql.index faults: err = %v, want injected", lerr)
+	rrep, err := st.Repair()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(rerr, fault.ErrInjected) {
-		t.Fatalf("Repair under vql.index faults: err = %v, want injected", rerr)
+	if !rrep.Clean() {
+		t.Fatalf("repair of a store with a leftover indexes/ did work: %+v", rrep)
 	}
-	if _, err := st.LoadIndexes(); err != nil {
-		t.Fatalf("LoadIndexes after deactivate: %v", err)
+	tree := treeBytes(t, dir)
+	for rel, data := range junk {
+		if string(tree[rel]) != data {
+			t.Fatalf("%s changed to %q", rel, tree[rel])
+		}
+	}
+	loaded, m, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndexesMatchScan(t, st, loaded, m)
+	idx, err := st.LoadIndexes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := vql.NewEngine(loaded)
+	if err := eng.SetIndexes(m.EntryHashes(), map[string]vql.Index{"db": idx["db"]}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query("SELECT count(*) FROM entries WHERE db = '" + loaded.Entries[0].DB.Name + "'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Index != "db" || len(res.Rows) != 1 || res.Rows[0][0].Text() == "0" {
+		t.Fatalf("indexed query over a store with a leftover indexes/: index %q, rows %v", res.Index, res.Rows)
 	}
 }

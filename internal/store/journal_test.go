@@ -57,17 +57,12 @@ func TestJournalRecordsCommittedSave(t *testing.T) {
 	if j.Begin.Shards != m.ShardCount {
 		t.Fatalf("root begin record carries shard count %d, want %d", j.Begin.Shards, m.ShardCount)
 	}
-	if want := 2 + len(IndexFields); len(j.Intents) != want {
-		t.Fatalf("root journal holds %d intents, want manifest + sum + %d indexes", len(j.Intents), len(IndexFields))
+	if len(j.Intents) != 2 {
+		t.Fatalf("root journal holds %d intents, want manifest + sum", len(j.Intents))
 	}
 	hashes := j.intentHashes()
 	if hashes[manifestName] == "" || hashes[manifestSumName] == "" {
 		t.Fatal("root journal does not record the manifest/sum intents")
-	}
-	for _, f := range IndexFields {
-		if hashes[indexRel(f)] == "" {
-			t.Fatalf("root journal does not record the %s index intent", f)
-		}
 	}
 
 	// Each shard's own journal frames that shard's save: every database

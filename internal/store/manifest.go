@@ -149,9 +149,8 @@ func (r *FsckReport) SickShards() []string {
 // every entry and database artifact against its content address
 // (manifest-referenced or not — an orphan with a lying filename is
 // corruption too), every cache artifact against its embedded payload
-// hash, every secondary index against its self-hash, manifest linkage
-// and posting set (see verifyIndexes), and checks that every journal —
-// root and per shard — records a committed save. When all shard manifests are intact it additionally
+// hash, and checks that every journal — root and per shard — records a
+// committed save. When all shard manifests are intact it additionally
 // recomputes the root merge and byte-compares it, so a root manifest that
 // is internally consistent but disagrees with its shards is caught. It
 // returns a report rather than failing on the first hit, so one flipped
@@ -254,7 +253,6 @@ func (s *Store) Verify() (*FsckReport, error) {
 			})
 		}
 	}
-	s.verifyIndexes(rep, &m, mdata)
 	s.finishVerify(rep)
 	return rep, nil
 }

@@ -55,21 +55,20 @@ type ShardRepair struct {
 
 // RepairReport says exactly what Repair did and what it could not save.
 type RepairReport struct {
-	TempsSwept      int           `json:"temps_swept"`               // stray temp files removed
-	CorruptMoved    []string      `json:"corrupt_moved,omitempty"`   // hash- or decode-invalid artifacts moved to lost+found
-	OrphansMoved    []string      `json:"orphans_moved,omitempty"`   // valid but unreferenced artifacts moved to lost+found
-	CacheDropped    int           `json:"cache_dropped"`             // corrupt cache records moved to lost+found
-	StatsDropped    bool          `json:"stats_dropped,omitempty"`   // stats.json was undecodable and moved
-	EntriesKept     int           `json:"entries_kept"`              // entries in the repaired root manifest
-	EntriesLost     int           `json:"entries_lost"`              // intended entries that could not be salvaged
-	DatabasesKept   int           `json:"databases_kept"`            // databases in the repaired root manifest
-	DatabasesLost   int           `json:"databases_lost"`            // intended databases that could not be salvaged
-	ManifestRebuilt bool          `json:"manifest_rebuilt"`          // root manifest was rewritten (rebuilt or re-merged)
-	IndexesRebuilt  bool          `json:"indexes_rebuilt,omitempty"` // secondary indexes were rewritten (damaged, stale, or absent)
-	RolledForward   bool          `json:"rolled_forward,omitempty"`  // an interrupted save had landed its manifest; committed
-	RolledBack      bool          `json:"rolled_back,omitempty"`     // an interrupted save rolled back to the prior state
-	JournalReset    bool          `json:"journal_reset,omitempty"`   // a journal was rewritten as clean
-	Shards          []ShardRepair `json:"shards,omitempty"`          // shards that needed healing, in name order
+	TempsSwept      int           `json:"temps_swept"`              // stray temp files removed
+	CorruptMoved    []string      `json:"corrupt_moved,omitempty"`  // hash- or decode-invalid artifacts moved to lost+found
+	OrphansMoved    []string      `json:"orphans_moved,omitempty"`  // valid but unreferenced artifacts moved to lost+found
+	CacheDropped    int           `json:"cache_dropped"`            // corrupt cache records moved to lost+found
+	StatsDropped    bool          `json:"stats_dropped,omitempty"`  // stats.json was undecodable and moved
+	EntriesKept     int           `json:"entries_kept"`             // entries in the repaired root manifest
+	EntriesLost     int           `json:"entries_lost"`             // intended entries that could not be salvaged
+	DatabasesKept   int           `json:"databases_kept"`           // databases in the repaired root manifest
+	DatabasesLost   int           `json:"databases_lost"`           // intended databases that could not be salvaged
+	ManifestRebuilt bool          `json:"manifest_rebuilt"`         // root manifest was rewritten (rebuilt or re-merged)
+	RolledForward   bool          `json:"rolled_forward,omitempty"` // an interrupted save had landed its manifest; committed
+	RolledBack      bool          `json:"rolled_back,omitempty"`    // an interrupted save rolled back to the prior state
+	JournalReset    bool          `json:"journal_reset,omitempty"`  // a journal was rewritten as clean
+	Shards          []ShardRepair `json:"shards,omitempty"`         // shards that needed healing, in name order
 }
 
 // Lossy reports whether the repair lost benchmark content — the condition
@@ -79,7 +78,7 @@ func (r *RepairReport) Lossy() bool { return r.EntriesLost > 0 || r.DatabasesLos
 // Clean reports whether there was nothing to heal.
 func (r *RepairReport) Clean() bool {
 	return r.TempsSwept == 0 && len(r.CorruptMoved) == 0 && len(r.OrphansMoved) == 0 &&
-		r.CacheDropped == 0 && !r.StatsDropped && !r.ManifestRebuilt && !r.IndexesRebuilt &&
+		r.CacheDropped == 0 && !r.StatsDropped && !r.ManifestRebuilt &&
 		!r.RolledForward && !r.RolledBack && !r.JournalReset && len(r.Shards) == 0
 }
 
@@ -194,15 +193,10 @@ func (s *Store) repair() (*RepairReport, error) {
 		return nil, err
 	}
 	sum := []byte(hashBytes(mdata) + "\n")
-	idx, idxDirty, err := s.repairIndexes(parts, hashBytes(mdata), rep)
-	if err != nil {
-		return nil, err
-	}
 	curM, _ := os.ReadFile(root.path(manifestName))
 	curS, _ := os.ReadFile(root.path(manifestSumName))
-	if js.State != JournalClean || !bytes.Equal(curM, mdata) || !bytes.Equal(curS, sum) || idxDirty {
+	if js.State != JournalClean || !bytes.Equal(curM, mdata) || !bytes.Equal(curS, sum) {
 		rep.ManifestRebuilt = rep.ManifestRebuilt || !bytes.Equal(curM, mdata)
-		rep.IndexesRebuilt = idxDirty
 		if err := root.journalBegin(journalRecord{Build: &info, Shards: count, Replicas: s.manifestReplicas()}); err != nil {
 			return nil, err
 		}
@@ -210,9 +204,6 @@ func (s *Store) repair() (*RepairReport, error) {
 			return nil, err
 		}
 		if err := root.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
-			return nil, err
-		}
-		if err := writeIndexes(root, idx); err != nil {
 			return nil, err
 		}
 		if err := root.journalAppend(journalRecord{Op: opCommit}); err != nil {
@@ -601,9 +592,6 @@ func WriteRepair(w io.Writer, rep *RepairReport) {
 	}
 	if rep.ManifestRebuilt {
 		fmt.Fprintln(w, "  manifest rebuilt from surviving artifacts")
-	}
-	if rep.IndexesRebuilt {
-		fmt.Fprintln(w, "  secondary indexes rebuilt from the healed shards")
 	}
 	if rep.StatsDropped {
 		fmt.Fprintln(w, "  stats.json undecodable; moved to lost+found")

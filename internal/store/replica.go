@@ -6,10 +6,10 @@
 //	...
 //	replicas/r{N-1}/shards/<nn>/
 //
-// Root-level artifacts (the root manifest, its sum, the root journal,
-// stats.json and the secondary indexes) stay single-copy: every one of
-// them is either informational or a pure function of the shard manifests,
-// so Repair re-derives them from any surviving replica. The pair cache is
+// Root-level artifacts (the root manifest, its sum, the root journal and
+// stats.json) stay single-copy: every one of them is either
+// informational or a pure function of the shard manifests, so Repair
+// re-derives them from any surviving replica. The pair cache is
 // primary-only too — losing it to a failover costs a re-synthesis, never
 // correctness.
 //

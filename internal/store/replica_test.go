@@ -79,7 +79,7 @@ func TestReplicatedSaveLayoutAndByteIdentity(t *testing.T) {
 	}
 	sameTree(t, r0, r1)
 
-	// Verify walks every copy: root manifest + journal + indexes once,
+	// Verify walks every copy: root manifest + journal once,
 	// then per replica each shard's manifest + journal, every entry, and
 	// each shard's database copies.
 	rep, err := st.Verify()
@@ -101,7 +101,7 @@ func TestReplicatedSaveLayoutAndByteIdentity(t *testing.T) {
 	for _, dbs := range perShardDBs {
 		dbCopies += len(dbs)
 	}
-	if want := 2 + len(IndexFields) + 2*(2*len(m.Shards)+len(m.Entries)+dbCopies); rep.Checked != want {
+	if want := 2 + 2*(2*len(m.Shards)+len(m.Entries)+dbCopies); rep.Checked != want {
 		t.Fatalf("checked %d artifacts, want %d", rep.Checked, want)
 	}
 

@@ -102,10 +102,6 @@ type shardPart struct {
 	name string
 	m    *ShardManifest
 	hash string // content hash of the shard manifest's canonical bytes
-	// idx is the shard's secondary-index postings — filled by planShards
-	// at save time and by rebuildIndexParts during repair; nil in the
-	// Verify walk, which checks indexes separately.
-	idx *indexPart
 }
 
 // mergeManifest assembles the root manifest from shard manifests. It is a
@@ -259,7 +255,6 @@ func planShards(b *bench.Benchmark, info BuildInfo, count int) ([]shardPlan, []s
 		dbs     map[string]bool
 		entries []shardBlob
 		refs    []EntryRef
-		idx     *indexPart
 	}
 	dbHash := map[*dataset.Database]string{}
 	dbData := map[string][]byte{}
@@ -282,13 +277,12 @@ func planShards(b *bench.Benchmark, info BuildInfo, count int) ([]shardPlan, []s
 		idx := shardIndex(h, count)
 		bk := buckets[idx]
 		if bk == nil {
-			bk = &bucket{dbs: map[string]bool{}, idx: newIndexPart()}
+			bk = &bucket{dbs: map[string]bool{}}
 			buckets[idx] = bk
 		}
 		bk.entries = append(bk.entries, shardBlob{hash: h, data: data})
 		bk.refs = append(bk.refs, EntryRef{ID: e.ID, PairID: e.PairID, Hash: h, DB: dbHash[e.DB]})
 		bk.dbs[dbHash[e.DB]] = true
-		bk.idx.addEntry(h, dbHash[e.DB], e.DB.Name, e.Hardness.String(), e.Chart.String())
 	}
 	var plans []shardPlan
 	var parts []shardPart
@@ -316,7 +310,7 @@ func planShards(b *bench.Benchmark, info BuildInfo, count int) ([]shardPlan, []s
 		}
 		p.manifest = shardBlob{hash: hashBytes(smdata), data: smdata}
 		plans = append(plans, p)
-		parts = append(parts, shardPart{name: p.name, m: sm, hash: p.manifest.hash, idx: bk.idx})
+		parts = append(parts, shardPart{name: p.name, m: sm, hash: p.manifest.hash})
 	}
 	return plans, parts, nil
 }

@@ -16,10 +16,6 @@
 //	MANIFEST.sha256      hex SHA-256 of MANIFEST.json (self-check)
 //	JOURNAL.jsonl        root write-ahead journal framing the whole save
 //	stats.json           RunStats of the build (informational; not hashed)
-//	indexes/<f>.json     secondary indexes (db, chart, hardness): self-
-//	                     hashed canonical JSON linked to the root manifest
-//	                     hash, merged from per-shard postings; the VQL
-//	                     planner answers equality queries from them
 //	shards/<nn>/         one shard per first-hash-byte bucket (mod count):
 //	  MANIFEST.json      shard index: this shard's entries and databases
 //	  MANIFEST.sha256    self-check of the shard manifest
@@ -66,7 +62,6 @@ import (
 
 	"nvbench/internal/bench"
 	"nvbench/internal/dataset"
-	"nvbench/internal/fault"
 	"nvbench/internal/obs"
 )
 
@@ -97,6 +92,12 @@ type Store struct {
 	serving   map[string]int // shard name → replica index serving reads
 	failovers []Failover     // every read re-route since Open, in order
 	health    [][]string     // per replica: shards whose copy failed its last self-check
+
+	// The benchmark last saved or loaded, with its manifest, and the
+	// secondary indexes built over it on demand; see LoadIndexes.
+	indexed         *bench.Benchmark
+	indexedManifest *Manifest
+	indexes         map[string]*Index
 }
 
 // ShardStatus is one sick shard in an OpenReport: its journal state, the
@@ -364,7 +365,7 @@ func (s *Store) noteSick(shard, detail string) {
 // sweepAllTemps sweeps stray temp files in the root and in every shard
 // directory on disk, across every replica.
 func (s *Store) sweepAllTemps() (int, error) {
-	swept, err := s.rootBox().sweepTemps([]string{"", indexesDir})
+	swept, err := s.rootBox().sweepTemps([]string{""})
 	if err != nil {
 		return swept, err
 	}
@@ -487,16 +488,6 @@ func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 		if err := root.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
 			return err
 		}
-		if err := fault.Inject(fault.SiteVQLIndex); err != nil {
-			return fmt.Errorf("store: index: %w", err)
-		}
-		idx, err := mergeIndexRecords(parts, hashBytes(mdata))
-		if err != nil {
-			return err
-		}
-		if err := writeIndexes(root, idx); err != nil {
-			return err
-		}
 		sdata, err := canonicalJSON(b.Stats)
 		if err != nil {
 			return err
@@ -512,6 +503,7 @@ func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 	}
 	s.countFixed = true
 	s.replicasFixed = true
+	s.setIndexed(b, m)
 	s.refreshStatus()
 	return m, nil
 }
@@ -585,6 +577,7 @@ func (s *Store) load() (*bench.Benchmark, *Manifest, error) {
 	if err := s.loadStats(b, true); err != nil {
 		return nil, nil, err
 	}
+	s.setIndexed(b, m)
 	return b, m, nil
 }
 
@@ -641,6 +634,7 @@ func (s *Store) loadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, erro
 	// Stats are informational; a degraded serve must not die on a torn
 	// stats file.
 	_ = s.loadStats(b, false)
+	s.setIndexed(b, m)
 	return b, m, fails, nil
 }
 

@@ -228,7 +228,7 @@ func TestVerifyCleanStore(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("clean store reported corrupt: %+v", rep.Corrupt)
 	}
-	// Root manifest + root journal + the secondary indexes, then per
+	// Root manifest + root journal, then per
 	// listed shard its manifest and journal, every entry artifact, and
 	// each shard's own copy of every database it references.
 	perShardDBs := map[string]map[string]bool{}
@@ -243,7 +243,7 @@ func TestVerifyCleanStore(t *testing.T) {
 	for _, dbs := range perShardDBs {
 		dbCopies += len(dbs)
 	}
-	if want := 2 + len(IndexFields) + 2*len(m.Shards) + len(m.Entries) + dbCopies; rep.Checked != want {
+	if want := 2 + 2*len(m.Shards) + len(m.Entries) + dbCopies; rep.Checked != want {
 		t.Fatalf("checked %d artifacts, want %d", rep.Checked, want)
 	}
 }

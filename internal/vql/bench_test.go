@@ -1,5 +1,5 @@
 // Benchmarks behind scripts/bench.sh's BENCH_vql.json gate: a
-// db-equality query answered from the persisted store index must beat
+// db-equality query answered from the store's db index must beat
 // the same query as a full scan. The corpus is bigger than the unit-test
 // one (40 databases) so the scan has something to lose.
 
@@ -24,9 +24,9 @@ var (
 )
 
 // setupQueryBench saves a 40-database benchmark to a throwaway store,
-// loads the persisted indexes back, and builds two engines over the same
-// rows: one indexed, one scan-only. The store directory is removed as
-// soon as the indexes are in memory.
+// takes the indexes of the saved benchmark, and builds two engines over
+// the same rows: one indexed, one scan-only. The store directory is
+// removed once the indexes are built.
 func setupQueryBench() {
 	dir, err := os.MkdirTemp("", "vql-bench-")
 	if err != nil {

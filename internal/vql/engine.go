@@ -52,8 +52,8 @@ func newTable(name string, cols []column) *table {
 
 // Index answers equality lookups for one indexed column of the entries
 // table, returning the content hashes of the matching entries. The
-// store's persisted secondary indexes implement it; Lookup with an
-// unknown key returns nil.
+// store's secondary indexes, built over the loaded entries, implement
+// it; Lookup with an unknown key returns nil.
 type Index interface {
 	Lookup(key string) []string
 }
@@ -125,10 +125,6 @@ func NewEngine(b *bench.Benchmark) *Engine {
 	}
 	stats := newTable("stats", statsSchema)
 	for _, st := range b.Table3() {
-		minWords := st.MinWords
-		if st.NumVis == 0 {
-			minWords = 0
-		}
 		stats.rows = append(stats.rows, []Value{
 			StringVal(st.Chart.String()),
 			Number(float64(st.NumVis)),
@@ -136,7 +132,7 @@ func NewEngine(b *bench.Benchmark) *Engine {
 			Number(st.PairsPer),
 			Number(st.AvgWords),
 			Number(float64(st.MaxWords)),
-			Number(float64(minWords)),
+			Number(float64(st.MinWords)),
 			Number(st.AvgBLEU),
 		})
 	}

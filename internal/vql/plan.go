@@ -298,7 +298,7 @@ func conjoin(conjs []Expr) Expr {
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	if p.IndexField != "" {
-		fmt.Fprintf(&b, "index scan on %s: %s = %s (persisted %s index)",
+		fmt.Fprintf(&b, "index scan on %s: %s = %s (%s index)",
 			p.table.name, p.IndexField, StringVal(p.IndexKey).String(), p.IndexField)
 	} else {
 		fmt.Fprintf(&b, "full scan on %s", p.table.name)

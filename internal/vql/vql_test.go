@@ -274,7 +274,7 @@ func TestStatsTableMatchesTable3(t *testing.T) {
 }
 
 // fakeIndex maps keys to entry hashes, standing in for the store's
-// persisted index in unit tests.
+// index in unit tests.
 type fakeIndex map[string][]string
 
 func (f fakeIndex) Lookup(key string) []string { return f[key] }
