@@ -1,7 +1,11 @@
 package nvbench_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"nvbench/internal/ast"
@@ -122,8 +126,9 @@ func TestSeq2VisDataRoundTrip(t *testing.T) {
 }
 
 // TestReferenceCorpusDigest pins the seed-1, 40-database reference corpus
-// (EXPERIMENTS.md): its entry and (nl, vis) pair counts and the digest of
-// every synthesized entry. A change that moves any entry fails here.
+// (EXPERIMENTS.md): its entry and (nl, vis) pair counts, the digest of
+// every synthesized entry, and its Table 3. A change that moves any entry,
+// or any Table 3 statistic by as much as its last bit, fails here.
 func TestReferenceCorpusDigest(t *testing.T) {
 	corpus, err := spider.Generate(spider.Config{Seed: 1, NumDatabases: 40, PairsPerDB: 16, MaxRows: 2000})
 	if err != nil {
@@ -144,5 +149,38 @@ func TestReferenceCorpusDigest(t *testing.T) {
 	}
 	if got := bench.Digest(b); got != wantDigest {
 		t.Fatalf("reference corpus digest %s, want %s", got, wantDigest)
+	}
+
+	// The report prints BLEU to three decimals, so the rows are also hashed
+	// at full precision: %v of a float64 round-trips exactly, and these are
+	// the values /api/query serves from its stats table.
+	const (
+		wantReportHash = "41d6b70f29d198545c6311742ede54e1b070c034125ac0025d10c1bc747ac420"
+		wantReportLen  = 757
+		wantRowsHash   = "01b309cb45fb21236888f831dc83d4bc8ecac5610f61d1e9d11e00117ae3ac26"
+	)
+	rows := b.Table3()
+	var report bytes.Buffer
+	bench.WriteTable3(&report, rows, len(b.Entries), b.NumPairs())
+	if sum := sha256.Sum256(report.Bytes()); hex.EncodeToString(sum[:]) != wantReportHash || report.Len() != wantReportLen {
+		t.Errorf("Table 3 report is %d bytes, sha256 %x; want %d bytes, %s:\n%s",
+			report.Len(), sum, wantReportLen, wantReportHash, report.String())
+	}
+	h := sha256.New()
+	var barVis, vis int
+	for _, r := range rows {
+		fmt.Fprintf(h, "%v %v %v %v %v %v %v %v\n",
+			r.Chart, r.NumVis, r.NumPairs, r.PairsPer, r.AvgWords, r.MaxWords, r.MinWords, r.AvgBLEU)
+		vis += r.NumVis
+		if r.Chart == ast.Bar {
+			barVis = r.NumVis
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); len(rows) != 7 || got != wantRowsHash {
+		t.Errorf("Table 3 has %d rows hashing to %s, want 7 rows hashing to %s", len(rows), got, wantRowsHash)
+	}
+	// Shape: bars are 75.7% of the reference corpus's vis queries.
+	if share := 100 * float64(barVis) / float64(vis); share < 70.7 || share > 80.7 {
+		t.Errorf("bars are %.1f%% of %d vis queries, want 75.7%% ± 5 points", share, vis)
 	}
 }
