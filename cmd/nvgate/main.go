@@ -66,7 +66,7 @@ var sections = []section{
 	{
 		name:      "store",
 		pkgs:      []string{"./internal/store"},
-		bench:     "Benchmark(Store|ShardedRebuild|ReplicatedSave|ScrubClean)",
+		bench:     "Benchmark(Store|ShardedRebuild|ReplicatedSave|ScrubClean|VerifyClean)",
 		benchtime: "1x",
 		out:       "BENCH_store.json",
 		// Save benchmarks are fsync-bound and jittery at small benchtimes.
@@ -91,7 +91,9 @@ var sections = []section{
 		// The 5% overhead gate needs enough iterations to average out
 		// scheduler jitter on a ~2.5ms build; iteration-count benchtimes
 		// (3x, 10x) flap. One 1s run still swings by ±15% on a shared
-		// 2-vCPU host, so the gate reads the median of five.
+		// 2-vCPU host, so the gate reads the median of five, and each
+		// run interleaves bare and events-on builds so that load drift
+		// between them does not bias the ratio.
 		benchtime: "1s",
 		count:     5,
 		out:       "BENCH_obs.json",
@@ -220,8 +222,10 @@ func measure(s section) ([]metric, error) {
 
 // parseBench reads `go test -bench` output. Each "BenchmarkName-N iters
 // value ns/op ..." line becomes one metric named without the -N GOMAXPROCS
-// suffix, valued with the ns/op figure as printed; further columns (B/op,
-// allocs/op) are ignored, and so is every other line.
+// suffix, valued with the ns/op figure as printed. Each further "value
+// unit" column a benchmark reports with b.ReportMetric becomes one more
+// metric, named "BenchmarkName unit"; the -benchmem columns (B/op,
+// allocs/op) and MB/s are ignored, and so is every other line.
 func parseBench(out string) []metric {
 	var ms []metric
 	for _, line := range strings.Split(out, "\n") {
@@ -235,6 +239,15 @@ func parseBench(out string) []metric {
 			name = name[:i]
 		}
 		ms = append(ms, metric{name, f[2]})
+		for k := 4; k+1 < len(f); k += 2 {
+			switch unit := f[k+1]; unit {
+			case "B/op", "allocs/op", "MB/s":
+			default:
+				if _, err := strconv.ParseFloat(f[k], 64); err == nil {
+					ms = append(ms, metric{name + " " + unit, f[k]})
+				}
+			}
+		}
 	}
 	return ms
 }
@@ -265,14 +278,15 @@ func medians(ms []metric) []metric {
 }
 
 // buildOverhead derives build_overhead_pct: the events-on instrumented
-// build's cost over a bare build, in percent to two decimals.
+// build's cost over a bare build, in percent to two decimals. Both costs
+// come from one benchmark that interleaves the two kinds of build.
 func buildOverhead(ms []metric) ([]metric, error) {
 	vals := values(ms)
-	bare, err := number(vals, "BenchmarkBuildInstrumentation/bare")
+	bare, err := number(vals, "BenchmarkBuildInstrumentation bare-ns/build")
 	if err != nil {
 		return nil, err
 	}
-	events, err := number(vals, "BenchmarkBuildInstrumentation/instrumented_events")
+	events, err := number(vals, "BenchmarkBuildInstrumentation events-ns/build")
 	if err != nil {
 		return nil, err
 	}

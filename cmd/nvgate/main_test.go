@@ -25,6 +25,7 @@ BenchmarkReplicatedSave/single       	       1	 321227862 ns/op
     rebuild_bench_test.go:150: BenchmarkReplicatedSave/double-2 1 2 ns/op
 BenchmarkReplicatedSave/double-2     	       1	 725113730 ns/op
 BenchmarkScrubClean-16                	       1	  33255951 ns/op
+BenchmarkVerifyClean-2                	       1	  30172944 ns/op
 BenchmarkStoreSaveLoad/save-2        	       1	 388049040.5 ns/op
 PASS
 ok  	nvbench/internal/store	12.345s
@@ -39,10 +40,21 @@ func TestParseBench(t *testing.T) {
 		{"BenchmarkReplicatedSave/single", "321227862"},
 		{"BenchmarkReplicatedSave/double", "725113730"},
 		{"BenchmarkScrubClean", "33255951"},
+		{"BenchmarkVerifyClean", "30172944"},
 		{"BenchmarkStoreSaveLoad/save", "388049040.5"},
 	}
 	if got := parseBench(cannedStore); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseBench =\n%v\nwant\n%v", got, want)
+	}
+	// b.ReportMetric columns become keys of their own; -benchmem's do not.
+	const reported = "BenchmarkBuildInstrumentation-2 \t 160\t 8195899 ns/op\t 4056248 bare-ns/build\t 4126775 events-ns/build\t 1024 B/op\t 9 allocs/op\n"
+	want = []metric{
+		{"BenchmarkBuildInstrumentation", "8195899"},
+		{"BenchmarkBuildInstrumentation bare-ns/build", "4056248"},
+		{"BenchmarkBuildInstrumentation events-ns/build", "4126775"},
+	}
+	if got := parseBench(reported); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseBench(%q) =\n%v\nwant\n%v", reported, got, want)
 	}
 	if got := parseBench("PASS\nok  \tnvbench\t0.1s\nBenchmarkX-2\nBenchmarkY-2 1 NaN ns/op\n"); got != nil {
 		t.Fatalf("non-result lines parsed as %v", got)
@@ -142,8 +154,8 @@ func TestRetryRule(t *testing.T) {
 			parseBench(cannedStore),
 		},
 		"obs": {
-			{{"BenchmarkBuildInstrumentation/bare", "100"}, {"BenchmarkBuildInstrumentation/instrumented_events", "105"}},
-			{{"BenchmarkBuildInstrumentation/bare", "100"}, {"BenchmarkBuildInstrumentation/instrumented_events", "104.99"}},
+			{{"BenchmarkBuildInstrumentation bare-ns/build", "100"}, {"BenchmarkBuildInstrumentation events-ns/build", "105"}},
+			{{"BenchmarkBuildInstrumentation bare-ns/build", "100"}, {"BenchmarkBuildInstrumentation events-ns/build", "104.99"}},
 		},
 		"lint": {
 			{{"lint_cold_ms", "90"}, {"lint_warm_ms", "30"}},
@@ -191,8 +203,9 @@ func TestBenchFileFormat(t *testing.T) {
 	s := sectionNamed(t, "obs")
 	measured := []metric{
 		{"BenchmarkEventRecorder/emit", "227.0"},
-		{"BenchmarkBuildInstrumentation/bare", "2697038"},
-		{"BenchmarkBuildInstrumentation/instrumented_events", "2694761"},
+		{"BenchmarkBuildInstrumentation", "5391799"},
+		{"BenchmarkBuildInstrumentation bare-ns/build", "2697038"},
+		{"BenchmarkBuildInstrumentation events-ns/build", "2694761"},
 	}
 	vs, err := s.run(io.Discard, dir, func(section) ([]metric, error) { return measured, nil })
 	if err != nil || len(vs) != 1 || !vs[0].pass {
@@ -204,8 +217,9 @@ func TestBenchFileFormat(t *testing.T) {
 	}
 	want := `{
   "BenchmarkEventRecorder/emit": 227.0,
-  "BenchmarkBuildInstrumentation/bare": 2697038,
-  "BenchmarkBuildInstrumentation/instrumented_events": 2694761,
+  "BenchmarkBuildInstrumentation": 5391799,
+  "BenchmarkBuildInstrumentation bare-ns/build": 2697038,
+  "BenchmarkBuildInstrumentation events-ns/build": 2694761,
   "build_overhead_pct": -0.08
 }
 `
@@ -216,23 +230,19 @@ func TestBenchFileFormat(t *testing.T) {
 
 // TestObsMedians runs the obs section on five canned runs: the BENCH file
 // records each key's median as printed, and build_overhead_pct and the
-// gate read those medians. One run alone (the 4th) would fail the gate.
+// gate read the medians of the interleaved per-build costs. One run alone
+// (the 4th) would fail the gate.
 func TestObsMedians(t *testing.T) {
 	const out = `BenchmarkRegistryObserve-2 	 6000000	       193.3 ns/op
-BenchmarkBuildInstrumentation/bare-2 	 400	   2700000 ns/op
-BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2710000 ns/op
+BenchmarkBuildInstrumentation-2 	 200	   5410000 ns/op	   2700000 bare-ns/build	   2710000 events-ns/build
 BenchmarkRegistryObserve-2 	 6000000	       201.0 ns/op
-BenchmarkBuildInstrumentation/bare-2 	 400	   2600000 ns/op
-BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2650000 ns/op
+BenchmarkBuildInstrumentation-2 	 200	   5250000 ns/op	   2600000 bare-ns/build	   2650000 events-ns/build
 BenchmarkRegistryObserve-2 	 6000000	       190.1 ns/op
-BenchmarkBuildInstrumentation/bare-2 	 400	   2900000 ns/op
-BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2690000 ns/op
+BenchmarkBuildInstrumentation-2 	 200	   5590000 ns/op	   2900000 bare-ns/build	   2690000 events-ns/build
 BenchmarkRegistryObserve-2 	 6000000	       199.9 ns/op
-BenchmarkBuildInstrumentation/bare-2 	 400	   2500000 ns/op
-BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   3100000 ns/op
+BenchmarkBuildInstrumentation-2 	 200	   5600000 ns/op	   2500000 bare-ns/build	   3100000 events-ns/build
 BenchmarkRegistryObserve-2 	 6000000	       195.0 ns/op
-BenchmarkBuildInstrumentation/bare-2 	 400	   2800000 ns/op
-BenchmarkBuildInstrumentation/instrumented_events-2 	 400	   2720000 ns/op
+BenchmarkBuildInstrumentation-2 	 200	   5520000 ns/op	   2800000 bare-ns/build	   2720000 events-ns/build
 PASS
 `
 	dir := t.TempDir()
@@ -248,8 +258,9 @@ PASS
 	}
 	want := `{
   "BenchmarkRegistryObserve": 195.0,
-  "BenchmarkBuildInstrumentation/bare": 2700000,
-  "BenchmarkBuildInstrumentation/instrumented_events": 2710000,
+  "BenchmarkBuildInstrumentation": 5520000,
+  "BenchmarkBuildInstrumentation bare-ns/build": 2700000,
+  "BenchmarkBuildInstrumentation events-ns/build": 2710000,
   "build_overhead_pct": 0.37
 }
 `

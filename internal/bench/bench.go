@@ -315,8 +315,9 @@ func (b *Benchmark) Table3() []*ChartStats {
 		}
 		st.NumVis++
 		st.NumPairs += len(e.NLs)
-		for _, nl := range e.NLs {
-			w := len(bleu.Tokenize(nl))
+		nls := bleu.Prepare(e.NLs)
+		for i := range e.NLs {
+			w := nls.Words(i)
 			st.totalWords += w
 			if w > st.MaxWords {
 				st.MaxWords = w
@@ -326,7 +327,7 @@ func (b *Benchmark) Table3() []*ChartStats {
 			}
 		}
 		if len(e.NLs) >= 2 {
-			st.AvgBLEU += bleu.Pairwise(e.NLs)
+			st.AvgBLEU += nls.Pairwise()
 			st.bleuCount++
 		}
 	}

@@ -204,6 +204,38 @@ func BenchmarkScrubClean(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyClean measures fsck on a healthy store: Verify re-reads
+// and re-hashes every artifact the manifest names and finds nothing. It is
+// recorded in BENCH_store.json but not gated.
+func BenchmarkVerifyClean(b *testing.B) {
+	corpus, err := spider.Generate(spider.Config{Seed: 11, NumDatabases: 5, PairsPerDB: 10, MaxRows: 200})
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := bench.Build(corpus, bench.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	info := BuildInfo{Seed: 11, Fingerprint: Fingerprint(bench.DefaultOptions())}
+	if _, err := st.Save(built, info); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := st.Verify()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.OK() || rep.Checked == 0 {
+			b.Fatalf("verify of a healthy store: %+v", rep)
+		}
+	}
+}
+
 // BenchmarkStoreSaveLoad measures the serialization round trip itself.
 func BenchmarkStoreSaveLoad(b *testing.B) {
 	corpus, err := spider.Generate(spider.Config{Seed: 11, NumDatabases: 5, PairsPerDB: 10, MaxRows: 200})

@@ -49,7 +49,8 @@ for target in \
     "FuzzShardRoute ./internal/store" \
     "FuzzScrubResolve ./internal/store" \
     "FuzzVQLParse ./internal/vql" \
-    "FuzzTryParse ./internal/sqlparser"; do
+    "FuzzTryParse ./internal/sqlparser" \
+    "FuzzPairwise ./internal/bleu"; do
     set -- $target
     go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s "$2"
 done
