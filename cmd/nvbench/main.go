@@ -199,7 +199,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// (divergence healed from a verified copy exits zero). A format-1
 	// store fails all three at Open.
 	if *scrub {
-		rep, err := st.Scrub(ctx, store.ScrubOptions{})
+		rep, err := st.Scrub(ctx)
 		if err != nil {
 			return err
 		}
@@ -465,8 +465,9 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 			return err
 		}
 		if len(fails) == 0 {
-			// Strict load failed for a non-shard reason (e.g. torn stats);
-			// nothing partial loading can add.
+			// Strict load failed, yet the partial retry lost no shard: a
+			// transient read fault, not damage; nothing partial loading
+			// can add.
 			return strictErr
 		}
 		if degraded == nil {

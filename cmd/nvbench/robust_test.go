@@ -157,7 +157,7 @@ func TestServeShutsDownGracefully(t *testing.T) {
 // TestRunRejectsBadFaultSpec ensures plan parse errors surface before any
 // work starts.
 func TestRunRejectsBadFaultSpec(t *testing.T) {
-	for _, spec := range []string{"nosuchsite:error:0.5", "parse:explode:1", "parse:error:1.5"} {
+	for _, spec := range []string{"nosuchsite:error:0.5", "parse:explode:1", "parse:error:1.5", "store.save:error:1"} {
 		err := run(context.Background(), []string{"-faults", spec}, io.Discard)
 		if err == nil {
 			t.Errorf("spec %q accepted", spec)

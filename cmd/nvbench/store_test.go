@@ -135,26 +135,27 @@ func TestRepairCLIHealsLosslessDamage(t *testing.T) {
 	if out, err := runCLI(t, append(smallBuild, "-store", dir, "-save")...); err != nil {
 		t.Fatalf("save run: %v\n%s", err, out)
 	}
-	// Tear stats.json: informational damage Load rejects but repair drops
-	// without losing any benchmark content.
-	statsPath := filepath.Join(dir, "stats.json")
-	data, err := os.ReadFile(statsPath)
+	// Tear the root MANIFEST.sha256: damage Load rejects but repair heals
+	// without losing any benchmark content, since the sum is a pure
+	// function of the intact manifest.
+	sumPath := filepath.Join(dir, "MANIFEST.sha256")
+	data, err := os.ReadFile(sumPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(statsPath, data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(sumPath, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if out, err := runCLI(t, "-store", dir); err == nil {
-		t.Fatalf("load accepted torn stats:\n%s", out)
+		t.Fatalf("load accepted a torn manifest sum:\n%s", out)
 	}
 	// Lossless salvage: -repair exits zero and continues into load mode.
 	out, err := runCLI(t, "-store", dir, "-repair")
 	if err != nil {
 		t.Fatalf("lossless repair must exit zero: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "stats.json undecodable") {
-		t.Fatalf("repair report does not name the dropped stats:\n%s", out)
+	if !strings.Contains(out, "lost 0 entries / 0 databases") {
+		t.Fatalf("repair report does not say the heal was lossless:\n%s", out)
 	}
 	if !strings.Contains(out, "loaded store") {
 		t.Fatalf("repair run did not load the healed store:\n%s", out)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"nvbench/internal/ast"
@@ -182,5 +183,47 @@ func TestReferenceCorpusDigest(t *testing.T) {
 	// Shape: bars are 75.7% of the reference corpus's vis queries.
 	if share := 100 * float64(barVis) / float64(vis); share < 70.7 || share > 80.7 {
 		t.Errorf("bars are %.1f%% of %d vis queries, want 75.7%% ± 5 points", share, vis)
+	}
+
+	// Table 2: the column-type mix is 737 / 145 / 205 of 1,087 columns,
+	// categorical the largest.
+	t2 := bench.ComputeTable2(corpus)
+	for _, c := range []struct {
+		ct   dataset.ColType
+		want float64
+	}{{dataset.Categorical, 67.8}, {dataset.Temporal, 13.3}, {dataset.Quantitative, 18.9}} {
+		if got := 100 * t2.TypeFrac[c.ct]; math.Abs(got-c.want) > 3 {
+			t.Errorf("Table 2: %v columns are %.1f%% of %d, want %.1f%% ± 3 points", c.ct, got, t2.Columns, c.want)
+		}
+		if c.ct != dataset.Categorical && t2.TypeCounts[c.ct] >= t2.TypeCounts[dataset.Categorical] {
+			t.Errorf("Table 2: %d %v columns, not fewer than the %d categorical ones",
+				t2.TypeCounts[c.ct], c.ct, t2.TypeCounts[dataset.Categorical])
+		}
+	}
+	// Figure 10: medium is the largest hardness bucket (1,110 of 2,331),
+	// bar the most common chart type, and all seven types occur.
+	hardness := b.HardnessCounts()
+	for _, h := range ast.AllHardness {
+		if h != ast.Medium && hardness[h] >= hardness[ast.Medium] {
+			t.Errorf("Figure 10: %d %v entries, not fewer than the %d medium ones", hardness[h], h, hardness[ast.Medium])
+		}
+	}
+	charts := map[ast.ChartType]int{}
+	for ct, row := range b.TypeHardnessMatrix() {
+		for _, n := range row {
+			charts[ct] += n
+		}
+	}
+	for _, ct := range ast.ChartTypes {
+		if charts[ct] == 0 {
+			t.Errorf("Figure 10: no %v entries; all seven chart types must occur", ct)
+		}
+		if ct != ast.Bar && charts[ct] >= charts[ast.Bar] {
+			t.Errorf("Figure 10: %d %v entries, not fewer than the %d bars", charts[ct], ct, charts[ast.Bar])
+		}
+	}
+	// §3.1: 27.4% of vis queries took the manual NL path.
+	if got := 100 * b.ManualFraction(); math.Abs(got-27.4) > 3 {
+		t.Errorf("§3.1: manual NL fraction %.1f%%, want 27.4%% ± 3 points", got)
 	}
 }

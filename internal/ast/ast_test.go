@@ -172,32 +172,35 @@ func TestEqualDistinguishes(t *testing.T) {
 	}
 }
 
+// canonicalLines are hand-written canonical query lines: the round-trip
+// cases of TestTokensRoundTripHandWritten and FuzzParseString's seeds.
+var canonicalLines = []string{
+	"select student.name from student",
+	"visualize bar select student.name count student.* from student group grouping student.name",
+	"visualize pie select faculty.sex count faculty.* from faculty group grouping faculty.sex",
+	"visualize line select flight.date count flight.* from flight group binning flight.date year",
+	"visualize bar select emp.dept avg emp.salary from emp group grouping emp.dept order desc avg emp.salary",
+	"visualize scatter select car.weight car.mpg from car",
+	"visualize stacked_bar select emp.dept count emp.* from emp dept group grouping emp.dept grouping emp.rank",
+	"visualize bar select emp.dept sum emp.salary from emp group grouping emp.dept filter > emp.age 30",
+	"select t.a from t filter and > t.a 1 < t.b 2",
+	"select t.a from t filter or like t.name \"Bob%\" = t.city \"NY\"",
+	"select t.a from t filter between t.age 18 65",
+	"select t.a from t filter in t.id ( select s.id from s )",
+	"select t.a from t filter not_in t.id ( select s.id from s filter > s.x 5 )",
+	"select t.a from t superlative most 5 t.a",
+	"visualize bar select t.a count t.* from t group grouping t.a filter having > count t.* 10",
+	"union select t.a from t select s.a from s",
+	"intersect select t.a from t filter > t.x 1 select s.a from s",
+	"except select t.a from t select s.a from s",
+	"visualize grouping_scatter select t.x t.y from t group grouping t.c",
+	"visualize bar select t.a count t.* from t group binning t.v numeric 10",
+	"select distinct t.name from t",
+	"select avg distinct t.salary from t",
+}
+
 func TestTokensRoundTripHandWritten(t *testing.T) {
-	lines := []string{
-		"select student.name from student",
-		"visualize bar select student.name count student.* from student group grouping student.name",
-		"visualize pie select faculty.sex count faculty.* from faculty group grouping faculty.sex",
-		"visualize line select flight.date count flight.* from flight group binning flight.date year",
-		"visualize bar select emp.dept avg emp.salary from emp group grouping emp.dept order desc avg emp.salary",
-		"visualize scatter select car.weight car.mpg from car",
-		"visualize stacked_bar select emp.dept count emp.* from emp dept group grouping emp.dept grouping emp.rank",
-		"visualize bar select emp.dept sum emp.salary from emp group grouping emp.dept filter > emp.age 30",
-		"select t.a from t filter and > t.a 1 < t.b 2",
-		"select t.a from t filter or like t.name \"Bob%\" = t.city \"NY\"",
-		"select t.a from t filter between t.age 18 65",
-		"select t.a from t filter in t.id ( select s.id from s )",
-		"select t.a from t filter not_in t.id ( select s.id from s filter > s.x 5 )",
-		"select t.a from t superlative most 5 t.a",
-		"visualize bar select t.a count t.* from t group grouping t.a filter having > count t.* 10",
-		"union select t.a from t select s.a from s",
-		"intersect select t.a from t filter > t.x 1 select s.a from s",
-		"except select t.a from t select s.a from s",
-		"visualize grouping_scatter select t.x t.y from t group grouping t.c",
-		"visualize bar select t.a count t.* from t group binning t.v numeric 10",
-		"select distinct t.name from t",
-		"select avg distinct t.salary from t",
-	}
-	for _, line := range lines {
+	for _, line := range canonicalLines {
 		q, err := ParseString(line)
 		if err != nil {
 			t.Fatalf("ParseString(%q): %v", line, err)

@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -244,7 +245,7 @@ func Tokenize(line string) []string {
 		if line[i] == '"' {
 			j := i + 1
 			for j < len(line) {
-				if line[j] == '\\' {
+				if line[j] == '\\' && j+1 < len(line) {
 					j += 2
 					continue
 				}
@@ -457,16 +458,28 @@ func (p *tokenParser) parseAttr() (Attr, error) {
 		a.Distinct = true
 		p.next()
 	}
-	key := p.next()
-	if key == "" {
-		return a, fmt.Errorf("ast: missing attribute key at %d", p.pos-1)
-	}
+	var err error
+	a.Table, a.Column, err = splitKey(p.next(), p.pos-1)
+	return a, err
+}
+
+// splitKey splits an attribute key ("table.column" or "column") into its
+// parts. Only the spelling Attr.Key renders is accepted: a key such as "."
+// or ".c" would render differently, so its line would not be the
+// canonical form of the tree it parses to.
+func splitKey(key string, pos int) (table, column string, err error) {
 	if idx := strings.IndexByte(key, '.'); idx >= 0 {
-		a.Table, a.Column = key[:idx], key[idx+1:]
+		table, column = key[:idx], key[idx+1:]
 	} else {
-		a.Column = key
+		column = key
 	}
-	return a, nil
+	if key == "" {
+		return "", "", fmt.Errorf("ast: missing attribute key at %d", pos)
+	}
+	if (Attr{Table: table, Column: column}).Key() != key {
+		return "", "", fmt.Errorf("ast: bad attribute key %q at %d", key, pos)
+	}
+	return table, column, nil
 }
 
 func (p *tokenParser) parseGroup() (Group, error) {
@@ -479,11 +492,10 @@ func (p *tokenParser) parseGroup() (Group, error) {
 	default:
 		return g, fmt.Errorf("ast: bad group kind at %d", p.pos-1)
 	}
-	key := p.next()
-	if idx := strings.IndexByte(key, '.'); idx >= 0 {
-		g.Attr.Table, g.Attr.Column = key[:idx], key[idx+1:]
-	} else {
-		g.Attr.Column = key
+	var err error
+	g.Attr.Table, g.Attr.Column, err = splitKey(p.next(), p.pos-1)
+	if err != nil {
+		return g, err
 	}
 	if g.Kind == Binning {
 		unit, err := ParseBinUnit(p.next())
@@ -495,6 +507,10 @@ func (p *tokenParser) parseGroup() (Group, error) {
 			n, err := strconv.Atoi(p.next())
 			if err != nil {
 				return g, fmt.Errorf("ast: bad bin count: %v", err)
+			}
+			if n <= 0 {
+				// Tokens renders a non-positive count as DefaultNumBins.
+				return g, fmt.Errorf("ast: bin count %d at %d must be positive", n, p.pos-1)
 			}
 			g.NumBins = n
 		}
@@ -597,6 +613,10 @@ func parseValueToken(tok string) (Value, error) {
 	n, err := strconv.ParseFloat(tok, 64)
 	if err != nil {
 		return Value{}, fmt.Errorf("ast: bad numeric value %q: %v", tok, err)
+	}
+	if math.IsNaN(n) {
+		// NaN is unequal to itself, so no tree holding it equals its re-parse.
+		return Value{}, fmt.Errorf("ast: numeric value %q is not a number", tok)
 	}
 	return NumberValue(n), nil
 }

@@ -132,19 +132,6 @@ func Build(corpus *spider.Corpus, opts Options) (*Benchmark, error) {
 			} else {
 				b.Stats.CacheMisses++
 			}
-			if r.cacheShard != "" {
-				if r.cacheHit {
-					if b.Stats.CacheShardHits == nil {
-						b.Stats.CacheShardHits = map[string]int{}
-					}
-					b.Stats.CacheShardHits[r.cacheShard]++
-				} else {
-					if b.Stats.CacheShardMisses == nil {
-						b.Stats.CacheShardMisses = map[string]int{}
-					}
-					b.Stats.CacheShardMisses[r.cacheShard]++
-				}
-			}
 			if r.cachePutErr != nil {
 				b.Stats.CacheWriteErrors++
 			}

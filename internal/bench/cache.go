@@ -43,14 +43,3 @@ type PairCache interface {
 	Get(p *spider.Pair) (*PairOutcome, bool)
 	Put(p *spider.Pair, out *PairOutcome) error
 }
-
-// ShardedCache is a PairCache whose records partition into named store
-// shards. When Build's cache implements it, per-shard hit/miss counts are
-// accumulated into RunStats (CacheShardHits / CacheShardMisses) so a build
-// over a damaged store shows which shard's cache paid the re-synthesis
-// bill. Shard returns "" when the pair cannot be attributed (unkeyable
-// pair, or a cache with no shard structure behind it).
-type ShardedCache interface {
-	PairCache
-	Shard(p *spider.Pair) string
-}

@@ -14,9 +14,10 @@ import (
 	"nvbench/internal/spider"
 )
 
-// faultyCache is a map-backed PairCache whose Put honors the store.save
-// fault site — the same contract as the real on-disk cache, which routes
-// every write through that site. Get never fails.
+// faultyCache is a map-backed PairCache whose Put honors the
+// store.shard.save fault site — the same contract as the real on-disk
+// cache, which writes each record inside its shard through that site. Get
+// never fails.
 type faultyCache struct {
 	mu sync.Mutex
 	m  map[*spider.Pair]*PairOutcome
@@ -34,7 +35,7 @@ func (c *faultyCache) Get(p *spider.Pair) (*PairOutcome, bool) {
 }
 
 func (c *faultyCache) Put(p *spider.Pair, out *PairOutcome) error {
-	if err := fault.Inject(fault.SiteStoreSave); err != nil {
+	if err := fault.Inject(fault.SiteShardSave); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -56,7 +57,7 @@ func TestCachePutFailureDegradesToUncached(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Cache = cache
 	restore := fault.Activate(fault.NewPlan(1).Add(
-		fault.Rule{Site: fault.SiteStoreSave, Kind: fault.KindError, Rate: 1}))
+		fault.Rule{Site: fault.SiteShardSave, Kind: fault.KindError, Rate: 1}))
 	b, err := Build(corpus, opts)
 	restore()
 	if err != nil {

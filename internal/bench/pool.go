@@ -42,12 +42,6 @@ type RunStats struct {
 	CacheHits           int   // pairs served from the incremental cache
 	CacheMisses         int   // pairs synthesized because the cache missed
 	CacheWriteErrors    int   // cache Put failures (build output unaffected)
-
-	// Per-shard cache attribution, populated only when the cache is a
-	// ShardedCache; keys are shard names ("00".."ff"). A shard whose cache
-	// partition was lost shows up here as a burst of misses.
-	CacheShardHits   map[string]int `json:"CacheShardHits,omitempty"`
-	CacheShardMisses map[string]int `json:"CacheShardMisses,omitempty"`
 }
 
 // pairResult is one worker's output for one source pair.
@@ -56,7 +50,6 @@ type pairResult struct {
 	quarantine  *Quarantined
 	attempts    int
 	cacheHit    bool
-	cacheShard  string // owning shard of the pair's cache record ("" if unknown)
 	cachePutErr error
 }
 
@@ -80,9 +73,6 @@ func processPair(ctx context.Context, opts Options, p *spider.Pair) pairResult {
 		pair.End(outcome, "pair_id", strconv.Itoa(p.ID), "cache_hit", strconv.FormatBool(res.cacheHit))
 	}()
 	if opts.Cache != nil {
-		if sc, ok := opts.Cache.(ShardedCache); ok {
-			res.cacheShard = sc.Shard(p)
-		}
 		if out, ok := opts.Cache.Get(p); ok {
 			res.outcome, res.cacheHit = out, true
 			return res

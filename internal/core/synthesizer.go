@@ -119,8 +119,8 @@ type Rejection struct {
 
 // Synthesizer converts one (nl, sql) pair's SQL tree into good vis trees.
 type Synthesizer struct {
-	// Filter is the DeepEye chart-quality model; nil means keep every
-	// syntactically valid candidate (the filter-off ablation).
+	// Filter is the DeepEye chart-quality model; nil keeps every candidate
+	// that passes RuleCheck (the filter-off ablation).
 	Filter *deepeye.Filter
 	// NumBins is the numeric binning bucket count (paper default 10).
 	NumBins int

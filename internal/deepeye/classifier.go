@@ -267,9 +267,6 @@ func SyntheticTrainingSet(n int, labelNoise float64, seed int64) []Example {
 // classifier. NewFilter trains deterministically on the synthetic corpus.
 type Filter struct {
 	Clf *Classifier
-	// DisableClassifier keeps only the rule layer (used by the filter-off
-	// ablation bench).
-	DisableClassifier bool
 	// degraded counts classifier failures absorbed by the rules-only
 	// fallback (see PredictSafe).
 	degraded degradeCounter
@@ -284,7 +281,7 @@ var (
 // example synthetic corpus with 5% label noise. The training is
 // deterministic, so the classifier is fitted once per process and shared
 // (it is read-only after training); each call still returns a fresh Filter
-// so flags like DisableClassifier stay caller-local.
+// so its degraded-call count stays caller-local.
 func NewFilter() *Filter {
 	defaultClfOnce.Do(func() {
 		examples := SyntheticTrainingSet(6000, 0.05, 99)

@@ -173,17 +173,6 @@ func TestFilterSingleValue(t *testing.T) {
 	}
 }
 
-func TestFilterDisableClassifier(t *testing.T) {
-	db := chartDB()
-	fl := NewFilter()
-	fl.DisableClassifier = true
-	q := parse(t, "visualize bar select sales.region count sales.* from sales group grouping sales.region")
-	ok, _, _, err := fl.Good(db, q)
-	if err != nil || !ok {
-		t.Fatalf("rule-only filter should accept: %v %v", ok, err)
-	}
-}
-
 func TestBaselineTopK(t *testing.T) {
 	db := chartDB()
 	b := NewBaseline()

@@ -23,9 +23,6 @@ type degradeCounter struct {
 // the classifier stage fails. It reports the verdict and whether this
 // call was degraded. Callers must have passed RuleCheck first.
 func (fl *Filter) PredictSafe(f Features) (good, degradedCall bool) {
-	if fl.DisableClassifier {
-		return true, false
-	}
 	err := fault.Safely("deepeye/classify", func() error {
 		if err := fault.Inject(fault.SiteClassify); err != nil {
 			return err

@@ -12,12 +12,12 @@ import (
 )
 
 func TestTornInjection(t *testing.T) {
-	p := NewPlan(11).Add(Rule{Site: SiteStoreSave, Kind: KindTorn, Rate: 1})
+	p := NewPlan(11).Add(Rule{Site: SiteShardSave, Kind: KindTorn, Rate: 1})
 	restore := Activate(p)
 	defer restore()
 	seen := map[float64]bool{}
 	for i := 0; i < 50; i++ {
-		err := Inject(SiteStoreSave)
+		err := Inject(SiteShardSave)
 		var torn *TornError
 		if !errors.As(err, &torn) {
 			t.Fatalf("call %d: got %v, want *TornError", i+1, err)
@@ -41,11 +41,11 @@ func TestTornInjection(t *testing.T) {
 
 func TestTornFractionDeterministic(t *testing.T) {
 	frac := func(seed int64) []float64 {
-		p := NewPlan(seed).Add(Rule{Site: SiteStoreSave, Kind: KindTorn, Rate: 1})
+		p := NewPlan(seed).Add(Rule{Site: SiteShardSave, Kind: KindTorn, Rate: 1})
 		var out []float64
 		for i := 0; i < 20; i++ {
 			var torn *TornError
-			if !errors.As(p.inject(SiteStoreSave), &torn) {
+			if !errors.As(p.inject(SiteShardSave), &torn) {
 				t.Fatal("torn rule at rate 1 did not fire")
 			}
 			out = append(out, torn.Frac)
@@ -72,24 +72,24 @@ func TestTornFractionDeterministic(t *testing.T) {
 }
 
 func TestParsePlanCrashAndTorn(t *testing.T) {
-	p, err := ParsePlan("store.save:torn:0.25, store.save:crash:12", 3)
+	p, err := ParsePlan("store.shard.save:torn:0.25, store.shard.save:crash:12", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := p.rules[SiteStoreSave]
+	rules := p.rules[SiteShardSave]
 	if len(rules) != 2 || rules[0].Kind != KindTorn || rules[1].Kind != KindCrash || rules[1].Call != 12 {
 		t.Fatalf("rules = %+v", rules)
 	}
-	if got := p.String(); got != "store.save:torn:0.25,store.save:crash:12" {
+	if got := p.String(); got != "store.shard.save:torn:0.25,store.shard.save:crash:12" {
 		t.Fatalf("String() = %q", got)
 	}
 	for _, bad := range []string{
-		"store.save:crash:0",      // call indexes are 1-based
-		"store.save:crash:-3",     // negative
-		"store.save:crash:0.5",    // not an index
-		"store.save:crash:2:5ms",  // delay on a non-latency rule
-		"store.save:torn:1.5",     // rate out of range
-		"store.save:torn:0.1:5ms", // delay on a non-latency rule
+		"store.shard.save:crash:0",      // call indexes are 1-based
+		"store.shard.save:crash:-3",     // negative
+		"store.shard.save:crash:0.5",    // not an index
+		"store.shard.save:crash:2:5ms",  // delay on a non-latency rule
+		"store.shard.save:torn:1.5",     // rate out of range
+		"store.shard.save:torn:0.1:5ms", // delay on a non-latency rule
 	} {
 		if _, err := ParsePlan(bad, 1); err == nil {
 			t.Errorf("ParsePlan(%q) accepted invalid spec", bad)

@@ -17,8 +17,8 @@
 //	classify:panic:0.02         2% of classifier calls panic
 //	render:latency:0.1:20ms     10% of renders stall 20ms
 //	*:panic:0.01                1% of calls at every registered site panic
-//	store.save:torn:0.1         10% of store writes persist only a prefix
-//	store.save:crash:12         the 12th store write aborts the process
+//	store.shard.save:torn:0.1   10% of shard writes persist only a prefix
+//	store.shard.save:crash:12   the 12th shard write aborts the process
 //
 // Two kinds model crashes rather than flaky dependencies. A torn rule
 // returns a *TornError carrying the surviving byte fraction; cooperating
@@ -55,13 +55,12 @@ const (
 	SiteVariants   = "variants"   // bench NL-variant generation
 	SiteRender     = "render"     // render.VegaLite
 	SiteServer     = "server"     // server per-request middleware
-	SiteStoreSave  = "store.save" // the store's stats.json write
 	SiteStoreLoad  = "store.load" // store artifact reads (Load, Verify, cache Get)
 
 	// Sharded-store sites: every write inside one shard (journal, entries,
 	// dbs, cache, shard manifest), every root-level write of the merge
-	// (root journal, merged manifest, stats), and the per-shard repair
-	// entry points.
+	// (root journal, merged manifest and its sum), and the per-shard
+	// repair entry points.
 	SiteShardSave   = "store.shard.save"   // shard-scoped artifact writes
 	SiteShardMerge  = "store.shard.merge"  // root-manifest merge writes
 	SiteShardRepair = "store.shard.repair" // per-shard (and root re-merge) repair
@@ -85,7 +84,7 @@ func Sites() []string {
 	return []string{
 		SiteParse, SiteSynthesize, SiteExecute, SiteClassify,
 		SiteVariants, SiteRender, SiteServer,
-		SiteStoreSave, SiteStoreLoad,
+		SiteStoreLoad,
 		SiteShardSave, SiteShardMerge, SiteShardRepair,
 		SiteVQLQuery,
 		SiteReplicaSave, SiteReplicaRead, SiteReplicaScrub,

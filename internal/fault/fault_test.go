@@ -126,6 +126,7 @@ func TestParsePlan(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"nosuchsite:error:0.1",
+		"store.save:error:1", // not a site: store writes go through store.shard.*
 		"parse:explode:0.1",
 		"parse:error:1.5",
 		"parse:error:x",

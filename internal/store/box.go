@@ -35,7 +35,6 @@ type box struct {
 // sweeps can enumerate — so routing a box to a site never puts a runtime
 // value into a fault.Inject call.
 var (
-	injectStoreSave    = func() error { return fault.Inject(fault.SiteStoreSave) }
 	injectStoreLoad    = func() error { return fault.Inject(fault.SiteStoreLoad) }
 	injectShardSave    = func() error { return fault.Inject(fault.SiteShardSave) }
 	injectShardMerge   = func() error { return fault.Inject(fault.SiteShardMerge) }
@@ -159,6 +158,22 @@ func (bx box) writeIntended(rel, hash string, data []byte) error {
 		return nil
 	}
 	return bx.writeArtifact(rel, data)
+}
+
+// commitManifest closes a box's save with its index, every step through
+// the journal: the manifest's intent and bytes, the intent and bytes of
+// its self-hash, then the commit record. The root merge, every shard save
+// and both Repair write-backs end with it.
+func (bx box) commitManifest(data []byte) error {
+	h := hashBytes(data)
+	if err := bx.writeIntended(manifestName, h, data); err != nil {
+		return err
+	}
+	sum := []byte(h + "\n")
+	if err := bx.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
+		return err
+	}
+	return bx.journalAppend(journalRecord{Op: opCommit})
 }
 
 // journalBegin rotates the box's journal: the file is atomically replaced

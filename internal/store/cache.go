@@ -42,11 +42,10 @@ func Fingerprint(opts bench.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// PairCache is the store's bench.PairCache implementation (and, on a
-// sharded store, its bench.ShardedCache: records partition into the shard
-// routed by the cache key's first byte, so cache damage shares the shard
-// blast radius and build stats can attribute hits per shard). It is safe
-// for concurrent use by the build worker pool.
+// PairCache is the store's bench.PairCache implementation. Records
+// partition into the shard routed by the cache key's first byte, so cache
+// damage shares the shard blast radius. It is safe for concurrent use by
+// the build worker pool.
 type PairCache struct {
 	store       *Store
 	fingerprint string
@@ -111,16 +110,6 @@ type cachedVisRecord struct {
 // key's first byte routes to.
 func (c *PairCache) cacheBox(key string) box {
 	return c.store.shardBox(shardIndex(key, c.store.shardCount))
-}
-
-// Shard names the store shard a pair's cache record partitions into
-// (bench.ShardedCache); "" when the pair cannot be keyed.
-func (c *PairCache) Shard(p *spider.Pair) string {
-	key, err := c.key(p)
-	if err != nil {
-		return ""
-	}
-	return shardName(shardIndex(key, c.store.shardCount))
 }
 
 // Get returns the cached outcome for a pair, or false on any miss —

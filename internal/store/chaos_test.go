@@ -1,7 +1,8 @@
 // Chaos coverage for the store's fault-injection sites: every read goes
-// through store.load and every write through store.save, so a plan on
-// either site must surface as wrapped errors (Save/Load) or graceful
-// degradation (the pair cache) — never a panic.
+// through store.load and every write through store.shard.save or
+// store.shard.merge, so a plan on any of them must surface as wrapped
+// errors (Save/Load) or graceful degradation (the pair cache) — never a
+// panic.
 
 package store
 
@@ -15,11 +16,11 @@ import (
 
 func TestChaosSaveFails(t *testing.T) {
 	_, b := testBench(t)
-	// A sharded save writes through three distinct sites: the shard boxes
-	// (store.shard.save), the root merge (store.shard.merge), and the
-	// unjournaled root stats (store.save). Certain failure at any one of
-	// them must fail the whole Save with a wrapped injected error.
-	for _, site := range []string{fault.SiteStoreSave, fault.SiteShardSave, fault.SiteShardMerge} {
+	// A sharded save writes through two distinct sites: the shard boxes
+	// (store.shard.save) and the root merge (store.shard.merge). Certain
+	// failure at either of them must fail the whole Save with a wrapped
+	// injected error.
+	for _, site := range []string{fault.SiteShardSave, fault.SiteShardMerge} {
 		st, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)

@@ -283,11 +283,6 @@ func TestCrashSweepSave(t *testing.T) {
 	t.Run("resave merge", func(t *testing.T) {
 		sweepSaveCrashes(t, goldenDir, "store.shard.merge:crash:%d", len(b.Entries))
 	})
-	t.Run("stats", func(t *testing.T) {
-		// The unjournaled root stats write is the one store.save call left
-		// in a sharded save.
-		sweepSaveCrashes(t, goldenDir, "store.save:crash:%d", len(b.Entries))
-	})
 }
 
 // TestCrashChildBuild is the re-exec'd child for the resumable-build
@@ -373,11 +368,9 @@ func resumeAndCheck(t *testing.T, dir string, corpus *spider.Corpus, refTree map
 	if _, err := st.Save(b, tinyInfo()); err != nil {
 		t.Fatalf("crash point %d: resumed save: %v", k, err)
 	}
-	// Byte-identical to the uninterrupted build, salvage area and run
-	// stats aside: stats legitimately differ (the resumed run had cache
-	// hits) and lost+found preserves what repair moved.
+	// Byte-identical to the uninterrupted build, the whole tree, with only
+	// lost+found aside: it preserves what repair moved.
 	got := treeBytes(t, dir)
-	delete(got, statsName)
 	for name := range got {
 		if strings.HasPrefix(name, lostFoundDir+"/") {
 			delete(got, name)
@@ -406,7 +399,6 @@ func TestCrashSweepBuildResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	refTree := treeBytes(t, refDir)
-	delete(refTree, statsName)
 
 	crashed := 0
 	for k := 1; ; k++ {
@@ -480,7 +472,7 @@ func TestCrashChildScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Activate(plan)()
-	if _, err := st.Scrub(context.Background(), ScrubOptions{}); err != nil && !errors.Is(err, fault.ErrInjected) {
+	if _, err := st.Scrub(context.Background()); err != nil && !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("scrub failed organically: %v", err)
 	}
 }

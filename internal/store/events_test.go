@@ -77,7 +77,7 @@ func TestStoreEntryPointsEmitWideEvents(t *testing.T) {
 		t.Fatalf("clean load failover field = %q", got)
 	}
 
-	if _, err := st.Scrub(context.Background(), ScrubOptions{}); err != nil {
+	if _, err := st.Scrub(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	scrubs := storeEvents(rec, "scrub")

@@ -20,8 +20,9 @@
 // fsync'd; recovery tolerates a torn tail record (the crash left a prefix
 // of a line) without discarding the intact records before it.
 //
-// stats.json is deliberately not journaled: it is informational, unhashed,
-// and differs between a cold and a resumed build of the same benchmark.
+// Every other artifact a Save writes is named by an intent in some
+// journal: the saved tree holds nothing unjournaled, so a resumed save
+// matches an uninterrupted one file for file.
 
 package store
 

@@ -194,7 +194,7 @@ func BenchmarkScrubClean(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := st.Scrub(context.Background(), ScrubOptions{})
+		rep, err := st.Scrub(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,45 +234,4 @@ func BenchmarkVerifyClean(b *testing.B) {
 			b.Fatalf("verify of a healthy store: %+v", rep)
 		}
 	}
-}
-
-// BenchmarkStoreSaveLoad measures the serialization round trip itself.
-func BenchmarkStoreSaveLoad(b *testing.B) {
-	corpus, err := spider.Generate(spider.Config{Seed: 11, NumDatabases: 5, PairsPerDB: 10, MaxRows: 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	built, err := bench.Build(corpus, bench.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("save", func(b *testing.B) {
-		st, err := Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.Save(built, BuildInfo{Seed: 11}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("load", func(b *testing.B) {
-		st, err := Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := st.Save(built, BuildInfo{Seed: 11}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := st.Load(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -59,7 +59,6 @@ type RepairReport struct {
 	CorruptMoved    []string      `json:"corrupt_moved,omitempty"`  // hash- or decode-invalid artifacts moved to lost+found
 	OrphansMoved    []string      `json:"orphans_moved,omitempty"`  // valid but unreferenced artifacts moved to lost+found
 	CacheDropped    int           `json:"cache_dropped"`            // corrupt cache records moved to lost+found
-	StatsDropped    bool          `json:"stats_dropped,omitempty"`  // stats.json was undecodable and moved
 	EntriesKept     int           `json:"entries_kept"`             // entries in the repaired root manifest
 	EntriesLost     int           `json:"entries_lost"`             // intended entries that could not be salvaged
 	DatabasesKept   int           `json:"databases_kept"`           // databases in the repaired root manifest
@@ -78,7 +77,7 @@ func (r *RepairReport) Lossy() bool { return r.EntriesLost > 0 || r.DatabasesLos
 // Clean reports whether there was nothing to heal.
 func (r *RepairReport) Clean() bool {
 	return r.TempsSwept == 0 && len(r.CorruptMoved) == 0 && len(r.OrphansMoved) == 0 &&
-		r.CacheDropped == 0 && !r.StatsDropped && !r.ManifestRebuilt &&
+		r.CacheDropped == 0 && !r.ManifestRebuilt &&
 		!r.RolledForward && !r.RolledBack && !r.JournalReset && len(r.Shards) == 0
 }
 
@@ -158,18 +157,6 @@ func (s *Store) repair() (*RepairReport, error) {
 		}
 	}
 
-	// stats.json is informational but Load requires it decodable when
-	// present; a torn one is moved.
-	if data, err := os.ReadFile(s.statsBox().path(statsName)); err == nil {
-		var rs bench.RunStats
-		if decodeStrict(data, &rs) != nil {
-			if err := s.moveAside(statsName); err != nil {
-				return nil, err
-			}
-			rep.StatsDropped = true
-		}
-	}
-
 	// The root merge: rebuild the global index from the healed shard
 	// manifests and write it back through the journaled machinery, only if
 	// the on-disk index or journal disagrees with the repaired state.
@@ -200,13 +187,7 @@ func (s *Store) repair() (*RepairReport, error) {
 		if err := root.journalBegin(journalRecord{Build: &info, Shards: count, Replicas: s.manifestReplicas()}); err != nil {
 			return nil, err
 		}
-		if err := root.writeIntended(manifestName, hashBytes(mdata), mdata); err != nil {
-			return nil, err
-		}
-		if err := root.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
-			return nil, err
-		}
-		if err := root.journalAppend(journalRecord{Op: opCommit}); err != nil {
+		if err := root.commitManifest(mdata); err != nil {
 			return nil, err
 		}
 		rep.JournalReset = true
@@ -413,13 +394,7 @@ func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPa
 		if err := bx.journalBegin(journalRecord{Build: &sm.Build, Shards: count, Replicas: s.manifestReplicas()}); err != nil {
 			return nil, err
 		}
-		if err := bx.writeIntended(manifestName, hashBytes(smdata), smdata); err != nil {
-			return nil, err
-		}
-		if err := bx.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
-			return nil, err
-		}
-		if err := bx.journalAppend(journalRecord{Op: opCommit}); err != nil {
+		if err := bx.commitManifest(smdata); err != nil {
 			return nil, err
 		}
 		rep.JournalReset = true
@@ -592,9 +567,6 @@ func WriteRepair(w io.Writer, rep *RepairReport) {
 	}
 	if rep.ManifestRebuilt {
 		fmt.Fprintln(w, "  manifest rebuilt from surviving artifacts")
-	}
-	if rep.StatsDropped {
-		fmt.Fprintln(w, "  stats.json undecodable; moved to lost+found")
 	}
 	moved := make([]string, 0, len(rep.CorruptMoved)+len(rep.OrphansMoved))
 	moved = append(moved, rep.CorruptMoved...)

@@ -277,24 +277,45 @@ func TestRepairRebuildsTornManifestFromJournal(t *testing.T) {
 	}
 }
 
-func TestRepairDropsTornStats(t *testing.T) {
+// TestLegacyStatsFileIsInert plants the torn stats.json an older build
+// could leave at the store root. The store no longer writes or reads that
+// file, so nothing may notice it: Open reports clean, Verify passes, Load
+// succeeds with zero Stats, Repair has nothing to do, and the bytes stay
+// where they are.
+func TestLegacyStatsFileIsInert(t *testing.T) {
 	_, b := testBench(t)
 	dir := t.TempDir()
-	st, _ := mustSave(t, dir, b)
-	path := filepath.Join(dir, statsName)
-	data, err := os.ReadFile(path)
+	mustSave(t, dir, b)
+	path := filepath.Join(dir, "stats.json")
+	torn := []byte("{\n  \"Workers\": 4,\n  \"PairsProc")
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
+	if rep := st.Status(); rep.Dirty() || rep.TempsSwept != 0 || rep.String() != "clean" {
+		t.Fatalf("Open status = %+v (%s), want clean", rep, rep)
 	}
-	if _, _, err := st.Load(); err == nil {
-		t.Fatal("setup: Load accepted torn stats")
+	frep, err := st.Verify()
+	if err != nil || !frep.OK() {
+		t.Fatalf("Verify = %+v, %v; want OK", frep, err)
 	}
-	rep := mustRepair(t, st)
-	if !rep.StatsDropped || rep.Lossy() {
-		t.Fatalf("report = %+v, want stats dropped and nothing lost", rep)
+	loaded, _, err := st.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if loaded.Stats != (bench.RunStats{}) {
+		t.Fatalf("loaded Stats = %+v, want the zero value", loaded.Stats)
+	}
+	rrep, err := st.Repair()
+	if err != nil || !rrep.Clean() {
+		t.Fatalf("Repair = %+v, %v; want a clean no-op", rrep, err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("stats.json after Repair = %q, %v; want its bytes untouched", got, err)
 	}
 }
 

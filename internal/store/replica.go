@@ -6,10 +6,9 @@
 //	...
 //	replicas/r{N-1}/shards/<nn>/
 //
-// Root-level artifacts (the root manifest, its sum, the root journal and
-// stats.json) stay single-copy: every one of them is either
-// informational or a pure function of the shard manifests, so Repair
-// re-derives them from any surviving replica. The pair cache is
+// Root-level artifacts (the root manifest, its sum and the root journal)
+// stay single-copy: each is a pure function of the shard manifests, so
+// Repair re-derives them from any surviving replica. The pair cache is
 // primary-only too — losing it to a failover costs a re-synthesis, never
 // correctness.
 //
@@ -142,7 +141,7 @@ type ReplicaHealth struct {
 // OpenReplicated opens a store and, when it is replicated, verifies every
 // shard's primary copy and routes reads for any failing shard to the
 // first replica whose manifest self-check passes. On a single-copy store
-// it is exactly Open. The chosen routing is visible through Serving,
+// it is exactly Open. The chosen routing is visible through FailedOver,
 // Failovers and ReplicaHealth; a shard no replica can serve is recorded
 // sick in Status.
 func OpenReplicated(dir string) (*Store, error) {
@@ -270,18 +269,6 @@ func (s *Store) loadShardFailover(name string, refs []EntryRef, dbs map[string]*
 		}
 	}
 	return nil, err
-}
-
-// Serving returns the shard → replica read routing of a replicated store
-// (empty on single-copy stores: every read is the one copy).
-func (s *Store) Serving() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.serving))
-	for k, v := range s.serving {
-		out[k] = v
-	}
-	return out
 }
 
 // Failovers returns every read re-route recorded since Open, in the order

@@ -231,7 +231,7 @@ func TestOpenReplicatedFailsOverBadPrimaryManifest(t *testing.T) {
 
 	// Scrub heals the primary from the replica; reads route home again and
 	// every replica verifies with zero findings.
-	srep, err := st.Scrub(context.Background(), ScrubOptions{})
+	srep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestReplicaChaosReadFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srep, err := st.Scrub(context.Background(), ScrubOptions{})
+	srep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

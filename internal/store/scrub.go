@@ -28,13 +28,6 @@ import (
 	"time"
 )
 
-// ScrubOptions configures one scrub pass.
-type ScrubOptions struct {
-	// NoEscalate reports unrecoverable artifacts instead of running the
-	// Repair salvage over them.
-	NoEscalate bool
-}
-
 // ScrubReport says what one scrub pass examined and healed.
 type ScrubReport struct {
 	Shards           int           `json:"shards"`                  // shards examined
@@ -43,7 +36,7 @@ type ScrubReport struct {
 	Repaired         []string      `json:"repaired,omitempty"`      // copies rewritten from a verified replica
 	MovedAside       []string      `json:"moved_aside,omitempty"`   // lying-named extras moved to lost+found
 	Unrecoverable    []string      `json:"unrecoverable,omitempty"` // artifacts bad in every replica
-	Escalated        bool          `json:"escalated,omitempty"`     // the Repair salvage was (or would be) needed
+	Escalated        bool          `json:"escalated,omitempty"`     // the Repair salvage was needed
 	Repair           *RepairReport `json:"repair,omitempty"`        // the escalated repair, when one ran
 }
 
@@ -65,14 +58,14 @@ func (r *ScrubReport) Lossy() bool {
 // Scrub runs one anti-entropy pass: every artifact of every shard is
 // re-hashed in every replica, divergent or corrupt copies are rewritten
 // from any copy that still hashes true, and artifacts bad in every
-// replica escalate to Repair (unless opts.NoEscalate). On a single-copy
-// store the pass degenerates to Verify plus the escalation rule — there
-// is no second copy to heal from. After a nil-error return on a
+// replica escalate to Repair. On a single-copy store the pass degenerates
+// to Verify plus the escalation rule — there is no second copy to heal
+// from. After a nil-error return on a
 // replicated store with nothing unrecoverable, every replica passes
 // Verify and reads route to the primary again.
-func (s *Store) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, error) {
+func (s *Store) Scrub(ctx context.Context) (*ScrubReport, error) {
 	t := s.beginOp("scrub")
-	rep, err := s.scrub(ctx, opts)
+	rep, err := s.scrub(ctx)
 	if err != nil {
 		t.End("error", "error", err.Error())
 		return rep, err
@@ -84,7 +77,7 @@ func (s *Store) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, err
 	return rep, nil
 }
 
-func (s *Store) scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, error) {
+func (s *Store) scrub(ctx context.Context) (*ScrubReport, error) {
 	s.countScrubCycle()
 	rep := &ScrubReport{Replicas: s.replicas}
 	escalate := false
@@ -105,13 +98,11 @@ func (s *Store) scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, err
 	}
 	if escalate {
 		rep.Escalated = true
-		if !opts.NoEscalate {
-			rr, err := s.Repair()
-			if err != nil {
-				return rep, err
-			}
-			rep.Repair = rr
+		rr, err := s.Repair()
+		if err != nil {
+			return rep, err
 		}
+		rep.Repair = rr
 	}
 	s.addScrubRepaired(len(rep.Repaired))
 	s.refreshStatus()
@@ -337,13 +328,9 @@ func WriteScrub(w io.Writer, rep *ScrubReport) {
 	for _, rel := range rep.Unrecoverable {
 		fmt.Fprintf(w, "  UNRECOVERABLE %s\n", rel)
 	}
-	if rep.Escalated {
-		if rep.Repair != nil {
-			fmt.Fprintln(w, "  escalated to repair:")
-			WriteRepair(w, rep.Repair)
-		} else {
-			fmt.Fprintln(w, "  escalation to repair needed (suppressed by options)")
-		}
+	if rep.Repair != nil {
+		fmt.Fprintln(w, "  escalated to repair:")
+		WriteRepair(w, rep.Repair)
 	}
 }
 
@@ -362,7 +349,7 @@ func (s *Store) RunScrubber(ctx context.Context, ticks <-chan time.Time, onCycle
 			if !ok {
 				return
 			}
-			rep, err := s.Scrub(ctx, ScrubOptions{})
+			rep, err := s.Scrub(ctx)
 			if onCycle != nil {
 				onCycle(rep, err)
 			}

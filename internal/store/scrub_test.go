@@ -23,7 +23,7 @@ import (
 func TestScrubCleanStoreIsNoop(t *testing.T) {
 	_, b := testBench(t)
 	st, m := mustSaveReplicated(t, t.TempDir(), b, 2)
-	rep, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestScrubHealsDivergentCopies(t *testing.T) {
 	}
 	flipByte(t, dbMatches[0])
 
-	rep, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestScrubHealsDivergentCopies(t *testing.T) {
 	}
 
 	// Idempotent: a second pass finds nothing.
-	rep2, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep2, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,44 +96,31 @@ func TestScrubAllCopiesBadEscalates(t *testing.T) {
 		flipByte(t, p)
 	}
 
-	// NoEscalate first: the pass reports the unrecoverable artifact and
-	// stops — nothing on disk is destroyed.
-	rep, err := st.Scrub(context.Background(), ScrubOptions{NoEscalate: true})
+	// Repair salvages (dropping the doomed entry), and the scrub reports
+	// the loss through the nested repair report.
+	rep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Escalated || rep.Repair != nil {
-		t.Fatalf("NoEscalate scrub: %+v", rep)
+	if !rep.Escalated || rep.Repair == nil || !rep.Lossy() {
+		t.Fatalf("escalated scrub: %+v", rep)
 	}
-	if len(rep.Unrecoverable) != 1 || !rep.Lossy() {
+	if len(rep.Unrecoverable) != 1 {
 		t.Fatalf("unrecoverable accounting: %+v", rep)
 	}
-	if frep, err := st.Verify(); err != nil || frep.OK() {
-		t.Fatalf("NoEscalate scrub mutated the store into a clean state: %+v, %v", frep, err)
-	}
-
-	// Escalating pass: Repair salvages (dropping the doomed entry), and the
-	// scrub reports the loss through the nested repair report.
-	rep2, err := st.Scrub(context.Background(), ScrubOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Escalated || rep2.Repair == nil || !rep2.Lossy() {
-		t.Fatalf("escalated scrub: %+v", rep2)
-	}
-	if rep2.Repair.EntriesLost != 1 {
-		t.Fatalf("escalated repair lost %d entries, want 1", rep2.Repair.EntriesLost)
+	if rep.Repair.EntriesLost != 1 {
+		t.Fatalf("escalated repair lost %d entries, want 1", rep.Repair.EntriesLost)
 	}
 	if frep, err := st.Verify(); err != nil || !frep.OK() {
 		t.Fatalf("verify after escalated scrub: %+v, %v", frep, err)
 	}
 	// And the store converged: another pass is clean.
-	rep3, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep2, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep3.Clean() {
-		t.Fatalf("scrub after escalated repair still finds work: %+v", rep3)
+	if !rep2.Clean() {
+		t.Fatalf("scrub after escalated repair still finds work: %+v", rep2)
 	}
 }
 
@@ -148,7 +135,7 @@ func TestScrubMovesAsideLyingExtras(t *testing.T) {
 	if err := os.WriteFile(liar, []byte(`{"not":"the hash"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +154,7 @@ func TestScrubSingleCopyDegeneratesToVerify(t *testing.T) {
 	_, b := testBench(t)
 	dir := t.TempDir()
 	st, _ := mustSave(t, dir, b)
-	rep, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +165,7 @@ func TestScrubSingleCopyDegeneratesToVerify(t *testing.T) {
 	// With one copy there is nothing to heal from: corruption escalates
 	// straight to Repair.
 	flipByte(t, anyArtifact(t, dir, entriesDir))
-	rep2, err := st.Scrub(context.Background(), ScrubOptions{})
+	rep2, err := st.Scrub(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +182,7 @@ func TestScrubHonorsContext(t *testing.T) {
 	st, _ := mustSaveReplicated(t, t.TempDir(), b, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := st.Scrub(ctx, ScrubOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := st.Scrub(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("scrub under a cancelled context: %v", err)
 	}
 }
@@ -253,7 +240,7 @@ func TestChaosScrubSite(t *testing.T) {
 	for _, rate := range []float64{0.3, 1} {
 		restore := fault.Activate(fault.NewPlan(13).Add(
 			fault.Rule{Site: fault.SiteReplicaScrub, Kind: fault.KindError, Rate: rate}))
-		rep, err := st.Scrub(context.Background(), ScrubOptions{})
+		rep, err := st.Scrub(context.Background())
 		restore()
 		if err != nil && !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("rate %v: organic scrub error: %v", rate, err)
@@ -385,7 +372,7 @@ func FuzzScrubResolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("open with one mutated copy: %v", err)
 		}
-		rep, err := st.Scrub(context.Background(), ScrubOptions{})
+		rep, err := st.Scrub(context.Background())
 		if err != nil {
 			t.Fatalf("scrub: %v", err)
 		}
@@ -405,7 +392,7 @@ func FuzzScrubResolve(f *testing.F) {
 		if frep, err := st.Verify(); err != nil || !frep.OK() {
 			t.Fatalf("store does not verify after scrub: %+v, %v", frep, err)
 		}
-		rep2, err := st.Scrub(context.Background(), ScrubOptions{})
+		rep2, err := st.Scrub(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

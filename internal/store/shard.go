@@ -149,13 +149,6 @@ func (s *Store) rootBox() box {
 	return box{root: s.dir, inject: injectShardMerge}
 }
 
-// statsBox writes the unjournaled, integrity-exempt stats.json; it keeps
-// the original store.save site so stats writes stay separately faultable
-// from the merge.
-func (s *Store) statsBox() box {
-	return box{root: s.dir, inject: injectStoreSave}
-}
-
 // shardBoxName addresses the primary copy of one shard directory by name.
 func (s *Store) shardBoxName(name string) box {
 	return s.replicaShardBox(0, name)
@@ -349,14 +342,7 @@ func saveShardCopy(bx box, p shardPlan, info BuildInfo, count, replicas int) err
 			return err
 		}
 	}
-	if err := bx.writeIntended(manifestName, p.manifest.hash, p.manifest.data); err != nil {
-		return err
-	}
-	sum := []byte(p.manifest.hash + "\n")
-	if err := bx.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
-		return err
-	}
-	return bx.journalAppend(journalRecord{Op: opCommit})
+	return bx.commitManifest(p.manifest.data)
 }
 
 // saveShards fans the shard saves out across a bounded worker pool. Every

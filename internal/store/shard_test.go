@@ -1,6 +1,6 @@
-// Sharding tests: the determinism of parallel multi-shard saves, the
+// Sharding tests: the determinism of parallel multi-shard saves and the
 // blast-radius containment contract (damage in one shard never takes
-// down the others), and the per-shard attribution of pair-cache traffic.
+// down the others).
 
 package store
 
@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"nvbench/internal/bench"
 )
 
 // TestShardedSaveWorkerCountsByteIdentical is the determinism gate of the
@@ -125,51 +123,5 @@ func TestBlastRadiusContainment(t *testing.T) {
 	}
 	if len(healed.Entries) != len(m.Entries)-1 {
 		t.Fatalf("healed store serves %d entries, want %d", len(healed.Entries), len(m.Entries)-1)
-	}
-}
-
-// TestCacheShardAttribution checks the build-stats side of the sharded
-// cache: hit and miss counters partition by the shard each record lives
-// in and sum to the global counters.
-func TestCacheShardAttribution(t *testing.T) {
-	corpus, _ := testBench(t)
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := func(m map[string]int) int {
-		n := 0
-		for _, v := range m {
-			n += v
-		}
-		return n
-	}
-	opts := bench.DefaultOptions()
-	fp := Fingerprint(opts)
-	opts.Cache = st.PairCache(fp)
-	cold, err := bench.Build(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum(cold.Stats.CacheShardMisses) != cold.Stats.CacheMisses {
-		t.Fatalf("cold per-shard misses %v do not sum to %d", cold.Stats.CacheShardMisses, cold.Stats.CacheMisses)
-	}
-	warmOpts := bench.DefaultOptions()
-	warmOpts.Cache = st.PairCache(fp)
-	warm, err := bench.Build(corpus, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum(warm.Stats.CacheShardHits) != warm.Stats.CacheHits || len(warm.Stats.CacheShardMisses) != 0 {
-		t.Fatalf("warm per-shard hits %v / misses %v, want hits summing to %d and no misses",
-			warm.Stats.CacheShardHits, warm.Stats.CacheShardMisses, warm.Stats.CacheHits)
-	}
-	if len(warm.Stats.CacheShardHits) < 2 {
-		t.Fatalf("cache traffic landed in %d shards; want it spread", len(warm.Stats.CacheShardHits))
-	}
-	for name := range warm.Stats.CacheShardHits {
-		if len(name) != 2 {
-			t.Fatalf("per-shard counter keyed by %q, want a two-hex-digit shard name", name)
-		}
 	}
 }

@@ -15,7 +15,6 @@
 //	                     db hashes, rejection buckets, quarantine
 //	MANIFEST.sha256      hex SHA-256 of MANIFEST.json (self-check)
 //	JOURNAL.jsonl        root write-ahead journal framing the whole save
-//	stats.json           RunStats of the build (informational; not hashed)
 //	shards/<nn>/         one shard per first-hash-byte bucket (mod count):
 //	  MANIFEST.json      shard index: this shard's entries and databases
 //	  MANIFEST.sha256    self-check of the shard manifest
@@ -36,9 +35,14 @@
 // flipped byte dirties exactly one shard — Open still succeeds, Status
 // names the sick shard, LoadPartial serves the healthy ones, and Repair
 // heals shard by shard. All reads pass through the store.load fault site;
-// writes pass through store.shard.save (inside a shard), store.shard.merge
-// (the root merge) or store.save (stats). Load degrades with a wrapped
-// error — never a panic — and cache corruption degrades to a cache miss.
+// writes pass through store.shard.save (inside a shard, pair-cache records
+// included) or store.shard.merge (the root merge), and every artifact a
+// Save writes is journaled. Load degrades with a wrapped error — never a
+// panic — and cache corruption degrades to a cache miss.
+//
+// The store holds what a build produced, not how it ran: a loaded
+// benchmark has no Corpus and zero Stats. A stats.json left by an older
+// build is never read, verified, swept or moved.
 //
 // Format 2 is the only layout. Open refuses a directory whose root
 // manifest says format 1 (the flat pre-shard layout) and leaves it
@@ -71,7 +75,6 @@ const FormatVersion = 2
 const (
 	manifestName    = "MANIFEST.json"
 	manifestSumName = "MANIFEST.sha256"
-	statsName       = "stats.json"
 	entriesDir      = "entries"
 	dbsDir          = "dbs"
 	cacheDir        = "cache"
@@ -236,10 +239,6 @@ func (s *Store) detectLayout() error {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// ShardCount returns the shard count the store uses (what the next Save
-// writes).
-func (s *Store) ShardCount() int { return s.shardCount }
 
 // SetShardCount configures how many shards the next Save writes; n must be
 // a power of two in [1, 256]. On a store whose on-disk layout already
@@ -437,10 +436,10 @@ func decodeStrict(data []byte, v any) error {
 // journal — database copies, entry records, shard manifest — fanned out
 // across the worker pool, then the root merge: the global manifest
 // (assembled deterministically from the shard manifests), its self-hash,
-// the unjournaled run stats, and the root commit. Content addressing makes
-// Save idempotent — re-saving the same benchmark writes nothing new — and
-// deterministic: two runs of the same build produce byte-identical stores,
-// journals included, at any worker count. A Save that fails or crashes
+// and the root commit. Content addressing makes Save idempotent —
+// re-saving the same benchmark writes nothing new — and deterministic:
+// two runs of the same build produce byte-identical stores, journals
+// included, at any worker count. A Save that fails or crashes
 // partway dirties the root journal plus exactly the shards that had not
 // committed, which Open diagnoses and Repair heals.
 func (s *Store) Save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
@@ -480,24 +479,7 @@ func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 		s.refreshStatus()
 		return nil, err
 	}
-	merge := func() error {
-		if err := root.writeIntended(manifestName, hashBytes(mdata), mdata); err != nil {
-			return err
-		}
-		sum := []byte(hashBytes(mdata) + "\n")
-		if err := root.writeIntended(manifestSumName, hashBytes(sum), sum); err != nil {
-			return err
-		}
-		sdata, err := canonicalJSON(b.Stats)
-		if err != nil {
-			return err
-		}
-		if err := s.statsBox().writeArtifact(statsName, sdata); err != nil {
-			return err
-		}
-		return root.journalAppend(journalRecord{Op: opCommit})
-	}
-	if err := merge(); err != nil {
+	if err := root.commitManifest(mdata); err != nil {
 		s.refreshStatus()
 		return nil, err
 	}
@@ -547,12 +529,12 @@ type ShardFailure struct {
 // store yields a clear error naming the bad artifact — never a silently
 // wrong benchmark and never a panic. Entries that reference the same
 // database payload share one in-memory *dataset.Database, as they did at
-// build time. The returned benchmark has no Corpus: the corpus is an input
-// of the build, not an artifact of it.
+// build time. The returned benchmark has no Corpus and zero Stats: both
+// describe how a build ran, not what it produced.
 func (s *Store) Load() (*bench.Benchmark, *Manifest, error) {
 	t := s.beginOp("load")
 	before := s.failoverCount()
-	b, m, err := s.load()
+	b, m, _, err := s.load(false)
 	if err != nil {
 		t.End("error", "error", err.Error())
 		return nil, nil, err
@@ -561,23 +543,6 @@ func (s *Store) Load() (*bench.Benchmark, *Manifest, error) {
 		"shards", strconv.Itoa(m.ShardCount),
 		"entries", strconv.Itoa(len(m.Entries)),
 		"failover", strconv.FormatBool(s.failoverCount() > before))
-	return b, m, nil
-}
-
-func (s *Store) load() (*bench.Benchmark, *Manifest, error) {
-	m, _, err := s.loadManifest()
-	if err != nil {
-		return nil, nil, err
-	}
-	entries, _, err := s.loadShardEntries(m, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := assembleBenchmark(m, entries)
-	if err := s.loadStats(b, true); err != nil {
-		return nil, nil, err
-	}
-	s.setIndexed(b, m)
 	return b, m, nil
 }
 
@@ -591,7 +556,7 @@ func (s *Store) load() (*bench.Benchmark, *Manifest, error) {
 func (s *Store) LoadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, error) {
 	t := s.beginOp("load")
 	before := s.failoverCount()
-	b, m, fails, err := s.loadPartial()
+	b, m, fails, err := s.load(true)
 	if err != nil {
 		t.End("error", "error", err.Error())
 		return nil, nil, nil, err
@@ -608,12 +573,16 @@ func (s *Store) LoadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, erro
 	return b, m, fails, nil
 }
 
-func (s *Store) loadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, error) {
+// load is the one body behind Load and LoadPartial. In partial mode a
+// failing shard is recorded rather than fatal, and the manifest is pruned
+// to the entries actually loaded; in strict mode there are no failures to
+// prune.
+func (s *Store) load(partial bool) (*bench.Benchmark, *Manifest, []ShardFailure, error) {
 	m, _, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	entries, fails, err := s.loadShardEntries(m, true)
+	entries, fails, err := s.loadShardEntries(m, partial)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -631,9 +600,6 @@ func (s *Store) loadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, erro
 		m.Entries = keep
 	}
 	b := assembleBenchmark(m, entries)
-	// Stats are informational; a degraded serve must not die on a torn
-	// stats file.
-	_ = s.loadStats(b, false)
 	s.setIndexed(b, m)
 	return b, m, fails, nil
 }
@@ -738,26 +704,4 @@ func assembleBenchmark(m *Manifest, entries []*bench.Entry) *bench.Benchmark {
 		b.Rejections[k] = v
 	}
 	return b
-}
-
-// loadStats reads the informational stats.json when present. In strict
-// mode an undecodable stats file is an error; otherwise it is ignored.
-func (s *Store) loadStats(b *bench.Benchmark, strict bool) error {
-	data, err := os.ReadFile(filepath.Join(s.dir, statsName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		if strict {
-			return fmt.Errorf("store: read %s: %w", statsName, err)
-		}
-		return nil
-	}
-	if err := decodeStrict(data, &b.Stats); err != nil {
-		if strict {
-			return fmt.Errorf("store: decode %s: %w", statsName, err)
-		}
-		b.Stats = bench.RunStats{}
-	}
-	return nil
 }

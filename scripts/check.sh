@@ -50,6 +50,7 @@ for target in \
     "FuzzScrubResolve ./internal/store" \
     "FuzzVQLParse ./internal/vql" \
     "FuzzTryParse ./internal/sqlparser" \
+    "FuzzParseString ./internal/ast" \
     "FuzzPairwise ./internal/bleu"; do
     set -- $target
     go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s "$2"
