@@ -36,22 +36,23 @@ var (
 	corpusOnce sync.Once
 	theCorpus  *spider.Corpus
 	theBench   *bench.Benchmark
+	corpusErr  error
 )
 
-func corpusAndBench(b *testing.B) (*spider.Corpus, *bench.Benchmark) {
-	b.Helper()
+// corpusAndBench generates and builds the reference corpus once per test
+// binary; the reproduction benchmarks and the reference-corpus tests share
+// it.
+func corpusAndBench(tb testing.TB) (*spider.Corpus, *bench.Benchmark) {
+	tb.Helper()
 	corpusOnce.Do(func() {
-		c, err := spider.Generate(benchCfg)
-		if err != nil {
-			panic(err)
+		theCorpus, corpusErr = spider.Generate(benchCfg)
+		if corpusErr == nil {
+			theBench, corpusErr = bench.Build(theCorpus, bench.DefaultOptions())
 		}
-		theCorpus = c
-		bm, err := bench.Build(c, bench.DefaultOptions())
-		if err != nil {
-			panic(err)
-		}
-		theBench = bm
 	})
+	if corpusErr != nil {
+		tb.Fatal(corpusErr)
+	}
 	return theCorpus, theBench
 }
 

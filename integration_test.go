@@ -131,14 +131,7 @@ func TestSeq2VisDataRoundTrip(t *testing.T) {
 // every synthesized entry, and its Table 3. A change that moves any entry,
 // or any Table 3 statistic by as much as its last bit, fails here.
 func TestReferenceCorpusDigest(t *testing.T) {
-	corpus, err := spider.Generate(spider.Config{Seed: 1, NumDatabases: 40, PairsPerDB: 16, MaxRows: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bench.Build(corpus, bench.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, b := corpusAndBench(t)
 	const (
 		wantEntries = 2331
 		wantPairs   = 9351
@@ -225,5 +218,43 @@ func TestReferenceCorpusDigest(t *testing.T) {
 	// §3.1: 27.4% of vis queries took the manual NL path.
 	if got := 100 * b.ManualFraction(); math.Abs(got-27.4) > 3 {
 		t.Errorf("§3.1: manual NL fraction %.1f%%, want 27.4%% ± 3 points", got)
+	}
+}
+
+// TestReferenceCandidateResults pins what the executor returns for every
+// candidate the synthesizer enumerates over the reference corpus, the
+// rejected ones included: they reach more executor paths (empty relations,
+// failing subqueries, bad orderings) than the kept ones. Each result is
+// hashed column by column and cell by cell, with the cell's kind; a failed
+// execution hashes its error text.
+func TestReferenceCandidateResults(t *testing.T) {
+	corpus, _ := corpusAndBench(t)
+	const (
+		wantCandidates = 3681
+		wantHash       = "04271abd2e49437908b4b48abaf9c549064122b747ba6b05bc5c63af972bed99"
+	)
+	synth := bench.DefaultOptions().Synth
+	h := sha256.New()
+	n := 0
+	for _, p := range corpus.Pairs {
+		for _, c := range synth.Candidates(p.DB, p.Query) {
+			n++
+			res, err := dataset.Execute(p.DB, c.Query)
+			if err != nil {
+				fmt.Fprintf(h, "error %q\n", err.Error())
+				continue
+			}
+			fmt.Fprintf(h, "columns %q\n", res.Columns)
+			for _, row := range res.Rows {
+				for _, cell := range row {
+					fmt.Fprintf(h, "%v %q ", cell.Kind, cell.String())
+				}
+				h.Write([]byte{'\n'})
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); n != wantCandidates || got != wantHash {
+		t.Errorf("reference corpus: %d candidates whose results hash to %s, want %d hashing to %s",
+			n, got, wantCandidates, wantHash)
 	}
 }
