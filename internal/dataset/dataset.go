@@ -7,9 +7,9 @@
 package dataset
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -59,23 +59,48 @@ func T(t time.Time) Cell { return Cell{Kind: Temporal, Time: t} }
 // Null constructs a null cell of the given type.
 func Null(k ColType) Cell { return Cell{Kind: k, Null: true} }
 
-// String renders the cell for display and for group keys.
+// String renders the cell for display and for group keys: integral numbers
+// below 1e15 in magnitude as integers, other numbers as %g prints them.
 func (c Cell) String() string {
 	if c.Null {
 		return "NULL"
 	}
 	switch c.Kind {
 	case Quantitative:
-		if c.Num == math.Trunc(c.Num) && math.Abs(c.Num) < 1e15 {
-			return fmt.Sprintf("%d", int64(c.Num))
+		if isIntegral(c.Num) {
+			return strconv.FormatInt(int64(c.Num), 10)
 		}
-		return fmt.Sprintf("%g", c.Num)
+		return strconv.FormatFloat(c.Num, 'g', -1, 64)
 	case Temporal:
-		return c.Time.Format("2006-01-02 15:04:05")
+		return c.Time.Format(timeLayout)
 	default:
 		return c.Str
 	}
 }
+
+// appendText appends the cell's String text to b.
+func (c Cell) appendText(b []byte) []byte {
+	if c.Null {
+		return append(b, "NULL"...)
+	}
+	switch c.Kind {
+	case Quantitative:
+		if isIntegral(c.Num) {
+			return strconv.AppendInt(b, int64(c.Num), 10)
+		}
+		return strconv.AppendFloat(b, c.Num, 'g', -1, 64)
+	case Temporal:
+		return c.Time.AppendFormat(b, timeLayout)
+	default:
+		return append(b, c.Str...)
+	}
+}
+
+// timeLayout renders temporal cells.
+const timeLayout = "2006-01-02 15:04:05"
+
+// isIntegral reports whether String renders f as an integer.
+func isIntegral(f float64) bool { return f == math.Trunc(f) && math.Abs(f) < 1e15 }
 
 // Number returns the cell's numeric interpretation: the value for Q cells,
 // the Unix timestamp for T cells, and 0 for C or null cells (with ok=false).

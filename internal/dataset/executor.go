@@ -3,7 +3,9 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nvbench/internal/ast"
@@ -19,12 +21,18 @@ type Result struct {
 
 // Key renders a row as a canonical string, used by set operators and the
 // "result matching accuracy" metric.
-func (r *Result) Key(row []Cell) string {
-	parts := make([]string, len(row))
+func (r *Result) Key(row []Cell) string { return string(appendKey(nil, row)) }
+
+// appendKey appends Key's text for row to b: the cells' String texts
+// joined by \x1f.
+func appendKey(b []byte, row []Cell) []byte {
 	for i, c := range row {
-		parts[i] = c.String()
+		if i > 0 {
+			b = append(b, '\x1f')
+		}
+		b = c.appendText(b)
 	}
-	return strings.Join(parts, "\x1f")
+	return b
 }
 
 // Equal reports whether two results contain the same multiset of rows under
@@ -153,9 +161,10 @@ func newRelation() *relation {
 func relationFromTable(t *Table) *relation {
 	r := newRelation()
 	for _, c := range t.Columns {
-		r.cols = append(r.cols, t.Name+"."+c.Name)
+		key := t.Name + "." + c.Name
+		r.index[key] = len(r.cols)
+		r.cols = append(r.cols, key)
 		r.types = append(r.types, c.Type)
-		r.index[t.Name+"."+c.Name] = len(r.cols) - 1
 	}
 	r.rows = t.Rows
 	return r
@@ -166,16 +175,24 @@ func (r *relation) col(key string) (int, bool) {
 	return i, ok
 }
 
+// subqueries holds the values of each subquery leaf of one core's filter
+// tree, keyed by the leaf. A subquery is uncorrelated — it never refers to
+// the outer row — so one execution serves every row and group the filter
+// visits. Each entry is filled the first time a row reaches its leaf, so
+// a leaf no row reaches never runs its subquery.
+type subqueries map[*ast.Filter][]ast.Value
+
 func execCore(db *Database, c *ast.Core) (*Result, error) {
 	rel, err := buildJoin(db, c.Tables)
 	if err != nil {
 		return nil, err
 	}
+	subs := subqueries{}
 	// WHERE: evaluate the filter tree with having-leaves treated as true.
 	if c.Filter != nil {
 		kept := rel.rows[:0:0]
 		for _, row := range rel.rows {
-			ok, err := evalFilter(db, rel, row, c.Filter, false)
+			ok, err := evalFilter(db, subs, rel, row, c.Filter, false)
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +210,7 @@ func execCore(db *Database, c *ast.Core) (*Result, error) {
 		}
 	}
 	if len(c.Groups) > 0 || hasAgg {
-		return execGrouped(db, rel, c)
+		return execGrouped(db, subs, rel, c)
 	}
 	return execPlain(db, rel, c)
 }
@@ -240,12 +257,58 @@ func execPlain(db *Database, rel *relation, c *ast.Core) (*Result, error) {
 // groupState accumulates rows for one group key.
 type groupState struct {
 	key  []Cell
+	text string // key's Key text, which orders the groups
 	rows [][]Cell
 }
 
 // execGrouped evaluates grouping/binning, aggregates, having, order and
 // superlative over a filtered relation.
-func execGrouped(db *Database, rel *relation, c *ast.Core) (*Result, error) {
+func execGrouped(db *Database, subs subqueries, rel *relation, c *ast.Core) (*Result, error) {
+	groups, err := groupRows(rel, c)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{}
+	for _, a := range c.Select {
+		out.Columns = append(out.Columns, a.String())
+	}
+	for _, g := range groups {
+		// HAVING: evaluate the filter tree with where-leaves treated as
+		// true, over the group's aggregates.
+		if c.Filter != nil {
+			ok, err := evalHaving(db, subs, rel, g, c.Filter)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		row := make([]Cell, len(c.Select))
+		for i, a := range c.Select {
+			cell, err := evalSelectAttr(rel, g, c, a)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = cell
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	if err := orderAndLimit(db, rel, c, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// groupRows partitions the relation's rows by the core's (possibly binned)
+// group attributes and returns the groups ordered by key text. Each
+// group's rows keep their relation order. With no GROUP BY, every row
+// falls in one group — even over an empty relation, so that an
+// aggregate-only query still yields its row (COUNT(*) of nothing is 0).
+func groupRows(rel *relation, c *ast.Core) ([]*groupState, error) {
+	if len(c.Groups) == 0 {
+		return []*groupState{{key: []Cell{S("")}, rows: rel.rows}}, nil
+	}
 	type binInfo struct {
 		min, max, size float64
 	}
@@ -277,70 +340,48 @@ func execGrouped(db *Database, rel *relation, c *ast.Core) (*Result, error) {
 		}
 	}
 
-	groups := map[string]*groupState{}
-	var order []string
-	for _, row := range rel.rows {
-		key := make([]Cell, len(c.Groups))
+	// One pass assigns each row its group. The key text is written into
+	// one reused buffer; a group's key cells and text are allocated only
+	// when the group first appears.
+	var groups []*groupState
+	var sizes []int
+	byText := map[string]int{}
+	ids := make([]int, len(rel.rows))
+	key := make([]Cell, len(c.Groups))
+	var buf []byte
+	for ri, row := range rel.rows {
 		for gi, g := range c.Groups {
 			cell := row[groupIdx[gi]]
 			if g.Kind == ast.Binning {
-				key[gi] = binCell(cell, g, binInfos[gi].min, binInfos[gi].size)
-			} else {
-				key[gi] = cell
+				cell = binCell(cell, g, binInfos[gi].min, binInfos[gi].size)
 			}
+			key[gi] = cell
 		}
-		if len(c.Groups) == 0 {
-			key = []Cell{S("")}
-		}
-		k := (&Result{}).Key(key)
-		g, ok := groups[k]
+		buf = appendKey(buf[:0], key)
+		id, ok := byText[string(buf)]
 		if !ok {
-			g = &groupState{key: key}
-			groups[k] = g
-			order = append(order, k)
+			id = len(groups)
+			text := string(buf)
+			byText[text] = id
+			groups = append(groups, &groupState{key: append([]Cell(nil), key...), text: text})
+			sizes = append(sizes, 0)
 		}
+		ids[ri] = id
+		sizes[id]++
+	}
+	// The groups' row lists share one backing slice.
+	backing := make([][]Cell, len(rel.rows))
+	off := 0
+	for id, g := range groups {
+		g.rows = backing[off : off : off+sizes[id]]
+		off += sizes[id]
+	}
+	for ri, row := range rel.rows {
+		g := groups[ids[ri]]
 		g.rows = append(g.rows, row)
 	}
-	// Aggregate-only query over an empty relation still yields one group
-	// (e.g. COUNT(*) of nothing is 0).
-	if len(groups) == 0 && len(c.Groups) == 0 {
-		k := ""
-		groups[k] = &groupState{key: []Cell{S("")}}
-		order = append(order, k)
-	}
-	sort.Strings(order)
-
-	out := &Result{}
-	for _, a := range c.Select {
-		out.Columns = append(out.Columns, a.String())
-	}
-	for _, k := range order {
-		g := groups[k]
-		// HAVING: evaluate the filter tree with where-leaves treated as
-		// true, over the group's aggregates.
-		if c.Filter != nil {
-			ok, err := evalHaving(db, rel, g, c.Filter)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		row := make([]Cell, len(c.Select))
-		for i, a := range c.Select {
-			cell, err := evalSelectAttr(rel, g, c, a)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = cell
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	if err := orderAndLimit(db, rel, c, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	slices.SortFunc(groups, func(a, b *groupState) int { return strings.Compare(a.text, b.text) })
+	return groups, nil
 }
 
 // evalSelectAttr computes one select attribute for a group: either an
@@ -441,17 +482,17 @@ func binCell(c Cell, g ast.Group, min, size float64) Cell {
 	}
 	switch g.Bin {
 	case ast.BinMinute:
-		return S(fmt.Sprintf("%02d:%02d", c.Time.Hour(), c.Time.Minute()))
+		return S(c.Time.Format("15:04"))
 	case ast.BinHour:
-		return S(fmt.Sprintf("%02d:00", c.Time.Hour()))
+		return S(c.Time.Format("15:00"))
 	case ast.BinWeekday:
 		return S(c.Time.Weekday().String())
 	case ast.BinMonth:
 		return S(c.Time.Month().String())
 	case ast.BinQuarter:
-		return S(fmt.Sprintf("Q%d", (int(c.Time.Month())-1)/3+1))
+		return S("Q" + strconv.Itoa((int(c.Time.Month())-1)/3+1))
 	case ast.BinYear:
-		return S(fmt.Sprintf("%d", c.Time.Year()))
+		return S(strconv.Itoa(c.Time.Year()))
 	case ast.BinNumeric:
 		v, ok := c.Number()
 		if !ok {
@@ -462,7 +503,8 @@ func binCell(c Cell, g ast.Group, min, size float64) Cell {
 			idx = int(math.Floor((v - min) / size))
 		}
 		lo := min + float64(idx)*size
-		return S(fmt.Sprintf("[%g,%g)", lo, lo+size))
+		// The bounds print as %g does.
+		return S("[" + strconv.FormatFloat(lo, 'g', -1, 64) + "," + strconv.FormatFloat(lo+size, 'g', -1, 64) + ")")
 	default:
 		// BinNone: the cell passes through unbinned.
 		return c
@@ -661,26 +703,26 @@ func crossJoin(rel *relation, t *Table) (*relation, error) {
 // evalFilter evaluates a filter tree on one row. Leaves whose Having flag
 // differs from the having parameter evaluate to true (they are checked in
 // the other phase).
-func evalFilter(db *Database, rel *relation, row []Cell, f *ast.Filter, having bool) (bool, error) {
+func evalFilter(db *Database, subs subqueries, rel *relation, row []Cell, f *ast.Filter, having bool) (bool, error) {
 	if f == nil {
 		return true, nil
 	}
 	switch f.Op {
 	case ast.FilterAnd:
-		l, err := evalFilter(db, rel, row, f.Left, having)
+		l, err := evalFilter(db, subs, rel, row, f.Left, having)
 		if err != nil || !l {
 			return false, err
 		}
-		return evalFilter(db, rel, row, f.Right, having)
+		return evalFilter(db, subs, rel, row, f.Right, having)
 	case ast.FilterOr:
-		l, err := evalFilter(db, rel, row, f.Left, having)
+		l, err := evalFilter(db, subs, rel, row, f.Left, having)
 		if err != nil {
 			return false, err
 		}
 		if l {
 			return true, nil
 		}
-		return evalFilter(db, rel, row, f.Right, having)
+		return evalFilter(db, subs, rel, row, f.Right, having)
 	default:
 		// Every other operator is a leaf predicate, evaluated below.
 	}
@@ -691,30 +733,30 @@ func evalFilter(db *Database, rel *relation, row []Cell, f *ast.Filter, having b
 	if !ok {
 		return false, fmt.Errorf("dataset: unknown filter column %s", f.Attr.Key())
 	}
-	return evalPredicate(db, row[j], f)
+	return evalPredicate(db, subs, row[j], f)
 }
 
 // evalHaving evaluates having-leaves over a group's aggregates.
-func evalHaving(db *Database, rel *relation, g *groupState, f *ast.Filter) (bool, error) {
+func evalHaving(db *Database, subs subqueries, rel *relation, g *groupState, f *ast.Filter) (bool, error) {
 	if f == nil {
 		return true, nil
 	}
 	switch f.Op {
 	case ast.FilterAnd:
-		l, err := evalHaving(db, rel, g, f.Left)
+		l, err := evalHaving(db, subs, rel, g, f.Left)
 		if err != nil || !l {
 			return false, err
 		}
-		return evalHaving(db, rel, g, f.Right)
+		return evalHaving(db, subs, rel, g, f.Right)
 	case ast.FilterOr:
-		l, err := evalHaving(db, rel, g, f.Left)
+		l, err := evalHaving(db, subs, rel, g, f.Left)
 		if err != nil {
 			return false, err
 		}
 		if l {
 			return true, nil
 		}
-		return evalHaving(db, rel, g, f.Right)
+		return evalHaving(db, subs, rel, g, f.Right)
 	default:
 		// Every other operator is a leaf predicate, evaluated below.
 	}
@@ -725,23 +767,17 @@ func evalHaving(db *Database, rel *relation, g *groupState, f *ast.Filter) (bool
 	if err != nil {
 		return false, err
 	}
-	return evalPredicate(db, cell, f)
+	return evalPredicate(db, subs, cell, f)
 }
 
 // evalPredicate compares a cell against the filter's literal values or
 // subquery.
-func evalPredicate(db *Database, cell Cell, f *ast.Filter) (bool, error) {
+func evalPredicate(db *Database, subs subqueries, cell Cell, f *ast.Filter) (bool, error) {
 	values := f.Values
 	if f.Sub != nil {
-		res, err := Execute(db, f.Sub)
-		if err != nil {
+		var err error
+		if values, err = subs.values(db, f); err != nil {
 			return false, err
-		}
-		values = values[:0:0]
-		for _, row := range res.Rows {
-			if len(row) > 0 {
-				values = append(values, cellToValue(row[0]))
-			}
 		}
 		if f.Op != ast.FilterIn && f.Op != ast.FilterNotIn && f.Op != ast.FilterBetween {
 			// Scalar subquery: use the first row only.
@@ -801,6 +837,26 @@ func evalPredicate(db *Database, cell Cell, f *ast.Filter) (bool, error) {
 	default:
 		return false, fmt.Errorf("dataset: unsupported filter op %v", f.Op)
 	}
+}
+
+// values returns the first column of f's subquery result, executing the
+// subquery on the first call for f.
+func (subs subqueries) values(db *Database, f *ast.Filter) ([]ast.Value, error) {
+	if values, ok := subs[f]; ok {
+		return values, nil
+	}
+	res, err := Execute(db, f.Sub)
+	if err != nil {
+		return nil, err
+	}
+	values := []ast.Value{}
+	for _, row := range res.Rows {
+		if len(row) > 0 {
+			values = append(values, cellToValue(row[0]))
+		}
+	}
+	subs[f] = values
+	return values, nil
 }
 
 func cellToValue(c Cell) ast.Value {

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -312,6 +314,59 @@ func TestScalarSubqueryComparison(t *testing.T) {
 	}
 }
 
+// A subquery is uncorrelated, so each execution runs it once: the second
+// lookup of a leaf returns the memoized values even after its table is gone.
+func TestSubqueryRunsOncePerExecution(t *testing.T) {
+	db := testDB()
+	q, err := ast.ParseString("select emp.name from emp filter in emp.dept_id ( select dept.id from dept )")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := q.Left.Filter
+	subs := subqueries{}
+	first, err := subs.values(db, leaf)
+	if err != nil || len(first) != 3 {
+		t.Fatalf("first lookup: %v, %v", first, err)
+	}
+	db.Tables = db.Tables[1:] // drop dept
+	again, err := subs.values(db, leaf)
+	if err != nil || len(again) != 3 || &again[0] != &first[0] {
+		t.Fatalf("second lookup re-ran the subquery: %v, %v", again, err)
+	}
+	if _, err := (subqueries{}).values(db, leaf); err == nil {
+		t.Fatal("a fresh execution must run the subquery (and fail without dept)")
+	}
+}
+
+// A subquery runs only when a row reaches its leaf: over an empty relation
+// or behind a short-circuit a failing one is never run, and otherwise its
+// error is the subquery's own.
+func TestSubqueryRunsOnlyWhenReached(t *testing.T) {
+	db := testDB()
+	db.AddTable(&Table{Name: "none", Columns: []Column{{Name: "id", Type: Quantitative}}})
+	const failing = "( select nosuch.id from nosuch )"
+	for _, line := range []string{
+		"select none.id from none filter in none.id " + failing,
+		"select count none.* from none filter > none.id " + failing,
+		"select emp.name from emp filter and < emp.salary 0 in emp.dept_id " + failing,
+		"select emp.name from emp filter or > emp.salary 0 in emp.dept_id " + failing,
+	} {
+		mustExec(t, db, line)
+	}
+	sub, err := ast.ParseString("select nosuch.id from nosuch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := Execute(db, sub)
+	q, err := ast.ParseString("select emp.name from emp filter in emp.dept_id " + failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(db, q); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("failing subquery: got %v, want %v", err, want)
+	}
+}
+
 func TestResultEqual(t *testing.T) {
 	db := testDB()
 	a := mustExec(t, db, "select emp.name from emp order asc emp.name")
@@ -373,6 +428,93 @@ func TestCellString(t *testing.T) {
 	}
 	if Null(Categorical).String() != "NULL" {
 		t.Errorf("null = %q", Null(Categorical).String())
+	}
+}
+
+// fmtCellString is Cell.String as it was written with fmt, the oracle for
+// the strconv form.
+func fmtCellString(c Cell) string {
+	if c.Null {
+		return "NULL"
+	}
+	switch c.Kind {
+	case Quantitative:
+		if c.Num == math.Trunc(c.Num) && math.Abs(c.Num) < 1e15 {
+			return fmt.Sprintf("%d", int64(c.Num))
+		}
+		return fmt.Sprintf("%g", c.Num)
+	case Temporal:
+		return c.Time.Format("2006-01-02 15:04:05")
+	default:
+		return c.Str
+	}
+}
+
+// Property: Cell.String and appendText print what fmt printed, for special
+// values, both sides of the 1e15 integer boundary and random bit patterns.
+func TestCellStringMatchesFmt(t *testing.T) {
+	nums := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -2.5, 1e-7, 1e20, 1e21, 1e100,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64,
+		1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 - 0.5, 1e15 + 2, 999999999999999.9,
+		math.MaxInt64, math.MinInt64, 1 << 53, 1<<53 + 2}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		switch i % 3 {
+		case 0:
+			nums = append(nums, math.Float64frombits(r.Uint64()))
+		case 1:
+			nums = append(nums, float64(r.Int63n(4e15)-2e15))
+		default:
+			nums = append(nums, r.NormFloat64()*math.Pow(10, float64(r.Intn(40)-20)))
+		}
+	}
+	cells := []Cell{Null(Quantitative), Null(Temporal), S(""), S("x\x1fy"),
+		T(date(2021, 11, 5)), T(time.Date(-12, 3, 4, 5, 6, 7, 8, time.UTC))}
+	for _, f := range nums {
+		cells = append(cells, N(f))
+	}
+	for _, c := range cells {
+		want := fmtCellString(c)
+		if got := c.String(); got != want {
+			t.Errorf("%#v: String %q, fmt %q", c, got, want)
+		}
+		if got := string(c.appendText([]byte("p"))); got != "p"+want {
+			t.Errorf("%#v: appendText %q, fmt %q", c, got, want)
+		}
+	}
+}
+
+// binCell's labels are the ones fmt printed.
+func TestBinLabelsMatchFmt(t *testing.T) {
+	for h := 0; h < 24; h++ {
+		for m := 0; m < 60; m += 7 {
+			c := T(time.Date(2020, time.Month(1+h%12), 1, h, m, 0, 0, time.UTC))
+			for _, want := range []struct {
+				bin   ast.BinUnit
+				label string
+			}{
+				{ast.BinMinute, fmt.Sprintf("%02d:%02d", h, m)},
+				{ast.BinHour, fmt.Sprintf("%02d:00", h)},
+				{ast.BinQuarter, fmt.Sprintf("Q%d", (int(c.Time.Month())-1)/3+1)},
+				{ast.BinYear, fmt.Sprintf("%d", c.Time.Year())},
+			} {
+				if got := binCell(c, ast.Group{Bin: want.bin}, 0, 1); got.Str != want.label {
+					t.Errorf("%v bin of %v: %q, want %q", want.bin, c.Time, got.Str, want.label)
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		v := r.NormFloat64() * math.Pow(10, float64(r.Intn(12)-4))
+		min := v - r.Float64()*100
+		size := math.Ceil(r.Float64() * 50)
+		idx := int(math.Floor((v - min) / size))
+		lo := min + float64(idx)*size
+		want := fmt.Sprintf("[%g,%g)", lo, lo+size)
+		if got := binCell(N(v), ast.Group{Bin: ast.BinNumeric}, min, size); got.Str != want {
+			t.Errorf("numeric bin of %v: %q, want %q", v, got.Str, want)
+		}
 	}
 }
 

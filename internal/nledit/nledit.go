@@ -17,7 +17,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"nvbench/internal/ast"
 	"nvbench/internal/core"
@@ -47,13 +51,24 @@ func New(seed int64) *Editor {
 	return &Editor{NumVariants: 4, Smooth: true, Seed: seed}
 }
 
+// rngPool holds reseedable RNGs. Seeding a pooled one gives the same
+// stream as a fresh rand.New(rand.NewSource(seed)) without allocating a
+// new ~5 KB source per vis query.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // rngFor derives a deterministic RNG from the editor seed and the vis tree,
 // so the same query always yields the same variants regardless of synthesis
-// order.
+// order. The seed is the FNV-1a hash of "<Seed>|<vis>". The caller returns
+// the RNG to rngPool when done with it.
 func (e *Editor) rngFor(vis *ast.Query) *rand.Rand {
+	v := vis.String()
+	key := strconv.AppendInt(make([]byte, 0, 21+len(v)), e.Seed, 10)
+	key = append(append(key, '|'), v...)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", e.Seed, vis.String())
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	h.Write(key)
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(int64(h.Sum64()))
+	return r
 }
 
 // Phrase rule tables (Section 2.5). The first table mirrors the paper's
@@ -91,6 +106,7 @@ func (e *Editor) Variants(nl string, vis *ast.Query, edit core.Edit) []Variant {
 		n = 4
 	}
 	r := e.rngFor(vis)
+	defer rngPool.Put(r)
 	// ±1 variant of jitter reproduces the non-uniform variants-per-vis
 	// distribution of Table 3.
 	n += r.Intn(3) - 1
@@ -451,22 +467,27 @@ func stripLeadVerb(s string) string {
 	return lowerFirst(s)
 }
 
+// upperFirst upper-cases the first rune of s.
 func upperFirst(s string) string {
-	if s == "" {
-		return s
+	r, n := utf8.DecodeRuneInString(s)
+	if u := unicode.ToUpper(r); r != utf8.RuneError && u != r {
+		return string(u) + s[n:]
 	}
-	return strings.ToUpper(s[:1]) + s[1:]
+	return s
 }
 
+// lowerFirst lower-cases the first rune of s, unless the second is an ASCII
+// capital.
 func lowerFirst(s string) string {
-	if s == "" {
-		return s
-	}
+	r, n := utf8.DecodeRuneInString(s)
 	// Keep acronyms and proper-noun-looking openings intact.
-	if len(s) > 1 && s[1] >= 'A' && s[1] <= 'Z' {
+	if len(s) > n && s[n] >= 'A' && s[n] <= 'Z' {
 		return s
 	}
-	return strings.ToLower(s[:1]) + s[1:]
+	if l := unicode.ToLower(r); r != utf8.RuneError && l != r {
+		return string(l) + s[n:]
+	}
+	return s
 }
 
 // tidy fixes the punctuation and spacing artifacts of rule concatenation —

@@ -1,9 +1,12 @@
 package nledit
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"nvbench/internal/ast"
 	"nvbench/internal/bleu"
@@ -184,6 +187,164 @@ func TestSmoothPreservesContentWords(t *testing.T) {
 	}
 }
 
+// oracleSmooth is Smooth as first written: it lowers the whole sentence
+// once per lexicon entry and replaces through oracleReplaceFold.
+func oracleSmooth(s string, r *rand.Rand) string {
+	out := s
+	for _, sub := range pivotLexicon {
+		if !strings.Contains(strings.ToLower(out), sub.from) {
+			continue
+		}
+		if r.Float64() < 0.6 {
+			out = oracleReplaceFold(out, sub.from, sub.to[r.Intn(len(sub.to))])
+		}
+	}
+	out = tidy(out)
+	if out == "" {
+		return out
+	}
+	return strings.ToUpper(out[:1]) + out[1:]
+}
+
+// oracleReplaceFold replaces the first case-insensitive occurrence of from.
+func oracleReplaceFold(s, from, to string) string {
+	idx := strings.Index(strings.ToLower(s), strings.ToLower(from))
+	if idx < 0 {
+		return s
+	}
+	return s[:idx] + to + s[idx+len(from):]
+}
+
+// randomSentence strings lexicon phrases (both sides), filler words and
+// punctuation together in random ASCII case.
+func randomSentence(r *rand.Rand) string {
+	filler := []string{"flights", "per", "origin", "Boston", "the", "of", "total", "x", "_", ",", ".", "?", " ", "  ", "how", "many"}
+	var parts []string
+	for n := r.Intn(10); n >= 0; n-- {
+		sub := pivotLexicon[r.Intn(len(pivotLexicon))]
+		switch r.Intn(3) {
+		case 0:
+			parts = append(parts, sub.from)
+		case 1:
+			parts = append(parts, sub.to[r.Intn(len(sub.to))])
+		default:
+			parts = append(parts, filler[r.Intn(len(filler))])
+		}
+	}
+	b := []byte(strings.Join(parts, []string{" ", "", "  "}[r.Intn(3)]))
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' && r.Intn(3) == 0 {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return string(b)
+}
+
+// Property: on ASCII text Smooth gives the oracle's output and draws the
+// same numbers from the RNG.
+func TestSmoothMatchesOracle(t *testing.T) {
+	gen := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		s := randomSentence(gen)
+		seed := gen.Int63()
+		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := Smooth(s, r1), oracleSmooth(s, r2)
+		if got != want {
+			t.Fatalf("Smooth(%q) = %q, oracle %q", s, got, want)
+		}
+		if a, b := r1.Int63(), r2.Int63(); a != b {
+			t.Fatalf("Smooth(%q) left the RNG at %d, oracle at %d", s, a, b)
+		}
+	}
+}
+
+// Smooth handles non-ASCII text: offsets stay in the edited string, the
+// output is valid UTF-8, and a multi-byte opening rune survives intact.
+func TestSmoothNonASCII(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for _, in := range []string{"Ⱥ how many", "ȺȺȺ show me the total", "Économie: how many", "économie"} {
+			out := Smooth(in, r)
+			if !utf8.ValidString(out) {
+				t.Errorf("Smooth(%q) = %q, not valid UTF-8", in, out)
+			}
+			if in[0] == 0xc3 && !strings.HasPrefix(out, "Économie") {
+				t.Errorf("Smooth(%q) = %q, want Économie kept", in, out)
+			}
+		}
+		switch out := Smooth("ȺȺȺ show me the total", r); out {
+		case "ȺȺȺ show me the total", "ȺȺȺ display the total", "ȺȺȺ present the total":
+		default:
+			t.Errorf("Smooth spliced at the wrong offset: %q", out)
+		}
+	}
+}
+
+func TestLexiconIsLowercaseASCII(t *testing.T) {
+	for _, sub := range pivotLexicon {
+		if sub.from == "" || sub.from[0] < 'a' || sub.from[0] > 'z' {
+			t.Errorf("lexicon phrase %q must start with a lowercase letter", sub.from)
+		}
+		for i := 0; i < len(sub.from); i++ {
+			if c := sub.from[i]; c >= utf8.RuneSelf || ('A' <= c && c <= 'Z') {
+				t.Errorf("lexicon phrase %q is not lowercase ASCII", sub.from)
+			}
+		}
+	}
+}
+
+func TestIndexFold(t *testing.T) {
+	for _, c := range []struct {
+		s, phrase string
+		want      int
+	}{
+		{"How Many", "how many", 0},
+		{"so HOW many", "how many", 3},
+		{"how man", "how many", -1},
+		{"ȺȺ show ME", "show me", 5},
+		{"\u212Aeep", "keep", -1}, // the Kelvin sign lowercases to k, but is not ASCII
+	} {
+		if got := indexFold(c.s, c.phrase); got != c.want {
+			t.Errorf("indexFold(%q, %q) = %d, want %d", c.s, c.phrase, got, c.want)
+		}
+	}
+}
+
+// The pooled, reseeded RNG draws what a fresh one does, and rngFor seeds it
+// with the FNV-1a hash of "<Seed>|<vis>".
+func TestPooledRNGMatchesFresh(t *testing.T) {
+	for seed := int64(-500); seed < 500; seed++ {
+		r := rngPool.Get().(*rand.Rand)
+		r.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			if a, b := r.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: Int63 %d, fresh %d", seed, i, a, b)
+			}
+			if a, b := r.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: Float64 %v, fresh %v", seed, i, a, b)
+			}
+			if a, b := r.Intn(i+1), fresh.Intn(i+1); a != b {
+				t.Fatalf("seed %d draw %d: Intn %d, fresh %d", seed, i, a, b)
+			}
+		}
+		var buf [3]byte
+		r.Read(buf[:]) // leave a partial read behind for the next Seed to reset
+		rngPool.Put(r)
+	}
+	vis := pieVis(t)
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%s", seed, vis.String())
+		want := rand.New(rand.NewSource(int64(h.Sum64()))).Int63()
+		r := (&Editor{Seed: seed}).rngFor(vis)
+		if got := r.Int63(); got != want {
+			t.Errorf("rngFor with seed %d: first draw %d, want %d", seed, got, want)
+		}
+		rngPool.Put(r)
+	}
+}
+
 func TestTidy(t *testing.T) {
 	cases := map[string]string{
 		"hello_world":  "hello world",
@@ -210,6 +371,9 @@ func TestCaseHelpers(t *testing.T) {
 	}
 	if lowerFirst("TV shows") != "TV shows" {
 		t.Error("lowerFirst should keep acronyms")
+	}
+	if upperFirst("économie") != "Économie" || lowerFirst("Économie") != "économie" || lowerFirst("ÉCONOMIE") != "ÉCONOMIE" {
+		t.Error("case helpers must change the whole first rune")
 	}
 }
 
