@@ -16,6 +16,7 @@ import (
 	"nvbench/internal/render"
 	"nvbench/internal/seq2vis"
 	"nvbench/internal/spider"
+	"nvbench/internal/sqlparser"
 )
 
 // smallBenchmark builds one compact end-to-end benchmark for integration
@@ -257,4 +258,54 @@ func TestReferenceCandidateResults(t *testing.T) {
 		t.Errorf("reference corpus: %d candidates whose results hash to %s, want %d hashing to %s",
 			n, got, wantCandidates, wantHash)
 	}
+}
+
+// TestExecuteSQLRoundTripDifferential checks dataset.Execute against
+// itself through the SQL text: every reference-corpus vis without a
+// binning group renders to SQL that re-parses to a tree executing to the
+// same rows in the same order. Binned trees are skipped because SQL
+// renders binning as a plain GROUP BY (see ast.Query.SQL).
+func TestExecuteSQLRoundTripDifferential(t *testing.T) {
+	_, b := corpusAndBench(t)
+	checked := 0
+	for _, e := range b.Entries {
+		if hasBinning(e.Vis) {
+			continue
+		}
+		checked++
+		sql := e.Vis.SQL()
+		q, err := sqlparser.TryParse(sql, e.DB)
+		if err != nil {
+			t.Errorf("entry %d: %q does not re-parse: %v", e.ID, sql, err)
+			continue
+		}
+		want, err := dataset.Execute(e.DB, e.Vis)
+		if err != nil {
+			t.Errorf("entry %d: vis does not execute: %v", e.ID, err)
+			continue
+		}
+		got, err := dataset.Execute(e.DB, q)
+		if err != nil {
+			t.Errorf("entry %d: re-parsed %q does not execute: %v", e.ID, sql, err)
+			continue
+		}
+		if !got.EqualOrdered(want) {
+			t.Errorf("entry %d: %q gives %d rows that differ from the vis tree's %d", e.ID, sql, len(got.Rows), len(want.Rows))
+		}
+	}
+	if checked != 1953 {
+		t.Errorf("checked %d of %d entries, want the 1,953 without binning", checked, len(b.Entries))
+	}
+}
+
+// hasBinning reports whether any core of q groups by a binning node.
+func hasBinning(q *ast.Query) bool {
+	for _, c := range q.Cores() {
+		for _, g := range c.Groups {
+			if g.Kind == ast.Binning {
+				return true
+			}
+		}
+	}
+	return false
 }
