@@ -266,9 +266,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	opts.Retries = *retries
 	opts.Obs = ins
 	if *tracePath != "" {
-		// Per pair: its own event plus treeedit, deepeye and nledit for
-		// each attempt; the default ring size covers store and fault events.
-		ins.Events.Reserve(obs.DefaultEventCapacity + len(corpus.Pairs)*(1+3*max(opts.Retries, 1)))
+		// Per pair: its own event plus treeedit, execute, deepeye and
+		// nledit for each attempt; the default ring size covers store and
+		// fault events.
+		ins.Events.Reserve(obs.DefaultEventCapacity + len(corpus.Pairs)*(1+4*max(opts.Retries, 1)))
 	}
 	fingerprint := store.Fingerprint(opts)
 	if *incr {

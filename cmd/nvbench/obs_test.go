@@ -74,7 +74,7 @@ func TestTraceFlagEmitsChromeTrace(t *testing.T) {
 	if want == 0 || pairs != want {
 		t.Errorf("pair spans = %d, want %d (from run stats)", pairs, want)
 	}
-	for _, stage := range []string{"treeedit", "deepeye", "nledit"} {
+	for _, stage := range []string{"treeedit", "execute", "deepeye", "nledit"} {
 		if stages[stage] == 0 {
 			t.Errorf("no %s spans in trace (have %v)", stage, stages)
 		}

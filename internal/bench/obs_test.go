@@ -88,7 +88,7 @@ func TestBuildRecordsStageMetricsAndSpans(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	for _, stage := range []string{obs.StageTreeEdit, obs.StageDeepEye, obs.StageNLEdit} {
+	for _, stage := range []string{obs.StageTreeEdit, obs.StageExecute, obs.StageDeepEye, obs.StageNLEdit} {
 		h := snap.Histograms[obs.L(obs.StageHistogram, "stage", stage)]
 		if h.Count == 0 {
 			t.Errorf("stage %s recorded no observations", stage)
@@ -138,7 +138,7 @@ func TestBuildRecordsStageMetricsAndSpans(t *testing.T) {
 	if len(pairTIDs) != pairSpans {
 		t.Errorf("pair spans share tracks: %d tracks for %d pairs", len(pairTIDs), pairSpans)
 	}
-	for _, stage := range []string{obs.StageTreeEdit, obs.StageDeepEye, obs.StageNLEdit} {
+	for _, stage := range []string{obs.StageTreeEdit, obs.StageExecute, obs.StageDeepEye, obs.StageNLEdit} {
 		if stageSpans[stage] == 0 {
 			t.Errorf("no %s spans in trace (have %v)", stage, stageSpans)
 		}

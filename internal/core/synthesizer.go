@@ -129,7 +129,8 @@ type Synthesizer struct {
 	// Aggregates to enumerate when inserting an aggregate node over a raw
 	// quantitative measure.
 	Aggregates []ast.AggFunc
-	// Obs receives one timed record per stage (treeedit, deepeye).
+	// Obs receives one timed record per stage (treeedit, execute,
+	// deepeye).
 	// Nil disables instrumentation; metrics never influence synthesis
 	// output, so an instrumented run stays byte-identical to a bare one.
 	Obs *obs.Instruments
@@ -156,7 +157,7 @@ func (s *Synthesizer) Synthesize(db *dataset.Database, sql *ast.Query) (kept []*
 }
 
 // SynthesizeCtx is Synthesize with a caller context, so the stage events
-// (treeedit, deepeye) carry the caller's op ID — one trace track per source
+// (treeedit, execute, deepeye) carry the caller's op ID — one trace track per source
 // pair in a traced build.
 func (s *Synthesizer) SynthesizeCtx(ctx context.Context, db *dataset.Database, sql *ast.Query) (kept []*VisObject, rejected []Rejection, err error) {
 	err = fault.Safely("core/synthesize", func() error {
@@ -179,13 +180,21 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 	te := s.Obs.Begin(ctx, obs.LayerBench, obs.StageTreeEdit)
 	cands := s.Candidates(db, sql)
 	te.End("ok")
+	// Execute every candidate, then judge the ones that ran, so each pair
+	// records one execute and one deepeye stage.
+	ex := s.Obs.Begin(ctx, obs.LayerBench, obs.StageExecute)
+	results := make([]*dataset.Result, len(cands))
+	errs := make([]error, len(cands))
+	for i, c := range cands {
+		results[i], errs[i] = deepeye.Execute(db, c.Query)
+	}
+	ex.End("ok")
 	var kept []*VisObject
 	var rejected []Rejection
 	de := s.Obs.Begin(ctx, obs.LayerBench, obs.StageDeepEye)
 	defer de.End("ok")
-	for _, c := range cands {
-		feats, res, err := deepeye.Extract(db, c.Query)
-		if err != nil {
+	for i, c := range cands {
+		if err := errs[i]; err != nil {
 			// Transient (injected/flaky) execution failures are recorded in
 			// their own bucket: they are infrastructure losses, not
 			// chart-quality verdicts, and must not skew the Section 2.4
@@ -197,25 +206,34 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
 		}
-		if ok, reason := deepeye.RuleCheck(feats); !ok {
+		feats, reason := s.judge(db, c.Query, results[i])
+		if reason != "" {
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
-		}
-		if s.Filter != nil {
-			good, _ := s.Filter.PredictSafe(feats)
-			if !good {
-				rejected = append(rejected, Rejection{Query: c.Query, Reason: "classifier: low quality score"})
-				continue
-			}
 		}
 		kept = append(kept, &VisObject{
 			Candidate: c,
 			Features:  feats,
-			Result:    res,
+			Result:    results[i],
 			Hardness:  ast.Classify(c.Query),
 		})
 	}
 	return kept, rejected, nil
+}
+
+// judge featurizes an executed candidate and returns why DeepEye rejects
+// it: a rule violation or a low classifier score ("" keeps it).
+func (s *Synthesizer) judge(db *dataset.Database, q *ast.Query, res *dataset.Result) (deepeye.Features, string) {
+	feats := deepeye.FromResult(db, q, res)
+	if ok, reason := deepeye.RuleCheck(feats); !ok {
+		return feats, reason
+	}
+	if s.Filter != nil {
+		if good, _ := s.Filter.PredictSafe(feats); !good {
+			return feats, "classifier: low quality score"
+		}
+	}
+	return feats, ""
 }
 
 // Candidates enumerates the candidate vis set T_V for one SQL tree

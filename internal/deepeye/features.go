@@ -40,15 +40,20 @@ type Features struct {
 // Extract executes the query and derives the feature vector. The select
 // list is expected in [x, y, (z)] order, the layout the synthesizer emits.
 func Extract(db *dataset.Database, q *ast.Query) (Features, *dataset.Result, error) {
-	if err := fault.Inject(fault.SiteExecute); err != nil {
-		return Features{}, nil, fmt.Errorf("deepeye: %w", err)
-	}
-	res, err := dataset.Execute(db, q)
+	res, err := Execute(db, q)
 	if err != nil {
 		return Features{}, nil, err
 	}
-	f := FromResult(db, q, res)
-	return f, res, nil
+	return FromResult(db, q, res), res, nil
+}
+
+// Execute runs the query whose result Extract featurizes; the execute
+// fault site fires first.
+func Execute(db *dataset.Database, q *ast.Query) (*dataset.Result, error) {
+	if err := fault.Inject(fault.SiteExecute); err != nil {
+		return nil, fmt.Errorf("deepeye: %w", err)
+	}
+	return dataset.Execute(db, q)
 }
 
 // FromResult derives features from an already executed result.

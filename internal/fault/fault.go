@@ -50,7 +50,7 @@ import (
 const (
 	SiteParse      = "parse"      // sqlparser.TryParse entry
 	SiteSynthesize = "synthesize" // core.Synthesizer.Synthesize entry
-	SiteExecute    = "execute"    // deepeye.Extract (query execution + featurization)
+	SiteExecute    = "execute"    // deepeye.Execute (query execution, before featurization)
 	SiteClassify   = "classify"   // deepeye classifier scoring
 	SiteVariants   = "variants"   // bench NL-variant generation
 	SiteRender     = "render"     // render.VegaLite

@@ -68,6 +68,7 @@ const (
 const (
 	StageSQLParse = "sqlparse"
 	StageTreeEdit = "treeedit"
+	StageExecute  = "execute"
 	StageDeepEye  = "deepeye"
 	StageNLEdit   = "nledit"
 	StageRender   = "render"
@@ -77,7 +78,7 @@ const (
 // Stages lists the pipeline stage names in execution order, for stable
 // iteration in timing tables and tests (query runs at serve time, after
 // the build pipeline).
-var Stages = []string{StageSQLParse, StageTreeEdit, StageDeepEye, StageNLEdit, StageRender, StageQuery}
+var Stages = []string{StageSQLParse, StageTreeEdit, StageExecute, StageDeepEye, StageNLEdit, StageRender, StageQuery}
 
 // StoreOps lists the op= label values of StoreSeconds, in protocol order:
 // the store entry points internal/store times.
