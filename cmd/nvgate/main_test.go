@@ -86,7 +86,7 @@ func TestGateTable(t *testing.T) {
 		t.Fatalf("first section = %+v, want the unrecorded root run", sections[0])
 	}
 	for _, s := range sections {
-		if want := map[string]int{"obs": 5}[s.name]; s.count != want {
+		if want := map[string]int{"store": 5, "obs": 5}[s.name]; s.count != want {
 			t.Errorf("%s: count = %d, want %d", s.name, s.count, want)
 		}
 	}

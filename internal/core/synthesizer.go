@@ -157,8 +157,8 @@ func (s *Synthesizer) Synthesize(db *dataset.Database, sql *ast.Query) (kept []*
 }
 
 // SynthesizeCtx is Synthesize with a caller context, so the stage events
-// (treeedit, execute, deepeye) carry the caller's op ID — one trace track per source
-// pair in a traced build.
+// (treeedit, execute, deepeye) carry the caller's op ID — one trace track
+// per source pair in a traced build.
 func (s *Synthesizer) SynthesizeCtx(ctx context.Context, db *dataset.Database, sql *ast.Query) (kept []*VisObject, rejected []Rejection, err error) {
 	err = fault.Safely("core/synthesize", func() error {
 		kept, rejected, err = s.synthesize(ctx, db, sql)
@@ -206,10 +206,17 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
 		}
-		feats, reason := s.judge(db, c.Query, results[i])
-		if reason != "" {
+		feats := deepeye.FromResult(db, c.Query, results[i])
+		if ok, reason := deepeye.RuleCheck(feats); !ok {
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
+		}
+		if s.Filter != nil {
+			good, _ := s.Filter.PredictSafe(feats)
+			if !good {
+				rejected = append(rejected, Rejection{Query: c.Query, Reason: "classifier: low quality score"})
+				continue
+			}
 		}
 		kept = append(kept, &VisObject{
 			Candidate: c,
@@ -219,21 +226,6 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 		})
 	}
 	return kept, rejected, nil
-}
-
-// judge featurizes an executed candidate and returns why DeepEye rejects
-// it: a rule violation or a low classifier score ("" keeps it).
-func (s *Synthesizer) judge(db *dataset.Database, q *ast.Query, res *dataset.Result) (deepeye.Features, string) {
-	feats := deepeye.FromResult(db, q, res)
-	if ok, reason := deepeye.RuleCheck(feats); !ok {
-		return feats, reason
-	}
-	if s.Filter != nil {
-		if good, _ := s.Filter.PredictSafe(feats); !good {
-			return feats, "classifier: low quality score"
-		}
-	}
-	return feats, ""
 }
 
 // Candidates enumerates the candidate vis set T_V for one SQL tree

@@ -62,17 +62,12 @@ func Null(k ColType) Cell { return Cell{Kind: k, Null: true} }
 // String renders the cell for display and for group keys: integral numbers
 // below 1e15 in magnitude as integers, other numbers as %g prints them.
 func (c Cell) String() string {
-	if c.Null {
+	switch {
+	case c.Null:
 		return "NULL"
-	}
-	switch c.Kind {
-	case Quantitative:
-		if isIntegral(c.Num) {
-			return strconv.FormatInt(int64(c.Num), 10)
-		}
-		return strconv.FormatFloat(c.Num, 'g', -1, 64)
-	case Temporal:
-		return c.Time.Format(timeLayout)
+	case c.Kind == Quantitative || c.Kind == Temporal:
+		var buf [32]byte
+		return string(c.appendText(buf[:0]))
 	default:
 		return c.Str
 	}
@@ -85,22 +80,16 @@ func (c Cell) appendText(b []byte) []byte {
 	}
 	switch c.Kind {
 	case Quantitative:
-		if isIntegral(c.Num) {
+		if c.Num == math.Trunc(c.Num) && math.Abs(c.Num) < 1e15 {
 			return strconv.AppendInt(b, int64(c.Num), 10)
 		}
 		return strconv.AppendFloat(b, c.Num, 'g', -1, 64)
 	case Temporal:
-		return c.Time.AppendFormat(b, timeLayout)
+		return c.Time.AppendFormat(b, "2006-01-02 15:04:05")
 	default:
 		return append(b, c.Str...)
 	}
 }
-
-// timeLayout renders temporal cells.
-const timeLayout = "2006-01-02 15:04:05"
-
-// isIntegral reports whether String renders f as an integer.
-func isIntegral(f float64) bool { return f == math.Trunc(f) && math.Abs(f) < 1e15 }
 
 // Number returns the cell's numeric interpretation: the value for Q cells,
 // the Unix timestamp for T cells, and 0 for C or null cells (with ok=false).

@@ -135,7 +135,10 @@ func (e *Editor) Variants(nl string, vis *ast.Query, edit core.Edit) []Variant {
 			continue
 		}
 		seen[text] = true
-		out = append(out, Variant{Text: text, Manual: manual})
+		// Keep an exact-size copy: text can share a strings.Builder buffer
+		// with spare capacity, which a kept variant would pin for the life
+		// of the benchmark.
+		out = append(out, Variant{Text: strings.Clone(text), Manual: manual})
 	}
 	return out
 }
