@@ -263,13 +263,15 @@ func TestSmoothMatchesOracle(t *testing.T) {
 func TestSmoothNonASCII(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		for _, in := range []string{"Ⱥ how many", "ȺȺȺ show me the total", "Économie: how many", "économie"} {
-			out := Smooth(in, r)
-			if !utf8.ValidString(out) {
-				t.Errorf("Smooth(%q) = %q, not valid UTF-8", in, out)
-			}
-			if in[0] == 0xc3 && !strings.HasPrefix(out, "Économie") {
-				t.Errorf("Smooth(%q) = %q, want Économie kept", in, out)
+		for _, c := range []struct{ in, prefix string }{
+			{"Ⱥ how many", "Ⱥ "},
+			{"ȺȺȺ show me the total", "ȺȺȺ "},
+			{"Économie: how many", "Économie: "},
+			{"économie", "Économie"},
+		} {
+			out := Smooth(c.in, r)
+			if !utf8.ValidString(out) || !strings.HasPrefix(out, c.prefix) {
+				t.Errorf("Smooth(%q) = %q, want valid UTF-8 starting %q", c.in, out, c.prefix)
 			}
 		}
 		switch out := Smooth("ȺȺȺ show me the total", r); out {
