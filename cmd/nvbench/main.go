@@ -226,9 +226,15 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	var corpus *spider.Corpus
 	var err error
+	// Generating a pair parses up to 20 drawn shapes plus 8 fallback
+	// retries (spider's generatePair), one sqlparse event each;
+	// spider.Generate makes fewer than 3/2 × -pairs pairs per database.
+	const parsesPerPair = 20 + 8
 	if *csvPath != "" {
+		reserveTrace(*tracePath, ins.Events, *csvPairs*parsesPerPair)
 		corpus, err = corpusFromCSV(*csvPath, *csvTable, *csvPairs, *seed)
 	} else {
+		reserveTrace(*tracePath, ins.Events, *dbs*(*pairs+*pairs/2)*parsesPerPair)
 		cfg := spider.Config{Seed: *seed, NumDatabases: *dbs, PairsPerDB: *pairs, MaxRows: 2000}
 		corpus, err = spider.Generate(cfg)
 	}
@@ -265,12 +271,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	opts.Workers = *workers
 	opts.Retries = *retries
 	opts.Obs = ins
-	if *tracePath != "" {
-		// Per pair: its own event plus treeedit, execute, deepeye and
-		// nledit for each attempt; the default ring size covers store and
-		// fault events.
-		ins.Events.Reserve(obs.DefaultEventCapacity + len(corpus.Pairs)*(1+4*max(opts.Retries, 1)))
-	}
+	// Per pair: its own event plus treeedit, execute, deepeye and nledit
+	// for each attempt.
+	reserveTrace(*tracePath, ins.Events, len(corpus.Pairs)*(1+4*max(opts.Retries, 1)))
 	fingerprint := store.Fingerprint(opts)
 	if *incr {
 		opts.Cache = st.PairCache(fingerprint)
@@ -321,6 +324,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	if *out != "" {
+		reserveTrace(*tracePath, ins.Events, len(b.Entries))
 		if err := export(b, *out, *vega, ins); err != nil {
 			return err
 		}
@@ -355,6 +359,15 @@ func writeStageTable(w io.Writer, reg *obs.Registry) {
 	fmt.Fprintln(w, "pipeline stage timings:")
 	for _, row := range rows {
 		fmt.Fprintln(w, row)
+	}
+}
+
+// reserveTrace, under -trace, grows the event ring to hold the events so
+// far, the next phase's n and DefaultEventCapacity more for store and
+// fault events, so writeTrace finds nothing overwritten.
+func reserveTrace(path string, rec *obs.EventRecorder, n int) {
+	if path != "" {
+		rec.Reserve(int(rec.Total()) + n + obs.DefaultEventCapacity)
 	}
 }
 
@@ -494,6 +507,7 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 	bench.WriteFigure10(w, b.TypeHardnessMatrix())
 
 	if out != "" {
+		reserveTrace(tracePath, ins.Events, len(b.Entries))
 		if err := export(b, out, vega, ins); err != nil {
 			return err
 		}
@@ -608,7 +622,10 @@ type exportedEntry struct {
 	VegaLite json.RawMessage `json:"vega_lite,omitempty"`
 }
 
+// export writes the entries as JSON, with withVega each with its Vega-Lite
+// spec, rendered as render stage operations under one op ID.
 func export(b *bench.Benchmark, path string, withVega bool, ins *obs.Instruments) error {
+	ctx, _ := ins.NewOp(context.Background())
 	var entries []exportedEntry
 	for _, e := range b.Entries {
 		ee := exportedEntry{
@@ -621,10 +638,12 @@ func export(b *bench.Benchmark, path string, withVega bool, ins *obs.Instruments
 			NLs:      e.NLs,
 		}
 		if withVega {
-			stop := ins.TimeHistogram(obs.L(obs.StageHistogram, "stage", obs.StageRender))
+			t := ins.Begin(ctx, obs.LayerBench, obs.StageRender)
 			spec, err := render.VegaLite(e.DB, e.Vis)
-			stop()
-			if err == nil {
+			if err != nil {
+				t.End("error", "error", err.Error())
+			} else {
+				t.End("ok")
 				ee.VegaLite = spec
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,7 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"nvbench/internal/bench"
 	"nvbench/internal/obs"
+	"nvbench/internal/server"
+	"nvbench/internal/spider"
+	"nvbench/internal/sqlparser"
 )
 
 // TestTraceFlagEmitsChromeTrace runs a small build with -trace and checks
@@ -82,7 +87,9 @@ func TestTraceFlagEmitsChromeTrace(t *testing.T) {
 }
 
 // TestTraceFlagOnStoreLoad traces the -store load path, which runs no
-// synthesis: the file must hold the store's load event, not a null list.
+// synthesis: the file must hold the store's load event and one shard_load
+// span per shard it read (shards holding no entry are not read), all on
+// the load's track — not a null list.
 func TestTraceFlagOnStoreLoad(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := runCLI(t, append(smallBuild, "-store", dir, "-save")...); err != nil {
@@ -93,14 +100,145 @@ func TestTraceFlagOnStoreLoad(t *testing.T) {
 		t.Fatalf("load run with -trace: %v\n%s", err, out)
 	}
 	var file struct {
-		TraceEvents []struct{ Name, Cat string } `json:"traceEvents"`
+		TraceEvents []struct {
+			Name, Cat string
+			TID       int64
+			Args      map[string]string
+		} `json:"traceEvents"`
 	}
 	data, err := os.ReadFile(path)
 	if err == nil {
 		err = json.Unmarshal(data, &file)
 	}
-	if err != nil || len(file.TraceEvents) != 1 || file.TraceEvents[0] != struct{ Name, Cat string }{"load", "store"} {
-		t.Fatalf("want one store load span, got %v:\n%s", err, data)
+	if err != nil || len(file.TraceEvents) == 0 {
+		t.Fatalf("want a store load trace, got %v:\n%s", err, data)
+	}
+	load := file.TraceEvents[0]
+	if load.Name != "load" || load.Cat != "store" {
+		t.Fatalf("first span = %s/%s, want store/load:\n%s", load.Cat, load.Name, data)
+	}
+	shards := map[string]bool{}
+	for _, ev := range file.TraceEvents[1:] {
+		if ev.Name != "shard_load" || ev.Cat != "store" || ev.TID != load.TID || ev.Args["op"] != load.Args["op"] {
+			t.Fatalf("span %s/%s on track %d (op %q), want store/shard_load on the load's track %d (op %q)",
+				ev.Cat, ev.Name, ev.TID, ev.Args["op"], load.TID, load.Args["op"])
+		}
+		shards[ev.Args["shard"]] = true
+	}
+	n, _ := strconv.Atoi(load.Args["shards"])
+	if len(shards) == 0 || len(shards) > n || len(shards) != len(file.TraceEvents)-1 {
+		t.Fatalf("%d shard_load spans over %d distinct shards of %d, want one per shard read", len(file.TraceEvents)-1, len(shards), n)
+	}
+}
+
+// TestTraceFlagKeepsEveryParseOfALargeCorpus traces a run whose corpus
+// generation alone parses more SQL than the default event ring holds: the
+// ring must be grown before generation, so -trace still writes a complete
+// file with one sqlparse span per parse. -max-pairs keeps the build small.
+func TestTraceFlagKeepsEveryParseOfALargeCorpus(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out, err := runCLI(t, "-dbs", "4", "-pairs", "300", "-seed", "3", "-max-pairs", "4", "-trace", path)
+	if err != nil {
+		t.Fatalf("run with -trace: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`generated corpus: \d+ databases, (\d+) \(nl, sql\) pairs`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no corpus size in output:\n%s", out)
+	}
+	pairs, _ := strconv.Atoi(m[1])
+	if pairs <= obs.DefaultEventCapacity {
+		t.Fatalf("corpus has %d pairs; the test needs more than the ring's %d", pairs, obs.DefaultEventCapacity)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("trace file not written: %v", err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Cat  string            `json:"cat"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	parses := 0
+	for _, ev := range file.TraceEvents {
+		if ev.Name == obs.StageSQLParse {
+			if ev.Cat != obs.LayerBench || ev.Args["outcome"] != "ok" {
+				t.Fatalf("sqlparse span = %+v", ev)
+			}
+			parses++
+		}
+	}
+	if parses < pairs {
+		t.Fatalf("trace holds %d sqlparse spans for %d generated pairs", parses, pairs)
+	}
+	// The stage table reads the histogram the same End calls observed.
+	m = regexp.MustCompile(`(?m)^\s+sqlparse\s+calls=(\d+)`).FindStringSubmatch(out)
+	if m == nil || m[1] != strconv.Itoa(parses) {
+		t.Fatalf("stage table sqlparse row %q, want calls=%d", m, parses)
+	}
+}
+
+// TestOneRecordPerTimedOperation pins the single timing path: generate,
+// build, export -vega, and serve one Vega-Lite spec and one /api/query,
+// all with events on. For every pipeline stage the stage histogram's
+// count must equal the number of wide events at that site — each timed
+// operation is one record feeding both — and the server's render span
+// must sit on its request's op.
+func TestOneRecordPerTimedOperation(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := obs.NewEventRecorder(1<<14, nil)
+	ins := &obs.Instruments{Metrics: reg, Events: rec, IDs: obs.NewIDGen(obs.RealClock{})}
+	defer sqlparser.Instrument(ins)()
+
+	corpus, err := spider.Generate(spider.Config{Seed: 2, NumDatabases: 3, PairsPerDB: 5, MaxRows: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := bench.DefaultOptions()
+	opts.Obs = ins
+	b, err := bench.Build(corpus, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := export(b, filepath.Join(t.TempDir(), "pairs.json"), true, ins); err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.DefaultConfig()
+	cfg.Obs = ins
+	srv := server.NewWithConfig(b, cfg)
+	var vegaOp string
+	for _, target := range []string{
+		"/api/entry/" + strconv.Itoa(b.Entries[0].ID) + "/vega",
+		"/api/query?q=SELECT+chart,+count(*)+FROM+entries+GROUP+BY+1",
+	} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", target, w.Code, w.Body)
+		}
+		if vegaOp == "" {
+			vegaOp = w.Header().Get("X-Request-ID")
+		}
+	}
+
+	if kept := len(rec.Events(obs.EventFilter{})); rec.Total() != uint64(kept) {
+		t.Fatalf("the ring kept %d of %d events", kept, rec.Total())
+	}
+	snap := reg.Snapshot()
+	for _, stage := range obs.Stages {
+		n := snap.Histograms[obs.L(obs.StageHistogram, "stage", stage)].Count
+		events := rec.Events(obs.EventFilter{Site: stage})
+		if n == 0 || uint64(len(events)) != n {
+			t.Errorf("stage %s: histogram count %d, wide events %d; want one record per operation", stage, n, len(events))
+		}
+	}
+	render := rec.Events(obs.EventFilter{Op: vegaOp, Site: obs.StageRender})
+	if vegaOp == "" || len(render) != 1 || render[0].Layer != obs.LayerBench {
+		t.Fatalf("render events on the vega request's op %q = %+v, want one bench-layer span", vegaOp, render)
 	}
 }
 

@@ -6,9 +6,9 @@
 //     lowercase_underscore identifiers ([a-z][a-z0-9_]*). String-literal
 //     violations carry a suggested fix applied by nvlint -fix;
 //   - counters (Registry.Counter, Instruments.Inc/Add) must end _total and
-//     histograms (Registry.Histogram, Instruments.TimeHistogram)
-//     must end _seconds, while gauges must end in neither — the Prometheus
-//     type conventions the exposition tests assume;
+//     histograms (Registry.Histogram) must end _seconds, while gauges must
+//     end in neither — the Prometheus type conventions the exposition tests
+//     assume;
 //   - inside the obs packages, every package-level _seconds constant must
 //     be referenced by RegisterBase, so the full histogram schema is
 //     visible on a /metrics scrape before the first request or build
@@ -39,7 +39,7 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // Analyzer is the metric/label naming check.
 var Analyzer = &analysis.Analyzer{
 	Name:    "obslabel",
-	Version: "4",
+	Version: "5", // v5: Instruments lost its histogram-only timer
 	Doc: "metric names, label keys and wide-event field keys must be\n" +
 		"canonical lowercase_underscore\n\n" +
 		"Counters end _total, histograms end _seconds, gauges end in\n" +
@@ -55,14 +55,13 @@ var Analyzer = &analysis.Analyzer{
 // metricKinds maps metric-creating functions of the obs packages to the
 // suffix rule their names must obey.
 var metricKinds = map[string]string{
-	"Counter":       "counter",
-	"Inc":           "counter",
-	"Add":           "counter",
-	"Histogram":     "histogram",
-	"TimeHistogram": "histogram",
-	"Observe":       "histogram",
-	"ObserveEx":     "histogram",
-	"Gauge":         "gauge",
+	"Counter":   "counter",
+	"Inc":       "counter",
+	"Add":       "counter",
+	"Histogram": "histogram",
+	"Observe":   "histogram",
+	"ObserveEx": "histogram",
+	"Gauge":     "gauge",
 }
 
 func run(pass *analysis.Pass) []analysis.Diagnostic {

@@ -217,6 +217,5 @@ func WriteQuarantine(w io.Writer, b *Benchmark) {
 	}
 	if n := len(b.Quarantine) - len(shown); n > 0 {
 		fmt.Fprintf(w, "  … and %d more\n", n)
-		obs.Default.Counter(obs.L(obs.ReportSuppressed, "report", "quarantine")).Add(int64(n))
 	}
 }

@@ -207,16 +207,9 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 			continue
 		}
 		feats := deepeye.FromResult(db, c.Query, results[i])
-		if ok, reason := deepeye.RuleCheck(feats); !ok {
+		if ok, reason := s.Filter.Judge(feats); !ok {
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
-		}
-		if s.Filter != nil {
-			good, _ := s.Filter.PredictSafe(feats)
-			if !good {
-				rejected = append(rejected, Rejection{Query: c.Query, Reason: "classifier: low quality score"})
-				continue
-			}
 		}
 		kept = append(kept, &VisObject{
 			Candidate: c,

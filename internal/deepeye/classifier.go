@@ -298,11 +298,21 @@ func (fl *Filter) Good(db *dataset.Database, q *ast.Query) (bool, string, *datas
 	if err != nil {
 		return false, "", nil, err
 	}
+	ok, reason := fl.Judge(f)
+	return ok, reason, res, nil
+}
+
+// Judge runs M(v) on a featurized candidate: rules, then the classifier
+// (see PredictSafe); the nil filter, the filter-off ablation, stops at
+// the rules. It returns the verdict and a reason for rejections.
+func (fl *Filter) Judge(f Features) (bool, string) {
 	if ok, reason := RuleCheck(f); !ok {
-		return false, reason, res, nil
+		return false, reason
 	}
-	if good, _ := fl.PredictSafe(f); !good {
-		return false, "classifier: low quality score", res, nil
+	if fl != nil {
+		if good, _ := fl.PredictSafe(f); !good {
+			return false, "classifier: low quality score"
+		}
 	}
-	return true, "", res, nil
+	return true, ""
 }

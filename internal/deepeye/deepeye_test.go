@@ -157,6 +157,40 @@ func TestFilterGoodAndBad(t *testing.T) {
 	}
 }
 
+// TestJudgeRulesThenClassifier pins the one M(v) step both Good and the
+// synthesizer use: rule rejections keep their reason, rules-passing
+// candidates get the classifier's verdict, and the nil filter (the
+// filter-off ablation) stops after the rules.
+func TestJudgeRulesThenClassifier(t *testing.T) {
+	fl := NewFilter()
+	var nilFilter *Filter
+	overruled := 0
+	for i, ex := range SyntheticTrainingSet(2000, 0, 5) {
+		rulesOK, rulesReason := RuleCheck(ex.F)
+		ok, reason := fl.Judge(ex.F)
+		nilOK, nilReason := nilFilter.Judge(ex.F)
+		if nilOK != rulesOK || nilReason != rulesReason {
+			t.Fatalf("example %d: nil filter = (%v, %q), rules = (%v, %q)", i, nilOK, nilReason, rulesOK, rulesReason)
+		}
+		switch {
+		case !rulesOK:
+			if ok || reason != rulesReason {
+				t.Fatalf("example %d: Judge = (%v, %q), want the rules' (false, %q)", i, ok, reason, rulesReason)
+			}
+		case ok != fl.Clf.Predict(ex.F):
+			t.Fatalf("example %d: Judge = %v, classifier = %v", i, ok, !ok)
+		case !ok:
+			overruled++
+			if reason != "classifier: low quality score" {
+				t.Fatalf("example %d: classifier rejection reason %q", i, reason)
+			}
+		}
+	}
+	if overruled == 0 {
+		t.Fatal("the classifier rejected no rules-passing example; the nil-filter case shows nothing")
+	}
+}
+
 func TestFilterSingleValue(t *testing.T) {
 	db := chartDB()
 	fl := NewFilter()

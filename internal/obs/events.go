@@ -201,6 +201,7 @@ type EventRecorder struct {
 	mu    sync.Mutex
 	buf   []Event
 	seq   uint64
+	lost  uint64 // events a Reserve found already overwritten
 	slow  *SlowLog
 	thr   map[string]time.Duration
 }
@@ -285,7 +286,8 @@ func (r *EventRecorder) Reserve(n int) {
 	}
 	old, size := uint64(len(r.buf)), uint64(n)
 	buf := make([]Event, size)
-	for i := r.seq - min(r.seq, old); i < r.seq; i++ {
+	r.lost = max(r.lost, r.seq-min(r.seq, old))
+	for i := r.lost; i < r.seq; i++ {
 		buf[i%size] = r.buf[i%old]
 	}
 	r.buf = buf
@@ -337,10 +339,7 @@ func (r *EventRecorder) Events(f EventFilter) []Event {
 	defer r.mu.Unlock()
 	n := r.seq
 	capacity := uint64(len(r.buf))
-	start := uint64(0)
-	if n > capacity {
-		start = n - capacity
-	}
+	start := max(r.lost, n-min(n, capacity))
 	out := make([]Event, 0, n-start)
 	for i := start; i < n; i++ {
 		e := &r.buf[i%capacity]

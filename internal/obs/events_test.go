@@ -71,6 +71,23 @@ func TestReserveKeepsRetainedEvents(t *testing.T) {
 		t.Fatalf("retained %v, want %v", ops, want)
 	}
 	(*EventRecorder)(nil).Reserve(8) // no-op
+
+	// Growing a wrapped ring cannot bring back what it overwrote: the
+	// lost event stays lost, not a zero Event in its slot, so a caller
+	// comparing Total with the retained count still sees the truncation.
+	r = NewEventRecorder(2, nil)
+	for _, op := range []string{"op1", "op2", "op3"} {
+		r.Emit(op, LayerBench, "pair", "ok", time.Millisecond)
+	}
+	r.Reserve(8)
+	r.Reserve(16) // a second growth still knows op1 is gone
+	ops = nil
+	for _, e := range r.Events(EventFilter{}) {
+		ops = append(ops, e.Op)
+	}
+	if want := []string{"op2", "op3"}; !reflect.DeepEqual(ops, want) || r.Total() != 3 {
+		t.Fatalf("after growing a wrapped ring: retained %v of %d, want %v of 3", ops, r.Total(), want)
+	}
 }
 
 func TestEventFieldAccessors(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // tests, and the wiring sites stay in sync.
 const (
 	// StageHistogram times one pipeline stage execution, labeled
-	// stage=sqlparse|treeedit|deepeye|nledit|render|query.
+	// stage=sqlparse|treeedit|execute|deepeye|nledit|render|query.
 	StageHistogram = "nvbench_stage_seconds"
 
 	// Bench pipeline counters.
@@ -31,12 +31,6 @@ const (
 	StoreSeconds = "nvbench_store_seconds"
 	StoreJournal = "nvbench_store_journal_total"
 
-	// Per-shard store durations, labeled op=save|load|repair and shard=
-	// (two-hex-digit shard name). Registered lazily per shard the store
-	// actually touches; RegisterBase seeds shard 00 so the schema is
-	// visible on a cold scrape.
-	StoreShardSeconds = "nvbench_store_shard_seconds"
-
 	// Replicated-store health: scrub cycles run, artifact copies rewritten
 	// from a verified replica, read failovers taken, and a per-replica
 	// health gauge (labeled replica=r0..; 1 = every shard copy passed its
@@ -45,10 +39,6 @@ const (
 	StoreScrubRepaired  = "nvbench_store_scrub_repaired_total"
 	StoreFailovers      = "nvbench_store_failovers_total"
 	StoreReplicaHealthy = "nvbench_store_replica_healthy"
-
-	// Report truncation: lines suppressed past the 20-line cap in
-	// quarantine/repair reports, labeled report=quarantine|repair.
-	ReportSuppressed = "nvbench_report_suppressed_total"
 
 	// HTTP server metrics: requests labeled route= and outcome=, latency
 	// labeled route=, plus shed/timeout totals and the in-flight gauge.
@@ -93,8 +83,9 @@ var HTTPRoutes = []string{"/", "/api/entries", "/api/entry/:id", "/api/entry/:id
 // its End observes: bench stages feed StageHistogram, store entry points
 // StoreSeconds, HTTP routes HTTPSeconds and VQL queries the query stage.
 // Names are precomputed so the per-pair and per-request paths skip label
-// assembly. A site not listed here (the bench "pair" operation) records an
-// event but no series, so timing an operation never adds one to /metrics.
+// assembly. A site not listed here (the bench "pair" operation, the store's
+// per-shard shard_save, shard_load and shard_repair) records an event but
+// no series, so timing an operation never adds one to /metrics.
 var opSeries = map[string]map[string]string{
 	LayerBench: labeled(StageHistogram, "stage", Stages),
 	LayerStore: labeled(StoreSeconds, "op", StoreOps),
@@ -123,7 +114,6 @@ func RegisterBase(r *Registry) {
 	}
 	for _, op := range StoreOps {
 		r.Histogram(L(StoreSeconds, "op", op))
-		r.Histogram(L(StoreShardSeconds, "op", op, "shard", "00"))
 	}
 	for _, route := range HTTPRoutes {
 		r.Histogram(L(HTTPSeconds, "route", route))
@@ -210,20 +200,6 @@ func (t *Timing) End(outcome string, kv ...string) {
 		in.Metrics.Histogram(name).ObserveEx(d.Seconds(), t.op)
 	}
 	in.Events.record(Event{Op: t.op, Layer: t.layer, Site: t.site, Outcome: outcome, Time: t.start, Duration: d}, kv)
-}
-
-// TimeHistogram starts a timer against the named histogram; the returned
-// func records the elapsed seconds.
-func (in *Instruments) TimeHistogram(name string) func() {
-	if in == nil || in.Metrics == nil {
-		return func() {}
-	}
-	h := in.Metrics.Histogram(name)
-	c := in.clock()
-	start := c.Now()
-	return func() {
-		h.Observe(c.Now().Sub(start).Seconds())
-	}
 }
 
 // NewOp returns ctx carrying an operation ID, minting one from the

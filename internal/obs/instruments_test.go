@@ -13,7 +13,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	tm := in.Begin(context.Background(), LayerBench, StageRender)
 	tm.End("ok", "k", "v")
-	in.TimeHistogram("h")()
 	in.Inc("c")
 	in.Add("c", 3)
 	in.Logf("msg", "k", "v")
@@ -43,14 +42,23 @@ func TestStageRecordsHistogramAndSpan(t *testing.T) {
 	}
 }
 
-func TestTimeHistogramUsesInjectedClock(t *testing.T) {
-	clock := NewTickingClock(time.Unix(0, 0), 250*time.Millisecond)
+func TestBeginEndUseInjectedClock(t *testing.T) {
+	start := time.Unix(0, 0)
+	clock := NewTickingClock(start, 250*time.Millisecond)
 	reg := NewRegistry()
-	in := &Instruments{Metrics: reg, Clock: clock}
-	in.TimeHistogram("op_seconds")() // start and stop are adjacent ticks
-	s := reg.Snapshot().Histograms["op_seconds"]
+	// The recorder stamps nothing of a timed operation: Begin and End read
+	// the instruments' clock, so the recorder gets a clock that would show.
+	rec := NewEventRecorder(4, NewManualClock(time.Unix(1e6, 0)))
+	in := &Instruments{Metrics: reg, Clock: clock, Events: rec}
+	tm := in.Begin(context.Background(), LayerBench, StageRender) // start and end are adjacent ticks
+	tm.End("ok")
+	s := reg.Snapshot().Histograms[L(StageHistogram, "stage", StageRender)]
 	if s.Count != 1 || s.Sum != 0.25 {
 		t.Fatalf("count=%d sum=%v, want 1 observation of 0.25s", s.Count, s.Sum)
+	}
+	evs := rec.Events(EventFilter{})
+	if len(evs) != 1 || !evs[0].Time.Equal(start) || evs[0].Duration != 250*time.Millisecond {
+		t.Fatalf("events = %+v, want one starting at the first tick and lasting one tick", evs)
 	}
 }
 

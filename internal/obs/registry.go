@@ -249,11 +249,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry: the CLI, the report writers and
-// any layer not handed an explicit registry record here, and the server's
-// /metrics endpoint serves it when no registry is configured.
-var Default = NewRegistry()
-
 // L builds a canonical labeled series name: base{k1="v1",k2="v2"} with
 // label keys sorted, so the same logical series resolves to the same
 // metric from every call site. Values are escaped for the Prometheus text

@@ -67,11 +67,8 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // NewDebugMux builds the debug handler: the standard pprof surface under
-// /debug/pprof/ and the registry (obs.Default when nil) under /metrics.
+// /debug/pprof/ and the registry under /metrics.
 func NewDebugMux(reg *obs.Registry) *http.ServeMux {
-	if reg == nil {
-		reg = obs.Default
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -43,9 +43,9 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown's wait for in-flight requests.
 	DrainTimeout time.Duration
 	// Obs provides the metrics registry behind /metrics and the per-route
-	// middleware, plus the structured request logger. Nil defaults to the
-	// process-wide obs.Default registry (instrumentation is always on; it
-	// is too cheap to gate).
+	// middleware, plus the structured request logger. Nil gives the server
+	// a registry of its own (instrumentation is always on; it is too cheap
+	// to gate).
 	Obs *obs.Instruments
 }
 
@@ -149,7 +149,7 @@ func New(b *bench.Benchmark) *Server { return NewWithConfig(b, DefaultConfig()) 
 // NewWithConfig builds a server with explicit hardening settings.
 func NewWithConfig(b *bench.Benchmark, cfg Config) *Server {
 	if cfg.Obs == nil {
-		cfg.Obs = &obs.Instruments{Metrics: obs.Default}
+		cfg.Obs = &obs.Instruments{Metrics: obs.NewRegistry()}
 	}
 	s := &Server{Bench: b, cfg: cfg}
 	s.ids = cfg.Obs.IDs
@@ -450,7 +450,7 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	if s.notModified(w, r, e) {
 		return
 	}
-	spec, err := s.renderSpec(e)
+	spec, err := s.renderSpec(r.Context(), e)
 	if err != nil {
 		http.Error(w, "render: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -470,12 +470,17 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	writeBytes(s, w, []byte(page))
 }
 
-// renderSpec renders one entry's Vega-Lite spec, timing it into the
-// render stage histogram.
-func (s *Server) renderSpec(e *bench.Entry) (json.RawMessage, error) {
-	stop := s.cfg.Obs.TimeHistogram(obs.L(obs.StageHistogram, "stage", obs.StageRender))
-	defer stop()
-	return render.VegaLite(e.DB, e.Vis)
+// renderSpec renders one entry's Vega-Lite spec as a render stage
+// operation under the request's op ID.
+func (s *Server) renderSpec(ctx context.Context, e *bench.Entry) (json.RawMessage, error) {
+	t := s.cfg.Obs.Begin(ctx, obs.LayerBench, obs.StageRender)
+	spec, err := render.VegaLite(e.DB, e.Vis)
+	if err != nil {
+		t.End("error", "error", err.Error())
+	} else {
+		t.End("ok")
+	}
+	return spec, err
 }
 
 // apiEntry is the JSON shape of one entry.
@@ -566,7 +571,7 @@ func (s *Server) handleAPIEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.HasSuffix(r.URL.Path, "/vega") {
-		spec, err := s.renderSpec(e)
+		spec, err := s.renderSpec(r.Context(), e)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

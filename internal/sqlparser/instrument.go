@@ -1,8 +1,9 @@
 // Observability hook: the parser is called deep inside corpus generation
 // (spider.Generate) where threading an Instruments value through every
-// call chain would touch a dozen signatures for one histogram. Instead a
+// call chain would touch a dozen signatures for one timed stage. Instead a
 // process-wide instrument pointer — the same pattern as fault.Activate —
-// times TryParse into the sqlparse stage histogram when installed.
+// times each TryParse as a bench-layer sqlparse operation, with no op ID,
+// when installed.
 
 package sqlparser
 
@@ -20,10 +21,4 @@ var instrument atomic.Pointer[obs.Instruments]
 func Instrument(in *obs.Instruments) (restore func()) {
 	prev := instrument.Swap(in)
 	return func() { instrument.Store(prev) }
-}
-
-// timeParse starts the sqlparse stage timer against the installed
-// instruments (a no-op func when none are installed).
-func timeParse() func() {
-	return instrument.Load().TimeHistogram(obs.L(obs.StageHistogram, "stage", obs.StageSQLParse))
 }

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"nvbench/internal/ast"
 	"nvbench/internal/dataset"
 	"nvbench/internal/fault"
+	"nvbench/internal/obs"
 )
 
 // TryParse parses an SQL statement into a unified AST. The optional db
@@ -16,7 +18,17 @@ import (
 // empty table). TryParse is the exported boundary the pipeline uses: it
 // reports malformed input as an error, never a panic.
 func TryParse(sql string, db *dataset.Database) (*ast.Query, error) {
-	defer timeParse()()
+	t := instrument.Load().Begin(context.Background(), obs.LayerBench, obs.StageSQLParse)
+	q, err := tryParse(sql, db)
+	if err != nil {
+		t.End("error", "error", err.Error())
+	} else {
+		t.End("ok")
+	}
+	return q, err
+}
+
+func tryParse(sql string, db *dataset.Database) (*ast.Query, error) {
 	if err := fault.Inject(fault.SiteParse); err != nil {
 		return nil, fmt.Errorf("sqlparser: %w", err)
 	}

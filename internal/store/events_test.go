@@ -1,5 +1,6 @@
 // Tests for the store's wide events: every public entry point emits one
-// store-layer event into an attached recorder, load events carry the
+// store-layer event into an attached recorder, plus one per shard it
+// saves, loads or repairs under the same op ID, load events carry the
 // replica-failover flag, fsck and repair leave the slow-op log alone, and
 // — the chaos acceptance — recording events during a faulted save leaves
 // the artifacts byte-identical to a bare, uninstrumented save.
@@ -22,7 +23,7 @@ import (
 // clock, an event recorder, and an op-ID generator.
 func eventInstruments() (*obs.Instruments, *obs.EventRecorder) {
 	clock := obs.NewManualClock(time.Unix(0, 0x1234).UTC())
-	rec := obs.NewEventRecorder(64, clock)
+	rec := obs.NewEventRecorder(256, clock)
 	return &obs.Instruments{
 		Metrics: obs.NewRegistry(),
 		Clock:   clock,
@@ -34,6 +35,24 @@ func eventInstruments() (*obs.Instruments, *obs.EventRecorder) {
 // storeEvents returns the store-layer events for one site, oldest first.
 func storeEvents(rec *obs.EventRecorder, site string) []obs.Event {
 	return rec.Events(obs.EventFilter{Layer: obs.LayerStore, Site: site})
+}
+
+// checkShardEvents asserts that parent's operation emitted at least one
+// ok event at the per-shard site, each under parent's op ID and naming a
+// distinct shard.
+func checkShardEvents(t *testing.T, rec *obs.EventRecorder, site string, parent obs.Event) {
+	t.Helper()
+	shards := map[string]bool{}
+	for _, e := range storeEvents(rec, site) {
+		sh := e.Field("shard")
+		if e.Op != parent.Op || e.Outcome != "ok" || sh == "" || shards[sh] {
+			t.Fatalf("%s event = %+v, want an ok event for a new shard under op %q", site, e, parent.Op)
+		}
+		shards[sh] = true
+	}
+	if len(shards) == 0 {
+		t.Fatalf("%s emitted no per-shard events", parent.Site)
+	}
 }
 
 func TestStoreEntryPointsEmitWideEvents(t *testing.T) {
@@ -65,6 +84,7 @@ func TestStoreEntryPointsEmitWideEvents(t *testing.T) {
 		e.Field("entries") == "" {
 		t.Fatalf("save event fields = %v", e.Fields)
 	}
+	checkShardEvents(t, rec, "shard_save", e)
 
 	if _, _, err := st.Load(); err != nil {
 		t.Fatal(err)
@@ -76,6 +96,7 @@ func TestStoreEntryPointsEmitWideEvents(t *testing.T) {
 	if got := loads[0].Field("failover"); got != "false" {
 		t.Fatalf("clean load failover field = %q", got)
 	}
+	checkShardEvents(t, rec, "shard_load", loads[0])
 
 	if _, err := st.Scrub(context.Background()); err != nil {
 		t.Fatal(err)
@@ -94,8 +115,9 @@ func TestStoreEntryPointsEmitWideEvents(t *testing.T) {
 		repairs[0].Field("temps_swept") != "0" || repairs[0].Field("lossy") != "false" {
 		t.Fatalf("repair events = %+v", repairs)
 	}
+	checkShardEvents(t, rec, "shard_repair", repairs[0])
 
-	// Every operation minted its own distinct op.
+	// Every operation minted its own distinct op; shard events joined it.
 	ops := map[string]bool{}
 	for _, e := range rec.Events(obs.EventFilter{Layer: obs.LayerStore}) {
 		ops[e.Op] = true

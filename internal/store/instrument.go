@@ -17,10 +17,17 @@ import (
 // either way.
 func (s *Store) Instrument(in *obs.Instruments) { s.ins = in }
 
-// timeShardOp starts a duration timer for one operation on one shard; the
-// returned func records into nvbench_store_shard_seconds{op=op,shard=nn}.
-func (s *Store) timeShardOp(op, shard string) func() {
-	return s.ins.TimeHistogram(obs.L(obs.StoreShardSeconds, "op", op, "shard", shard))
+// shardOp opens one event-only operation on one shard (shard_save,
+// shard_load or shard_repair) under ctx's op; the returned func ends it.
+func (s *Store) shardOp(ctx context.Context, site, shard string) func(error) {
+	t := s.ins.Begin(ctx, obs.LayerStore, site)
+	return func(err error) {
+		if err != nil {
+			t.End("error", "shard", shard, "error", err.Error())
+		} else {
+			t.End("ok", "shard", shard)
+		}
+	}
 }
 
 // countJournal records one journal recovery outcome.
@@ -46,12 +53,13 @@ func (s *Store) setReplicaHealthy(replica string, v int64) {
 
 // beginOp opens one store entry point's timed operation: its End records
 // nvbench_store_seconds{op=site} and the store-layer wide event. Store
-// operations originate outside any request, so each mints its own op ID.
+// operations originate outside any request, so each mints its own op ID,
+// which the returned context carries to its per-shard events.
 // Events flow only into the recorder — never into the store's artifacts —
 // so instrumented and bare saves stay byte-identical.
-func (s *Store) beginOp(site string) obs.Timing {
+func (s *Store) beginOp(site string) (context.Context, obs.Timing) {
 	ctx, _ := s.ins.NewOp(context.Background())
-	return s.ins.Begin(ctx, obs.LayerStore, site)
+	return ctx, s.ins.Begin(ctx, obs.LayerStore, site)
 }
 
 // failoverCount reads how many read re-routes the store has taken since

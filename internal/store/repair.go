@@ -39,7 +39,6 @@ import (
 
 	"nvbench/internal/bench"
 	"nvbench/internal/fault"
-	"nvbench/internal/obs"
 )
 
 const lostFoundDir = "lost+found"
@@ -96,8 +95,8 @@ func (s *Store) moveAside(rel string) error {
 // cannot operate on at all (I/O failures); partial salvage is a report,
 // not an error — check Lossy.
 func (s *Store) Repair() (*RepairReport, error) {
-	t := s.beginOp("repair")
-	rep, err := s.repair()
+	ctx, t := s.beginOp("repair")
+	rep, err := s.repair(ctx)
 	if err != nil {
 		t.End("error", "error", err.Error())
 		return nil, err
@@ -108,7 +107,7 @@ func (s *Store) Repair() (*RepairReport, error) {
 	return rep, nil
 }
 
-func (s *Store) repair() (*RepairReport, error) {
+func (s *Store) repair(ctx context.Context) (*RepairReport, error) {
 	rep := &RepairReport{}
 	swept, err := s.sweepAllTemps()
 	if err != nil {
@@ -121,7 +120,7 @@ func (s *Store) repair() (*RepairReport, error) {
 	// salvage runs, so the lossy path below is reached only when every copy
 	// is bad.
 	if s.replicas > 1 {
-		if _, err := s.scrubCopies(context.Background(), &ScrubReport{}); err != nil {
+		if _, err := s.scrubCopies(ctx, &ScrubReport{}); err != nil {
 			return nil, err
 		}
 	}
@@ -148,7 +147,9 @@ func (s *Store) repair() (*RepairReport, error) {
 		if err := fault.Inject(fault.SiteShardRepair); err != nil {
 			return nil, fmt.Errorf("store: repair shard %s: %w", name, err)
 		}
+		done := s.shardOp(ctx, "shard_repair", name)
 		part, err := s.repairShard(name, count, rep)
+		done(err)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +251,6 @@ func (s *Store) repairRootCandidate(rep *RepairReport) (*Manifest, []byte) {
 // contribution (nil when the shard ends up empty) and appends a
 // ShardRepair to the report when the shard needed healing.
 func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPart, error) {
-	defer s.timeShardOp("repair", name)()
 	bx := s.shardBoxName(name)
 	sjs := bx.readJournal()
 	touched := false
@@ -572,16 +572,20 @@ func WriteRepair(w io.Writer, rep *RepairReport) {
 	moved = append(moved, rep.CorruptMoved...)
 	moved = append(moved, rep.OrphansMoved...)
 	sort.Strings(moved)
-	const maxListed = 20
-	shown := moved
-	if len(shown) > maxListed {
-		shown = shown[:maxListed]
+	writeCapped(w, lostFoundDir+"/", moved)
+}
+
+// writeCapped prints an indented prefix+path line for the first 20 paths
+// of a repair or scrub report, then "… and N more" for the rest.
+func writeCapped(w io.Writer, prefix string, paths []string) {
+	shown := paths
+	if len(shown) > 20 {
+		shown = shown[:20]
 	}
-	for _, rel := range shown {
-		fmt.Fprintf(w, "  %s/%s\n", lostFoundDir, rel)
+	for _, p := range shown {
+		fmt.Fprintf(w, "  %s%s\n", prefix, p)
 	}
-	if n := len(moved) - len(shown); n > 0 {
+	if n := len(paths) - len(shown); n > 0 {
 		fmt.Fprintf(w, "  … and %d more\n", n)
-		obs.Default.Counter(obs.L(obs.ReportSuppressed, "report", "repair")).Add(int64(n))
 	}
 }

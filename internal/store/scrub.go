@@ -64,7 +64,7 @@ func (r *ScrubReport) Lossy() bool {
 // replicated store with nothing unrecoverable, every replica passes
 // Verify and reads route to the primary again.
 func (s *Store) Scrub(ctx context.Context) (*ScrubReport, error) {
-	t := s.beginOp("scrub")
+	_, t := s.beginOp("scrub")
 	rep, err := s.scrub(ctx)
 	if err != nil {
 		t.End("error", "error", err.Error())
@@ -314,17 +314,7 @@ func WriteScrub(w io.Writer, rep *ScrubReport) {
 		rep.ArtifactsChecked, rep.Replicas, len(rep.Repaired), len(rep.MovedAside), len(rep.Unrecoverable))
 	listed := append(append([]string{}, rep.Repaired...), rep.MovedAside...)
 	sort.Strings(listed)
-	const maxListed = 20
-	shown := listed
-	if len(shown) > maxListed {
-		shown = shown[:maxListed]
-	}
-	for _, rel := range shown {
-		fmt.Fprintf(w, "  %s\n", rel)
-	}
-	if n := len(listed) - len(shown); n > 0 {
-		fmt.Fprintf(w, "  … and %d more\n", n)
-	}
+	writeCapped(w, "", listed)
 	for _, rel := range rep.Unrecoverable {
 		fmt.Fprintf(w, "  UNRECOVERABLE %s\n", rel)
 	}

@@ -18,6 +18,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -316,14 +317,14 @@ func planShards(b *bench.Benchmark, info BuildInfo, count int) ([]shardPlan, []s
 // dirties exactly this shard — and every replica runs it over the same
 // precomputed plan, which is why replicas are byte-identical by
 // construction, journals included.
-func (s *Store) saveShard(p shardPlan, info BuildInfo, count int) error {
-	defer s.timeShardOp("save", p.name)()
-	for r := 0; r < s.replicas; r++ {
-		if err := saveShardCopy(s.replicaShardBox(r, p.name), p, info, count, s.manifestReplicas()); err != nil {
-			return err
-		}
+func (s *Store) saveShard(ctx context.Context, p shardPlan, info BuildInfo, count int) error {
+	done := s.shardOp(ctx, "shard_save", p.name)
+	var err error
+	for r := 0; r < s.replicas && err == nil; r++ {
+		err = saveShardCopy(s.replicaShardBox(r, p.name), p, info, count, s.manifestReplicas())
 	}
-	return nil
+	done(err)
+	return err
 }
 
 // saveShardCopy runs the journaled shard-save protocol against one
@@ -350,14 +351,14 @@ func saveShardCopy(bx box, p shardPlan, info BuildInfo, count, replicas int) err
 // its own directory, so the on-disk result is identical for any worker
 // count; when several shards fail, the error of the lowest-named shard is
 // returned so the failure surface is deterministic too.
-func (s *Store) saveShards(plans []shardPlan, info BuildInfo, count int) error {
+func (s *Store) saveShards(ctx context.Context, plans []shardPlan, info BuildInfo, count int) error {
 	workers := s.saveWorkers
 	if workers > len(plans) {
 		workers = len(plans)
 	}
 	if workers <= 1 {
 		for _, p := range plans {
-			if err := s.saveShard(p, info, count); err != nil {
+			if err := s.saveShard(ctx, p, info, count); err != nil {
 				return err
 			}
 		}
@@ -371,7 +372,7 @@ func (s *Store) saveShards(plans []shardPlan, info BuildInfo, count int) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				errs[i] = s.saveShard(plans[i], info, count)
+				errs[i] = s.saveShard(ctx, plans[i], info, count)
 			}
 		}()
 	}

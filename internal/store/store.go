@@ -51,6 +51,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -443,8 +444,8 @@ func decodeStrict(data []byte, v any) error {
 // partway dirties the root journal plus exactly the shards that had not
 // committed, which Open diagnoses and Repair heals.
 func (s *Store) Save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
-	t := s.beginOp("save")
-	m, err := s.save(b, info)
+	ctx, t := s.beginOp("save")
+	m, err := s.save(ctx, b, info)
 	if err != nil {
 		t.End("error", "error", err.Error())
 		return nil, err
@@ -456,7 +457,7 @@ func (s *Store) Save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 	return m, nil
 }
 
-func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
+func (s *Store) save(ctx context.Context, b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 	count := s.shardCount
 	plans, parts, err := planShards(b, info, count)
 	if err != nil {
@@ -472,7 +473,7 @@ func (s *Store) save(b *bench.Benchmark, info BuildInfo) (*Manifest, error) {
 		s.refreshStatus()
 		return nil, err
 	}
-	if err := s.saveShards(plans, info, count); err != nil {
+	if err := s.saveShards(ctx, plans, info, count); err != nil {
 		// The root journal keeps its uncommitted begin: an aborted save is
 		// a dirty store, and the report says so until Repair (or a
 		// completed re-save) heals it.
@@ -532,18 +533,8 @@ type ShardFailure struct {
 // build time. The returned benchmark has no Corpus and zero Stats: both
 // describe how a build ran, not what it produced.
 func (s *Store) Load() (*bench.Benchmark, *Manifest, error) {
-	t := s.beginOp("load")
-	before := s.failoverCount()
 	b, m, _, err := s.load(false)
-	if err != nil {
-		t.End("error", "error", err.Error())
-		return nil, nil, err
-	}
-	t.End("ok",
-		"shards", strconv.Itoa(m.ShardCount),
-		"entries", strconv.Itoa(len(m.Entries)),
-		"failover", strconv.FormatBool(s.failoverCount() > before))
-	return b, m, nil
+	return b, m, err
 }
 
 // LoadPartial reconstructs as much of the benchmark as the healthy shards
@@ -554,9 +545,14 @@ func (s *Store) Load() (*bench.Benchmark, *Manifest, error) {
 // error return is reserved for stores with nothing to serve at all (no
 // readable root manifest).
 func (s *Store) LoadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, error) {
-	t := s.beginOp("load")
+	return s.load(true)
+}
+
+// load is the one timed operation behind Load and LoadPartial.
+func (s *Store) load(partial bool) (*bench.Benchmark, *Manifest, []ShardFailure, error) {
+	ctx, t := s.beginOp("load")
 	before := s.failoverCount()
-	b, m, fails, err := s.load(true)
+	b, m, fails, err := s.loadShards(ctx, partial)
 	if err != nil {
 		t.End("error", "error", err.Error())
 		return nil, nil, nil, err
@@ -573,16 +569,16 @@ func (s *Store) LoadPartial() (*bench.Benchmark, *Manifest, []ShardFailure, erro
 	return b, m, fails, nil
 }
 
-// load is the one body behind Load and LoadPartial. In partial mode a
+// loadShards reads the manifest and every shard. In partial mode a
 // failing shard is recorded rather than fatal, and the manifest is pruned
 // to the entries actually loaded; in strict mode there are no failures to
 // prune.
-func (s *Store) load(partial bool) (*bench.Benchmark, *Manifest, []ShardFailure, error) {
+func (s *Store) loadShards(ctx context.Context, partial bool) (*bench.Benchmark, *Manifest, []ShardFailure, error) {
 	m, _, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	entries, fails, err := s.loadShardEntries(m, partial)
+	entries, fails, err := s.loadShardEntries(ctx, m, partial)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -609,7 +605,7 @@ func (s *Store) load(partial bool) (*bench.Benchmark, *Manifest, []ShardFailure,
 // in partial mode it is recorded (and noted in Status) and the walk
 // continues. Databases decode once per content hash and are shared across
 // shards, exactly as at build time.
-func (s *Store) loadShardEntries(m *Manifest, partial bool) ([]*bench.Entry, []ShardFailure, error) {
+func (s *Store) loadShardEntries(ctx context.Context, m *Manifest, partial bool) ([]*bench.Entry, []ShardFailure, error) {
 	groups := map[string][]EntryRef{}
 	for _, ref := range m.Entries {
 		name := shardName(shardIndex(ref.Hash, m.ShardCount))
@@ -624,9 +620,9 @@ func (s *Store) loadShardEntries(m *Manifest, partial bool) ([]*bench.Entry, []S
 	entries := make([]*bench.Entry, 0, len(m.Entries))
 	var fails []ShardFailure
 	for _, name := range names {
-		done := s.timeShardOp("load", name)
+		done := s.shardOp(ctx, "shard_load", name)
 		es, err := s.loadShardFailover(name, groups[name], dbs)
-		done()
+		done(err)
 		if err != nil {
 			if !partial {
 				return nil, nil, err

@@ -34,7 +34,7 @@ go test -race ./internal/fault ./internal/deepeye ./internal/bench ./internal/se
 
 echo "== obsguard: metrics registry race suite, golden exposition and trace, instrumented-build identity"
 go test -race ./internal/obs
-go test -race -run 'TestWritePrometheusGolden|TestTracerGoldenJSON|TestLoggerGolden|TestInstrumentedBuildIsByteIdentical|TestMetricsEndpointServesPrometheusText|TestRunDeterministicUnderSameFaultSeed' \
+go test -race -run 'TestWritePrometheusGolden|TestTracerGoldenJSON|TestLoggerGolden|TestInstrumentedBuildIsByteIdentical|TestMetricsEndpointServesPrometheusText|TestRunDeterministicUnderSameFaultSeed|TestOneRecordPerTimedOperation' \
     ./internal/obs ./internal/bench ./internal/server ./cmd/nvbench
 echo "== obsguard: wide-event recorder under race, events-on store identity"
 go test -race -run 'TestEventRecorderConcurrent|TestSlowLogPromotionAndPersistence' ./internal/obs
