@@ -19,13 +19,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -142,10 +142,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			return err
 		}
 		st.Instrument(ins)
-		// Slow operations persist next to the store they worked on. The
-		// file is not a store artifact: fsck walks only manifest-addressed
-		// paths, so the slow log never fails verification.
-		ins.Events.SetSlowLog(obs.NewSlowLog(filepath.Join(*storeDir, "slowlog.jsonl"), obs.DefaultSlowLogCap), nil)
 		if *shardN != 0 {
 			if err := st.SetShardCount(*shardN); err != nil {
 				return err
@@ -186,8 +182,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			fmt.Fprintln(w)
 			degraded = repairDetail(rep)
 			if rep.Lossy() && !*resume && *serve == "" {
-				return fmt.Errorf("store %s: repair lost %d entries and %d databases (bytes preserved under %s)",
+				err := fmt.Errorf("store %s: repair lost %d entries and %d databases (bytes preserved under %s)",
 					*storeDir, rep.EntriesLost, rep.DatabasesLost, "lost+found/")
+				return errors.Join(err, writeTrace(*tracePath, ins.Events))
 			}
 		}
 	}
@@ -197,28 +194,27 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// was lost (a clean or fully-salvaged heal exits zero); -scrub exits
 	// non-zero iff an artifact was unrecoverable in every replica
 	// (divergence healed from a verified copy exits zero). A format-1
-	// store fails all three at Open.
+	// store fails all three at Open. A verb that ends the run writes its
+	// -trace whatever its verdict.
 	if *scrub {
 		rep, err := st.Scrub(ctx)
-		if err != nil {
-			return err
+		if err == nil {
+			store.WriteScrub(w, rep)
+			if rep.Lossy() {
+				err = fmt.Errorf("store %s: scrub could not recover all content", *storeDir)
+			}
 		}
-		store.WriteScrub(w, rep)
-		if rep.Lossy() {
-			return fmt.Errorf("store %s: scrub could not recover all content", *storeDir)
-		}
-		return nil
+		return errors.Join(err, writeTrace(*tracePath, ins.Events))
 	}
 	if *fsck {
 		rep, err := st.Verify()
-		if err != nil {
-			return err
+		if err == nil {
+			store.WriteFsck(w, rep)
+			if !rep.OK() {
+				err = fmt.Errorf("store %s is corrupt", *storeDir)
+			}
 		}
-		store.WriteFsck(w, rep)
-		if !rep.OK() {
-			return fmt.Errorf("store %s is corrupt", *storeDir)
-		}
-		return nil
+		return errors.Join(err, writeTrace(*tracePath, ins.Events))
 	}
 	if st != nil && !*save && !*incr {
 		return serveStore(ctx, st, w, *out, *vega, *serve, degraded, ins, *tracePath, *scrubIvl)

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -255,6 +258,126 @@ func TestWriteTraceRefusesTruncatedRing(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("truncated trace was written (stat err %v)", err)
+	}
+}
+
+// TestTraceFlagOnHealthVerbs traces the store health verbs, which end the
+// run before any load or build: -scrub and -fsck leave a trace whether
+// they pass or fail, and so does a lossy -repair that exits without
+// serving. Scrub and repair traces hold the verb's own store span.
+func TestTraceFlagOnHealthVerbs(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := runCLI(t, append(smallBuild, "-store", dir, "-save")...); err != nil {
+		t.Fatalf("save run: %v\n%s", err, out)
+	}
+	verb := func(flag, span string, wantErr bool) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "trace.json")
+		out, err := runCLI(t, "-store", dir, flag, "-trace", path)
+		if (err != nil) != wantErr {
+			t.Fatalf("%s -trace: err = %v, want error %v\n%s", flag, err, wantErr, out)
+		}
+		var file struct {
+			TraceEvents []struct{ Name, Cat string } `json:"traceEvents"`
+		}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &file)
+		}
+		if err != nil {
+			t.Fatalf("%s trace: %v", flag, err)
+		}
+		var spans []string
+		for _, ev := range file.TraceEvents {
+			spans = append(spans, ev.Cat+"/"+ev.Name)
+		}
+		if span != "" && !slices.Contains(spans, span) {
+			t.Fatalf("%s trace spans = %v, want a %s span", flag, spans, span)
+		}
+	}
+	verb("-scrub", "store/scrub", false)
+	verb("-fsck", "", false)
+	flipEntryByte(t, dir)
+	verb("-fsck", "", true)
+	verb("-scrub", "store/scrub", true)
+	flipEntryByte(t, dir)
+	verb("-repair", "store/repair", true)
+}
+
+// treeBytes maps every file under root (relative path) to its bytes.
+func treeBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	tree := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err == nil {
+			tree[rel], err = os.ReadFile(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestSlowServeLeavesStoreByteIdentical serves a saved store with every
+// request delayed past any latency threshold and requires the store tree
+// to be unchanged afterwards: serving events live only in memory.
+func TestSlowServeLeavesStoreByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := runCLI(t, append(smallBuild, "-store", dir, "-save")...); err != nil {
+		t.Fatalf("save run: %v\n%s", err, out)
+	}
+	before := treeBytes(t, dir)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr := "127.0.0.1:39429"
+	done := make(chan error, 1)
+	go func() {
+		var out strings.Builder
+		done <- run(ctx, []string{"-store", dir, "-serve", addr, "-faults", "server:latency:1:300ms"}, &out)
+	}()
+	var resp *http.Response
+	var err error
+	for i := 0; i < 100; i++ {
+		if resp, err = http.Get("http://" + addr + "/api/entries"); err == nil {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("server never came up: %v", err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/api/entries = %d", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after cancel", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+	after := treeBytes(t, dir)
+	for name, data := range after {
+		if b, ok := before[name]; !ok || !bytes.Equal(b, data) {
+			t.Errorf("serving wrote %s", name)
+		}
+	}
+	for name := range before {
+		if _, ok := after[name]; !ok {
+			t.Errorf("serving removed %s", name)
+		}
 	}
 }
 

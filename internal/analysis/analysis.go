@@ -126,8 +126,8 @@ func (d Diagnostic) String() string {
 // package facts flow from imported packages to importers — and returns all
 // findings sorted by file, line, column, then analyzer name, so output is
 // stable across runs regardless of scheduling or map order. Run is the
-// serial reference semantics; RunParallel (sched.go) must produce
-// byte-identical output.
+// serial reference semantics; Engine.Run must produce byte-identical
+// output.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	facts := newFactStore()
 	var out []Diagnostic

@@ -348,12 +348,6 @@ func TestEngineReportsRootsOnly(t *testing.T) {
 func TestEngineMatchesSerialDriver(t *testing.T) {
 	mod := writeTestModule(t)
 
-	e := newEngine(t, mod, filepath.Join(mod, ".cache"), nil)
-	engineDiags, _, err := e.Run("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	loader, err := NewLoader(mod)
 	if err != nil {
 		t.Fatal(err)
@@ -362,11 +356,17 @@ func TestEngineMatchesSerialDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialDiags := Run([]*Analyzer{newCountAnalyzer(nil)}, pkgs)
+	want := fmt.Sprint(diagStrings(Run([]*Analyzer{newCountAnalyzer(nil)}, pkgs)))
 
-	got := fmt.Sprint(diagStrings(engineDiags))
-	want := fmt.Sprint(diagStrings(serialDiags))
-	if got != want {
-		t.Fatalf("engine output differs from serial driver:\nengine: %s\nserial: %s", got, want)
+	for _, workers := range []int{1, 2, 8} {
+		e := newEngine(t, mod, filepath.Join(mod, fmt.Sprintf(".cache-%d", workers)), nil)
+		e.Workers = workers
+		engineDiags, _, err := e.Run("./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(diagStrings(engineDiags)); got != want {
+			t.Fatalf("workers=%d: engine output differs from serial driver:\nengine: %s\nserial: %s", workers, got, want)
+		}
 	}
 }

@@ -14,8 +14,8 @@
 //     visible on a /metrics scrape before the first request or build
 //     touches a series;
 //   - wide-event field keys — the literal kv keys of Emit and Timing.End
-//     calls, which become JSON field names in /debug/events and
-//     slowlog.jsonl — must be canonical identifiers too.
+//     calls, which become JSON field names in /debug/events and -trace
+//     span args — must be canonical identifiers too.
 package obslabel
 
 import (
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 		"constant in internal/obs is pre-registered by RegisterBase so the\n" +
 		"schema is scrapeable before traffic. Wide-event Emit and End calls\n" +
 		"must use canonical literal field keys (they become JSON field names in\n" +
-		"/debug/events and the slow log). Literal violations carry a\n" +
+		"/debug/events and -trace span args). Literal violations carry a\n" +
 		"suggested fix for nvlint -fix.",
 	Run: run,
 }
@@ -117,8 +117,8 @@ var eventKVStart = map[string]int{"Emit": 5, "End": 1}
 
 // checkEventFields validates the kv extras of a wide-event call, whose
 // literal field keys sit at argument indices first, first+2, …. They become
-// JSON field names in /debug/events and slowlog.jsonl, so they obey the
-// same canonical shape as label keys. A spread (kv...) is opaque and
+// JSON field names in /debug/events and -trace span args, so they obey
+// the same canonical shape as label keys. A spread (kv...) is opaque and
 // skipped.
 func checkEventFields(pass *analysis.Pass, call *ast.CallExpr, first int) {
 	if call.Ellipsis.IsValid() {

@@ -2,48 +2,21 @@ package analysis
 
 import "sync"
 
-// This file is the parallel scheduler: packages are analyzed concurrently
-// over a bounded worker pool, ordered by the loader's import graph so that
-// package facts always flow from a dependency to its importers. The output
-// contract is strict — after SortDiagnostics, RunParallel must be
-// byte-identical to the serial Run for the same inputs (a golden test
-// enforces this) — which is why diagnostics are collected into per-package
-// slots rather than a shared append, and the final sort key is a total
-// order over (file, line, column, analyzer, message).
-
-// RunParallel applies every analyzer to every package using up to workers
-// goroutines, honoring module-internal import edges between the given
-// packages, and returns the findings in the same sorted order Run produces.
-func RunParallel(analyzers []*Analyzer, pkgs []*Package, workers int) []Diagnostic {
-	facts := newFactStore()
-	idx := make(map[string]int, len(pkgs))
-	for i, p := range pkgs {
-		idx[p.ImportPath] = i
-	}
-	deps := make([][]int, len(pkgs))
-	for i, p := range pkgs {
-		for _, imp := range p.Types.Imports() {
-			if j, ok := idx[imp.Path()]; ok && j != i {
-				deps[i] = append(deps[i], j)
-			}
-		}
-	}
-	results := make([][]Diagnostic, len(pkgs))
-	runDAG(len(pkgs), deps, workers, func(i int) {
-		results[i] = runPackage(analyzers, pkgs[i], facts)
-	})
-	var out []Diagnostic
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	SortDiagnostics(out)
-	return out
-}
+// This file is the scheduler: Engine.Run analyzes units concurrently with
+// runDAG over a bounded worker pool, ordered by the import graph so that
+// package facts always flow from a dependency to its importers, and the
+// serial Run walks the same graph in topoOrder. The output contract is
+// strict — after SortDiagnostics, Engine.Run must be byte-identical to the
+// serial Run for the same inputs at any worker count (a test enforces
+// this) — which is why diagnostics are collected into per-unit slots
+// rather than a shared append, and the final sort key is a total order
+// over (file, line, column, analyzer, message).
 
 // topoOrder returns pkgs in dependency order (imported before importer),
 // restricted to edges within the given set. Used by the serial Run so facts
-// propagate identically to the parallel schedule. Type-checked packages
-// cannot form import cycles, so every package appears exactly once.
+// propagate identically to Engine.Run's parallel schedule. Type-checked
+// packages cannot form import cycles, so every package appears exactly
+// once.
 func topoOrder(pkgs []*Package) []*Package {
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {

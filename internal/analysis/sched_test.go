@@ -1,41 +1,10 @@
 package analysis
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-func TestRunParallelMatchesSerial(t *testing.T) {
-	mod := writeTestModule(t)
-	serialLoader, err := NewLoader(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialPkgs, err := serialLoader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := Run([]*Analyzer{newCountAnalyzer(nil)}, serialPkgs)
-
-	for _, workers := range []int{1, 2, 8} {
-		parallelLoader, err := NewLoader(mod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallelPkgs, err := parallelLoader.Load("./...")
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel := RunParallel([]*Analyzer{newCountAnalyzer(nil)}, parallelPkgs, workers)
-		got := fmt.Sprint(diagStrings(parallel))
-		want := fmt.Sprint(diagStrings(serial))
-		if got != want {
-			t.Fatalf("workers=%d: parallel output differs from serial:\nparallel: %s\nserial:   %s", workers, got, want)
-		}
-	}
-}
 
 func TestTopoOrderPutsDependenciesFirst(t *testing.T) {
 	mod := writeTestModule(t)

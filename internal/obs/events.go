@@ -1,11 +1,9 @@
 // Wide events: one structured record per operation per layer — the op ID,
 // where it ran, how it ended, how long it took, plus free-form key=value
 // fields (shard, replica, cache hit, bytes…). Events land in a
-// fixed-capacity ring so the recorder is safe to leave on in production;
-// events over a per-layer latency threshold are additionally promoted into
-// the persisted slow-op log. Events flow only into the ring and the slow
-// log, never into synthesized artifacts, so recording has zero effect on
-// build output.
+// fixed-capacity ring so the recorder is safe to leave on in production.
+// Events flow only into the ring, never into synthesized artifacts or the
+// filesystem, so recording has zero effect on build output.
 
 package obs
 
@@ -62,9 +60,9 @@ func (e *Event) FieldMap() map[string]string {
 	return m
 }
 
-// eventJSON is the wire shape of an event — /debug/events and
-// slowlog.jsonl both use it. encoding/json sorts map keys, so the output
-// is deterministic for a deterministic event.
+// eventJSON is the wire shape of an event, as /debug/events serves it.
+// encoding/json sorts map keys, so the output is deterministic for a
+// deterministic event.
 type eventJSON struct {
 	Seq        uint64            `json:"seq"`
 	Op         string            `json:"op"`
@@ -182,16 +180,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}{spans, "ms"})
 }
 
-// DefaultSlowThresholds maps each layer to the duration past which its
-// events are promoted into the slow-op log.
-var DefaultSlowThresholds = map[string]time.Duration{
-	LayerHTTP:  250 * time.Millisecond,
-	LayerBench: 1 * time.Second,
-	LayerStore: 1 * time.Second,
-	LayerVQL:   100 * time.Millisecond,
-	LayerFault: 250 * time.Millisecond,
-}
-
 // EventRecorder is a fixed-capacity, concurrency-safe ring of wide events.
 // When the ring is full the oldest event is overwritten; Total reports how
 // many were ever emitted. The nil recorder discards everything, so layers
@@ -202,8 +190,6 @@ type EventRecorder struct {
 	buf   []Event
 	seq   uint64
 	lost  uint64 // events a Reserve found already overwritten
-	slow  *SlowLog
-	thr   map[string]time.Duration
 }
 
 // DefaultEventCapacity is the ring size used when NewEventRecorder is
@@ -222,21 +208,6 @@ func NewEventRecorder(capacity int, clock Clock) *EventRecorder {
 	return &EventRecorder{clock: clock, buf: make([]Event, capacity)}
 }
 
-// SetSlowLog attaches a slow-op log: events whose duration meets their
-// layer's threshold (DefaultSlowThresholds when thresholds is nil) are
-// recorded there too. Call before the recorder starts receiving events.
-func (r *EventRecorder) SetSlowLog(sl *SlowLog, thresholds map[string]time.Duration) {
-	if r == nil {
-		return
-	}
-	if thresholds == nil {
-		thresholds = DefaultSlowThresholds
-	}
-	r.mu.Lock()
-	r.slow, r.thr = sl, thresholds
-	r.mu.Unlock()
-}
-
 // Emit records one wide event stamped with the recorder clock's current
 // instant — for events reported as they begin, like a fault injection;
 // timed operations use Instruments.Begin. kv holds alternating extra field
@@ -249,9 +220,8 @@ func (r *EventRecorder) Emit(op, layer, site, outcome string, d time.Duration, k
 	r.record(Event{Op: op, Layer: layer, Site: site, Outcome: outcome, Time: r.clock.Now(), Duration: d}, kv)
 }
 
-// record stores ev with a copy of the kv extras, assigns its sequence
-// number, and promotes it into the slow log when it meets its layer's
-// threshold. Safe on a nil recorder.
+// record stores ev with a copy of the kv extras and assigns its sequence
+// number. Safe on a nil recorder.
 func (r *EventRecorder) record(ev Event, kv []string) {
 	if r == nil {
 		return
@@ -263,13 +233,7 @@ func (r *EventRecorder) record(ev Event, kv []string) {
 	r.seq++
 	ev.Seq = r.seq
 	r.buf[(r.seq-1)%uint64(len(r.buf))] = ev
-	slow, thr := r.slow, r.thr[ev.Layer]
 	r.mu.Unlock()
-	// Promotion happens outside the ring lock: the slow log serializes and
-	// persists, and emitters must never wait on its I/O.
-	if slow != nil && thr > 0 && ev.Duration >= thr {
-		slow.Record(ev)
-	}
 }
 
 // Reserve grows the ring to hold at least n events, keeping the retained
@@ -348,14 +312,4 @@ func (r *EventRecorder) Events(f EventFilter) []Event {
 		}
 	}
 	return out
-}
-
-// SlowLogged returns the attached slow-op log (nil when none).
-func (r *EventRecorder) SlowLogged() *SlowLog {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slow
 }

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -133,73 +130,16 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSlowLogPromotionAndPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "slowlog.jsonl")
-	clock := NewManualClock(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
-	r := NewEventRecorder(16, clock)
-	r.SetSlowLog(NewSlowLog(path, 2), nil)
-
-	// Below the HTTP threshold: retained in the ring only.
-	r.Emit("fast", LayerHTTP, "/", "ok", 10*time.Millisecond)
-	// At and above the per-layer thresholds: promoted.
-	r.Emit("slow1", LayerHTTP, "/", "ok", 250*time.Millisecond)
-	r.Emit("slow2", LayerVQL, "query", "ok", 150*time.Millisecond)
-	r.Emit("slow3", LayerStore, "save", "ok", 2*time.Second)
-
-	sl := r.SlowLogged()
-	if sl == nil {
-		t.Fatal("no slow log attached")
-	}
-	if err := sl.Err(); err != nil {
-		t.Fatalf("slow log persistence error: %v", err)
-	}
-	got := sl.Entries()
-	// Cap 2 keeps only the most recent two.
-	if len(got) != 2 || got[0].Op != "slow2" || got[1].Op != "slow3" {
-		t.Fatalf("slow entries = %+v", got)
-	}
-
-	// The persisted file holds the same events, one JSON line each.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var ops []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad slowlog line %q: %v", sc.Text(), err)
-		}
-		ops = append(ops, e.Op)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ops, []string{"slow2", "slow3"}) {
-		t.Fatalf("persisted ops = %v", ops)
-	}
-}
-
-func TestNilEventRecorderAndSlowLogAreSafe(t *testing.T) {
+func TestNilEventRecorderIsSafe(t *testing.T) {
 	var r *EventRecorder
 	r.Emit("op", LayerHTTP, "/", "ok", time.Second, "k", "v")
-	r.SetSlowLog(NewSlowLog("", 0), nil)
-	if r.Total() != 0 || r.Events(EventFilter{}) != nil || r.SlowLogged() != nil {
+	if r.Total() != 0 || r.Events(EventFilter{}) != nil {
 		t.Fatal("nil recorder not inert")
-	}
-	var l *SlowLog
-	l.Record(Event{})
-	if l.Entries() != nil || l.Path() != "" || l.Err() != nil {
-		t.Fatal("nil slow log not inert")
 	}
 }
 
 func TestEventRecorderConcurrent(t *testing.T) {
 	r := NewEventRecorder(64, NewManualClock(time.Unix(0, 0)))
-	r.SetSlowLog(NewSlowLog("", 8), map[string]time.Duration{LayerHTTP: time.Millisecond})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

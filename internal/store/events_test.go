@@ -1,16 +1,14 @@
 // Tests for the store's wide events: every public entry point emits one
 // store-layer event into an attached recorder, plus one per shard it
 // saves, loads or repairs under the same op ID, load events carry the
-// replica-failover flag, fsck and repair leave the slow-op log alone, and
-// — the chaos acceptance — recording events during a faulted save leaves
-// the artifacts byte-identical to a bare, uninstrumented save.
+// replica-failover flag, and — the chaos acceptance — recording events
+// during a faulted save leaves the artifacts byte-identical to a bare,
+// uninstrumented save.
 
 package store
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -153,45 +151,9 @@ func TestLoadEventFlagsReplicaFailover(t *testing.T) {
 	}
 }
 
-func TestVerifyAndRepairLeaveSlowLogAlone(t *testing.T) {
-	_, b := testBench(t)
-	dir := t.TempDir()
-	st, _ := mustSave(t, dir, b)
-
-	// The slow-op log and its durable-write temps live in the store root
-	// but are not store artifacts: fsck must not flag them and repair must
-	// not sweep or quarantine them.
-	slowPath := filepath.Join(dir, "slowlog.jsonl")
-	tmpPath := filepath.Join(dir, ".slowlog-123456")
-	for _, p := range []string{slowPath, tmpPath} {
-		if err := os.WriteFile(p, []byte("{\"op\":\"x\"}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck flagged the slow log: %+v", rep.Corrupt)
-	}
-	rrep, err := st.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rrep.TempsSwept != 0 {
-		t.Fatalf("repair swept %d temps; the slowlog temp is not a store temp", rrep.TempsSwept)
-	}
-	for _, p := range []string{slowPath, tmpPath} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("repair removed %s: %v", p, err)
-		}
-	}
-}
-
 // TestEventsLeaveSavedStoreByteIdentical is the chaos acceptance for the
-// tracing layer: a fully instrumented save — event recorder, slow log,
-// and an active latency fault plan emitting fault events mid-write —
+// tracing layer: a fully instrumented save — event recorder and an
+// active latency fault plan emitting fault events mid-write —
 // must produce artifacts byte-for-byte identical to a bare save.
 func TestEventsLeaveSavedStoreByteIdentical(t *testing.T) {
 	_, b := testBench(t)
@@ -205,8 +167,6 @@ func TestEventsLeaveSavedStoreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins, rec := eventInstruments()
-	rec.SetSlowLog(obs.NewSlowLog(filepath.Join(t.TempDir(), "slowlog.jsonl"), 8),
-		map[string]time.Duration{obs.LayerFault: time.Microsecond})
 	st.Instrument(ins)
 	fault.RegisterEvents(rec)
 	defer fault.RegisterEvents(nil)

@@ -317,15 +317,6 @@ func (s *Store) ReplicaHealth() []ReplicaHealth {
 	return out
 }
 
-// setHealth replaces the per-replica bad-shard bookkeeping (the scrubber
-// calls this with what it found) and republishes the health gauges.
-func (s *Store) setHealth(bad [][]string) {
-	s.mu.Lock()
-	s.health = bad
-	s.mu.Unlock()
-	s.publishReplicaHealth()
-}
-
 // publishReplicaHealth exports the nvbench_store_replica_healthy gauge
 // for every replica: 1 when every shard copy passed its last self-check.
 func (s *Store) publishReplicaHealth() {

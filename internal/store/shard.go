@@ -160,12 +160,6 @@ func (s *Store) shardBox(i int) box {
 	return s.shardBoxName(shardName(i))
 }
 
-// shardDirsOnDisk lists the shard directories present in the primary
-// shard tree, in name order.
-func (s *Store) shardDirsOnDisk() ([]string, error) {
-	return s.shardDirsIn(s.replicaShardsRel(0))
-}
-
 // shardDirsIn lists the shard directories under one root-relative shard
 // tree, in name order.
 func (s *Store) shardDirsIn(rel string) ([]string, error) {

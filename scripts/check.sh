@@ -32,16 +32,13 @@ go test -run 'TestSaveLoadRoundTrip|TestGoldenManifestDeterminism|TestVerifyDete
 echo "== faultguard: fault-injection suite with -race"
 go test -race ./internal/fault ./internal/deepeye ./internal/bench ./internal/server ./internal/store ./internal/vql ./cmd/nvbench
 
-echo "== obsguard: metrics registry race suite, golden exposition and trace, instrumented-build identity"
+# faultguard runs bench, server, store and cmd/nvbench whole under -race:
+# that covers the instrumented-build identity, events-on store identity,
+# crash-sweep and replica failover/scrub tests; obsguard adds ./internal/obs.
+echo "== obsguard: metrics registry, wide-event recorder, golden exposition and trace under -race"
 go test -race ./internal/obs
-go test -race -run 'TestWritePrometheusGolden|TestTracerGoldenJSON|TestLoggerGolden|TestInstrumentedBuildIsByteIdentical|TestMetricsEndpointServesPrometheusText|TestRunDeterministicUnderSameFaultSeed|TestOneRecordPerTimedOperation' \
-    ./internal/obs ./internal/bench ./internal/server ./cmd/nvbench
-echo "== obsguard: wide-event recorder under race, events-on store identity"
-go test -race -run 'TestEventRecorderConcurrent|TestSlowLogPromotionAndPersistence' ./internal/obs
-go test -race -run 'TestEventsLeaveSavedStoreByteIdentical|TestDebugEventsFilters|TestExemplarReachesMetricsScrape' ./internal/store ./internal/server
 
-echo "== crashguard: re-exec crash sweeps and fuzzers"
-go test -race -run 'TestCrashSweep' ./internal/store
+echo "== crashguard: fuzzers"
 for target in \
     "FuzzEntryCodec ./internal/store" \
     "FuzzSelfHashed ./internal/store" \
@@ -55,9 +52,5 @@ for target in \
     set -- $target
     go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s "$2"
 done
-
-echo "== replicaguard: replica failover, anti-entropy scrub, and read-failover chaos"
-go test -race -run 'TestReplica|TestScrub|TestRunScrubber|TestChaos(Replica|Scrub)|TestOpenReplicatedFailsOver|TestLoadFailsOver|TestRepairHealsFromSecondary|TestSingleCopyLayoutUnchanged|TestSetReplicas' ./internal/store
-go test -race -run 'TestReplicatedStoreEndToEnd|TestReadyzReportsFailover|TestScrubIntervalHealsWhileServing|TestHealthVerbExitCodeParity|TestReplicaFlagValidation' ./cmd/nvbench
 
 echo "check: OK"
