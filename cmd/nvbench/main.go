@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -95,22 +96,26 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// Observability: every layer shares one Instruments bundle over a
 	// run-scoped registry (so in-process test runs do not bleed counts into
 	// each other). Metrics and wide events are always on; -trace renders
-	// the run's events, so a traced build grows the event ring to hold
-	// them all.
+	// the run's events, so a traced run records into an unbounded ring
+	// that keeps them all.
+	capacity := obs.DefaultEventCapacity
+	if *tracePath != "" {
+		capacity = math.MaxInt
+	}
 	reg := obs.NewRegistry()
 	ins := &obs.Instruments{
 		Metrics: reg,
 		Clock:   obs.RealClock{},
 		Log:     obs.NewLogger(os.Stderr, obs.RealClock{}),
-		Events:  obs.NewEventRecorder(obs.DefaultEventCapacity, obs.RealClock{}),
+		Events:  obs.NewEventRecorder(capacity, nil),
 		IDs:     obs.NewIDGen(obs.RealClock{}),
 	}
 	obs.RegisterBase(reg)
 	fault.RegisterMetrics(reg)
-	// Fault injection is process-wide, so its event routing is too;
-	// disconnect on exit so in-process test runs do not cross-record.
-	fault.RegisterEvents(ins.Events)
-	defer fault.RegisterEvents(nil)
+	// Fault injection and the parser are process-wide, so their
+	// instruments are too; restore on exit so in-process test runs do not
+	// cross-record.
+	defer fault.Instrument(ins)()
 	defer sqlparser.Instrument(ins)()
 	if *debugAddr != "" {
 		go func() {
@@ -222,15 +227,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	var corpus *spider.Corpus
 	var err error
-	// Generating a pair parses up to 20 drawn shapes plus 8 fallback
-	// retries (spider's generatePair), one sqlparse event each;
-	// spider.Generate makes fewer than 3/2 × -pairs pairs per database.
-	const parsesPerPair = 20 + 8
 	if *csvPath != "" {
-		reserveTrace(*tracePath, ins.Events, *csvPairs*parsesPerPair)
 		corpus, err = corpusFromCSV(*csvPath, *csvTable, *csvPairs, *seed)
 	} else {
-		reserveTrace(*tracePath, ins.Events, *dbs*(*pairs+*pairs/2)*parsesPerPair)
 		cfg := spider.Config{Seed: *seed, NumDatabases: *dbs, PairsPerDB: *pairs, MaxRows: 2000}
 		corpus, err = spider.Generate(cfg)
 	}
@@ -267,9 +266,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	opts.Workers = *workers
 	opts.Retries = *retries
 	opts.Obs = ins
-	// Per pair: its own event plus treeedit, execute, deepeye and nledit
-	// for each attempt.
-	reserveTrace(*tracePath, ins.Events, len(corpus.Pairs)*(1+4*max(opts.Retries, 1)))
 	fingerprint := store.Fingerprint(opts)
 	if *incr {
 		opts.Cache = st.PairCache(fingerprint)
@@ -320,7 +316,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	if *out != "" {
-		reserveTrace(*tracePath, ins.Events, len(b.Entries))
 		if err := export(b, *out, *vega, ins); err != nil {
 			return err
 		}
@@ -331,7 +326,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	if *serve != "" {
-		return serveBenchmark(ctx, w, *serve, b, st, manifest, degraded, ins, *scrubIvl)
+		return serveBenchmark(ctx, w, *serve, b, st, manifest, degraded, servingInstruments(ins, st, *tracePath), *scrubIvl)
 	}
 	return nil
 }
@@ -358,36 +353,43 @@ func writeStageTable(w io.Writer, reg *obs.Registry) {
 	}
 }
 
-// reserveTrace, under -trace, grows the event ring to hold the events so
-// far, the next phase's n and DefaultEventCapacity more for store and
-// fault events, so writeTrace finds nothing overwritten.
-func reserveTrace(path string, rec *obs.EventRecorder, n int) {
-	if path != "" {
-		rec.Reserve(int(rec.Total()) + n + obs.DefaultEventCapacity)
-	}
-}
-
 // writeTrace renders the run's wide events as a Chrome trace-event file; a
-// no-op without -trace. It refuses to write a truncated trace: when the
-// ring overwrote events, the error says how many were lost.
+// no-op without -trace. Under -trace the ring is unbounded, so it holds
+// every event of the run.
 func writeTrace(path string, rec *obs.EventRecorder) error {
 	if path == "" {
 		return nil
-	}
-	events := rec.Events(obs.EventFilter{})
-	if total := rec.Total(); total > uint64(len(events)) {
-		return fmt.Errorf("-trace: the event ring kept %d of the run's %d events; not writing a truncated %s", len(events), total, path)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := obs.WriteChromeTrace(f, events)
+	werr := obs.WriteChromeTrace(f, rec.Events(obs.EventFilter{}))
 	cerr := f.Close()
 	if werr != nil {
 		return werr
 	}
 	return cerr
+}
+
+// servingInstruments returns the instruments a run serves with. A traced
+// run has written its trace by then, and its unbounded ring would grow
+// with every request, so serving records into a copy of ins over a fresh
+// DefaultEventCapacity ring, with the store and fault injection
+// re-pointed at it (run restores fault's process-wide value on exit).
+// Serving parses no SQL, so the parser stays as it is. An untraced run
+// serves with ins.
+func servingInstruments(ins *obs.Instruments, st *store.Store, tracePath string) *obs.Instruments {
+	if tracePath == "" {
+		return ins
+	}
+	served := *ins
+	served.Events = obs.NewEventRecorder(obs.DefaultEventCapacity, nil)
+	fault.Instrument(&served)
+	if st != nil {
+		st.Instrument(&served)
+	}
+	return &served
 }
 
 // repairDetail compresses a repair report into the structured degradation
@@ -503,7 +505,6 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 	bench.WriteFigure10(w, b.TypeHardnessMatrix())
 
 	if out != "" {
-		reserveTrace(tracePath, ins.Events, len(b.Entries))
 		if err := export(b, out, vega, ins); err != nil {
 			return err
 		}
@@ -517,7 +518,7 @@ func serveStore(ctx context.Context, st *store.Store, w io.Writer, out string, v
 		fmt.Fprintf(w, "\n%d shard(s) failed over to a replica: %v (run -scrub to heal the primary)\n", len(fo), fo)
 	}
 	if serve != "" {
-		return serveBenchmark(ctx, w, serve, b, st, m, degraded, ins, scrubIvl)
+		return serveBenchmark(ctx, w, serve, b, st, m, degraded, servingInstruments(ins, st, tracePath), scrubIvl)
 	}
 	return nil
 }
@@ -649,8 +650,12 @@ func export(b *bench.Benchmark, path string, withVega bool, ins *obs.Instruments
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	return enc.Encode(entries)
+	werr := enc.Encode(entries)
+	cerr := f.Close()
+	if werr != nil {
+		return werr
+	}
+	return cerr
 }

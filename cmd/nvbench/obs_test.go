@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -245,19 +246,59 @@ func TestOneRecordPerTimedOperation(t *testing.T) {
 	}
 }
 
-// TestWriteTraceRefusesTruncatedRing checks that a trace whose events the
-// ring already overwrote fails instead of writing a partial file.
-func TestWriteTraceRefusesTruncatedRing(t *testing.T) {
-	rec := obs.NewEventRecorder(1, nil)
-	rec.Emit("a", obs.LayerBench, "pair", "ok", time.Millisecond)
-	rec.Emit("b", obs.LayerBench, "pair", "ok", time.Millisecond)
-	path := filepath.Join(t.TempDir(), "trace.json")
-	err := writeTrace(path, rec)
-	if err == nil || !strings.Contains(err.Error(), "kept 1 of the run's 2 events") {
-		t.Fatalf("writeTrace over a wrapped ring = %v", err)
+// TestTraceFlagRecordsFaultSpans traces a build under parse errors and an
+// export under render latency: the trace holds one fault span per fired
+// injection, with its kind, and each latency span lies within the render
+// span it delayed — it starts before the delay, not after it.
+func TestTraceFlagRecordsFaultSpans(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.json")
+	out, err := runCLI(t, append(smallBuild, "-faults", "parse:error:0.5,render:latency:1:2ms",
+		"-out", filepath.Join(dir, "pairs.json"), "-vega", "-trace", path)...)
+	if err != nil {
+		t.Fatalf("run with -faults -trace: %v\n%s", err, out)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("truncated trace was written (stat err %v)", err)
+	m := regexp.MustCompile(`(?m)^\s+parse\s+calls=\d+\s+errors=(\d+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no parse fault stats in output:\n%s", out)
+	}
+	parseErrors, _ := strconv.Atoi(m[1])
+	var file struct {
+		TraceEvents []struct {
+			Name, Cat string
+			TS, Dur   float64
+			Args      map[string]string
+		} `json:"traceEvents"`
+	}
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &file)
+	}
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	type span struct{ ts, end float64 }
+	var renders, delays []span
+	faults := map[string]int{}
+	for _, ev := range file.TraceEvents {
+		switch {
+		case ev.Cat == obs.LayerFault:
+			faults[ev.Name+":"+ev.Args["kind"]]++
+			if ev.Name == "render" {
+				delays = append(delays, span{ev.TS, ev.TS + ev.Dur})
+			}
+		case ev.Cat == obs.LayerBench && ev.Name == obs.StageRender:
+			renders = append(renders, span{ev.TS, ev.TS + ev.Dur})
+		}
+	}
+	want := map[string]int{"parse:error": parseErrors, "render:latency": len(renders)}
+	if parseErrors == 0 || len(renders) == 0 || !reflect.DeepEqual(faults, want) {
+		t.Fatalf("fault spans by site:kind = %v, want %v", faults, want)
+	}
+	for _, d := range delays {
+		if !slices.ContainsFunc(renders, func(r span) bool { return r.ts <= d.ts && d.end <= r.end }) {
+			t.Fatalf("render latency span [%.1f, %.1f]µs lies within no render span", d.ts, d.end)
+		}
 	}
 }
 
@@ -378,6 +419,73 @@ func TestSlowServeLeavesStoreByteIdentical(t *testing.T) {
 		if _, ok := after[name]; !ok {
 			t.Errorf("serving removed %s", name)
 		}
+	}
+}
+
+// TestTracedServeKeepsABoundedRing traces a build that goes on to serve:
+// the trace is written before serving, and serving records into a ring of
+// DefaultEventCapacity events, not the traced run's unbounded one.
+func TestTracedServeKeepsABoundedRing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr := "127.0.0.1:39431"
+	done := make(chan error, 1)
+	go func() {
+		var out strings.Builder
+		done <- run(ctx, append(smallBuild, "-trace", path, "-serve", addr), &out)
+	}()
+	get := func(target string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", target, resp.StatusCode, err)
+		}
+		return body
+	}
+	var err error
+	for i := 0; i < 200; i++ {
+		var resp *http.Response
+		if resp, err = http.Get("http://" + addr + "/api/entry/0"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("server never came up: %v", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("trace not written before serving: %v", err)
+	}
+	requests := obs.DefaultEventCapacity + 100
+	for i := 0; i < requests; i++ {
+		get("/api/entry/0")
+	}
+	var page struct {
+		Total uint64 `json:"total"`
+		Count int    `json:"count"`
+	}
+	if err := json.Unmarshal(get("/debug/events"), &page); err != nil {
+		t.Fatal(err)
+	}
+	if page.Total < uint64(requests) || page.Count > obs.DefaultEventCapacity {
+		t.Fatalf("after %d requests the ring holds %d of %d events, want at most %d",
+			requests, page.Count, page.Total, obs.DefaultEventCapacity)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after cancel", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after cancel")
 	}
 }
 

@@ -13,8 +13,8 @@
 //     be referenced by RegisterBase, so the full histogram schema is
 //     visible on a /metrics scrape before the first request or build
 //     touches a series;
-//   - wide-event field keys — the literal kv keys of Emit and Timing.End
-//     calls, which become JSON field names in /debug/events and -trace
+//   - wide-event field keys — the literal kv keys of Timing.End calls,
+//     which become JSON field names in /debug/events and -trace
 //     span args — must be canonical identifiers too.
 package obslabel
 
@@ -39,13 +39,13 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // Analyzer is the metric/label naming check.
 var Analyzer = &analysis.Analyzer{
 	Name:    "obslabel",
-	Version: "5", // v5: Instruments lost its histogram-only timer
+	Version: "6", // v6: Timing.End is the only wide-event call
 	Doc: "metric names, label keys and wide-event field keys must be\n" +
 		"canonical lowercase_underscore\n\n" +
 		"Counters end _total, histograms end _seconds, gauges end in\n" +
 		"neither, label keys match [a-z][a-z0-9_]*, and every _seconds\n" +
 		"constant in internal/obs is pre-registered by RegisterBase so the\n" +
-		"schema is scrapeable before traffic. Wide-event Emit and End calls\n" +
+		"schema is scrapeable before traffic. Wide-event Timing.End calls\n" +
 		"must use canonical literal field keys (they become JSON field names in\n" +
 		"/debug/events and -trace span args). Literal violations carry a\n" +
 		"suggested fix for nvlint -fix.",
@@ -86,8 +86,8 @@ func run(pass *analysis.Pass) []analysis.Diagnostic {
 			checkLabelCall(pass, call)
 			return
 		}
-		if first, ok := eventKVStart[fn.Name()]; ok {
-			checkEventFields(pass, call, first)
+		if fn.Name() == "End" {
+			checkEventFields(pass, call)
 			return
 		}
 		if kind, ok := metricKinds[fn.Name()]; ok && len(call.Args) >= 1 {
@@ -110,21 +110,16 @@ func checkLabelCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-// eventKVStart maps the wide-event calls of the obs packages to the
-// argument index of their first kv field key: Emit(op, layer, site,
-// outcome, duration, kv...) and Timing.End(outcome, kv...).
-var eventKVStart = map[string]int{"Emit": 5, "End": 1}
-
-// checkEventFields validates the kv extras of a wide-event call, whose
-// literal field keys sit at argument indices first, first+2, …. They become
-// JSON field names in /debug/events and -trace span args, so they obey
-// the same canonical shape as label keys. A spread (kv...) is opaque and
-// skipped.
-func checkEventFields(pass *analysis.Pass, call *ast.CallExpr, first int) {
+// checkEventFields validates the kv extras of a Timing.End(outcome,
+// kv...) call, the one writer of wide events, whose literal field keys
+// sit at argument indices 1, 3, …. They become JSON field names in
+// /debug/events and -trace span args, so they obey the same canonical
+// shape as label keys. A spread (kv...) is opaque and skipped.
+func checkEventFields(pass *analysis.Pass, call *ast.CallExpr) {
 	if call.Ellipsis.IsValid() {
 		return
 	}
-	for i := first; i < len(call.Args); i += 2 {
+	for i := 1; i < len(call.Args); i += 2 {
 		checkName(pass, call.Args[i], "event field key")
 	}
 }

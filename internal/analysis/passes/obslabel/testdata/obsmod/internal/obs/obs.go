@@ -36,14 +36,6 @@ func RegisterBase(r *Registry) {
 	r.Counter(DoneTotal)
 }
 
-// EventRecorder records wide events.
-type EventRecorder struct{}
-
-// Emit records one wide event; kv holds alternating field keys and values.
-func (r *EventRecorder) Emit(op, layer, site, outcome string, d int64, kv ...string) {
-	_, _, _, _, _, _ = op, layer, site, outcome, d, kv
-}
-
 // Timing is one timed operation in flight.
 type Timing struct{}
 

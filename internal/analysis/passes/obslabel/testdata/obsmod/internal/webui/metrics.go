@@ -17,22 +17,15 @@ func wire() {
 	reg.ObserveEx("nvbench_q_latency", 1, "op") // want `histogram "nvbench_q_latency" must end in _seconds`
 }
 
-var rec obs.EventRecorder
-
-func emit() {
-	rec.Emit("op1", "http", "/", "ok", 5, "bytes", "10")
-	rec.Emit("op1", "http", "/", "ok", 5, "Byte-Count", "10") // want `event field key "Byte-Count" is not canonical lowercase_underscore; use "byte_count"`
-	rec.Emit("op1", "http", "/", "ok", 5, "cache.hit", "yes") // want `event field key "cache.hit" is not canonical lowercase_underscore; use "cache_hit"`
-	kv := []string{"Spread-Keys", "are", "opaque", "here"}
-	rec.Emit("op1", "http", "/", "ok", 5, kv...)
-}
-
 var timing obs.Timing
 
 func end() {
 	timing.End("ok", "shards", "4")
 	timing.End("error", "Failed-Shards", "1")           // want `event field key "Failed-Shards" is not canonical lowercase_underscore; use "failed_shards"`
 	timing.End("ok", "cache_hit", "yes", "pairID", "7") // want `event field key "pairID" is not canonical lowercase_underscore; use "pairid"`
+	timing.End("ok", "bytes", "10")
+	timing.End("ok", "Byte-Count", "10") // want `event field key "Byte-Count" is not canonical lowercase_underscore; use "byte_count"`
+	timing.End("ok", "cache.hit", "yes") // want `event field key "cache.hit" is not canonical lowercase_underscore; use "cache_hit"`
 	kv := []string{"Spread-Keys", "are", "opaque"}
 	timing.End("ok", kv...)
 }

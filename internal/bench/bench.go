@@ -105,7 +105,11 @@ func Build(corpus *spider.Corpus, opts Options) (*Benchmark, error) {
 		opts.Retries = 1
 	}
 	if opts.Obs != nil && opts.Synth.Obs == nil {
-		opts.Synth.Obs = opts.Obs
+		// Instrument a copy: the caller's synthesizer must not keep
+		// recording into this build's instruments.
+		synth := *opts.Synth
+		synth.Obs = opts.Obs
+		opts.Synth = &synth
 	}
 	b := &Benchmark{Corpus: corpus, Rejections: map[string]int{}}
 	pairs := corpus.Pairs

@@ -189,3 +189,27 @@ func BenchmarkBuildInstrumentation(b *testing.B) {
 	b.ReportMetric(float64(spent[0].Nanoseconds())/float64(b.N), "bare-ns/build")
 	b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N), "events-ns/build")
 }
+
+// TestInstrumentedBuildLeavesSynthesizerBare runs an instrumented build
+// and then a bare one on the same Synthesizer: the bare build must record
+// nothing into the first build's instruments.
+func TestInstrumentedBuildLeavesSynthesizerBare(t *testing.T) {
+	corpus := buildCorpus(t)
+	rec := obs.NewEventRecorder(obs.DefaultEventCapacity, nil)
+	opts := DefaultOptions()
+	opts.Obs = &obs.Instruments{Metrics: obs.NewRegistry(), Events: rec}
+	if _, err := Build(corpus, opts); err != nil {
+		t.Fatal(err)
+	}
+	traced := rec.Total()
+	if traced == 0 {
+		t.Fatal("instrumented build recorded no events")
+	}
+	opts.Obs = nil
+	if _, err := Build(corpus, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Total(); n != traced {
+		t.Fatalf("bare build recorded %d events into the first build's ring", n-traced)
+	}
+}

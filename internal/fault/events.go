@@ -1,31 +1,36 @@
-// Wide-event bridge: when a recorder is registered, every injection that
-// actually fires emits one fault-layer wide event naming the site and the
-// kind that fired. Clean pass-throughs emit nothing — fault events record
+// Wide-event bridge: with instruments installed, every call where some
+// injection fires is one fault-layer timed operation naming the site and
+// the kind that fired, stamped at the call's start and lasting the delay
+// it slept. Clean pass-throughs record nothing — fault events record
 // interference, not traffic (the calls counter already counts traffic).
 
 package fault
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
 	"nvbench/internal/obs"
 )
 
-// eventRec is the process-wide recorder, matching the process-wide plan:
-// injection is global, so its event stream is too.
-var eventRec atomic.Pointer[obs.EventRecorder]
+// instrument holds the process-wide instruments, matching the
+// process-wide plan: injection is global, so its event stream is too.
+var instrument atomic.Pointer[obs.Instruments]
 
-// RegisterEvents routes fired-injection wide events into rec; nil
-// disconnects. Like Activate, this is process-wide.
-func RegisterEvents(rec *obs.EventRecorder) {
-	eventRec.Store(rec)
+// Instrument installs process-wide instruments for fired injections and
+// returns a restore function that reinstates the previous value — tests
+// defer it. Passing nil disables fault events.
+func Instrument(in *obs.Instruments) (restore func()) {
+	prev := instrument.Swap(in)
+	return func() { instrument.Store(prev) }
 }
 
-// emitEvent records one fired injection. The op ID is empty — Inject has
-// no context to carry one — and the duration is the injected delay, the
-// only time a fault itself consumes. Emitted before crash/panic rules take
-// control away, so the event survives the interference it describes.
-func emitEvent(site, kind string, delay time.Duration) {
-	eventRec.Load().Emit("", obs.LayerFault, site, "fault", delay, "kind", kind)
+// interfere sleeps for delay inside one fault-layer timed operation at
+// site, so the event starts before the delay and lasts as long. The op ID
+// is empty — Inject has no context to carry one.
+func interfere(site, kind string, delay time.Duration) {
+	t := instrument.Load().Begin(context.Background(), obs.LayerFault, site)
+	time.Sleep(delay)
+	t.End("fault", "kind", kind)
 }

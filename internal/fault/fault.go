@@ -391,22 +391,23 @@ func (p *Plan) inject(site string) error {
 			// handled above: crash fires on an exact call index, not a rate
 		}
 	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	// One wide event per interfered call, for the most severe rule that
+	// One fault event per interfered call, for the most severe rule that
 	// fired — recorded before crash/panic take control away.
+	kind := ""
 	switch {
 	case doCrash:
-		emitEvent(site, "crash", delay)
+		kind = "crash"
 	case doPanic:
-		emitEvent(site, "panic", delay)
+		kind = "panic"
 	case tornAt >= 0:
-		emitEvent(site, "torn", delay)
+		kind = "torn"
 	case doError:
-		emitEvent(site, "error", delay)
+		kind = "error"
 	case delay > 0:
-		emitEvent(site, "latency", delay)
+		kind = "latency"
+	}
+	if kind != "" {
+		interfere(site, kind, delay)
 	}
 	if doCrash {
 		crash(site, n)

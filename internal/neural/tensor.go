@@ -54,9 +54,6 @@ func NewZeroParam(rows, cols int) *Tensor {
 	return t
 }
 
-// RequiresGrad reports whether the tensor accumulates gradients.
-func (t *Tensor) RequiresGrad() bool { return t.requires }
-
 // At returns the element at (i, j).
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
 
@@ -519,11 +516,6 @@ func PickLog(p *Tensor, idx int) *Tensor {
 		}
 	}
 	return out
-}
-
-// AddScaled returns a + s·b for same-shape tensors.
-func AddScaled(a, b *Tensor, s float64) *Tensor {
-	return Add(a, Scale(b, s))
 }
 
 // Mean returns the average of scalars.

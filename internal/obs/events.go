@@ -1,7 +1,8 @@
 // Wide events: one structured record per operation per layer — the op ID,
 // where it ran, how it ended, how long it took, plus free-form key=value
-// fields (shard, replica, cache hit, bytes…). Events land in a
-// fixed-capacity ring so the recorder is safe to leave on in production.
+// fields (shard, replica, cache hit, bytes…). Instruments.Begin and
+// Timing.End are the only writer; events land in a bounded ring so the
+// recorder is safe to leave on in production.
 // Events flow only into the ring, never into synthesized artifacts or the
 // filesystem, so recording has zero effect on build output.
 
@@ -180,44 +181,32 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}{spans, "ms"})
 }
 
-// EventRecorder is a fixed-capacity, concurrency-safe ring of wide events.
-// When the ring is full the oldest event is overwritten; Total reports how
-// many were ever emitted. The nil recorder discards everything, so layers
-// emit unconditionally.
+// EventRecorder is a bounded, concurrency-safe ring of wide events,
+// written only by Timing.End. The ring grows as events arrive up to its
+// capacity; after that the oldest event is overwritten, and Total reports
+// how many were ever recorded. A recorder with no practical bound (say,
+// math.MaxInt) therefore keeps every event and allocates only what it
+// records. The nil recorder discards everything, so layers record
+// unconditionally.
 type EventRecorder struct {
-	clock Clock
-	mu    sync.Mutex
-	buf   []Event
-	seq   uint64
-	lost  uint64 // events a Reserve found already overwritten
+	capacity int
+	mu       sync.Mutex
+	buf      []Event
+	seq      uint64
 }
 
 // DefaultEventCapacity is the ring size used when NewEventRecorder is
 // given a non-positive capacity.
 const DefaultEventCapacity = 1024
 
-// NewEventRecorder returns a recorder holding the last capacity events,
-// timestamping via clock (RealClock when nil).
-func NewEventRecorder(capacity int, clock Clock) *EventRecorder {
+// NewEventRecorder returns a recorder holding the last capacity events.
+// Timing.End stamps events from its Instruments clock, so the recorder
+// ignores the Clock argument.
+func NewEventRecorder(capacity int, _ Clock) *EventRecorder {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	if clock == nil {
-		clock = RealClock{}
-	}
-	return &EventRecorder{clock: clock, buf: make([]Event, capacity)}
-}
-
-// Emit records one wide event stamped with the recorder clock's current
-// instant — for events reported as they begin, like a fault injection;
-// timed operations use Instruments.Begin. kv holds alternating extra field
-// keys and values; keys must be canonical lowercase_underscore identifiers
-// (obslabel checks literal call sites). Safe on a nil recorder.
-func (r *EventRecorder) Emit(op, layer, site, outcome string, d time.Duration, kv ...string) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Op: op, Layer: layer, Site: site, Outcome: outcome, Time: r.clock.Now(), Duration: d}, kv)
+	return &EventRecorder{capacity: capacity}
 }
 
 // record stores ev with a copy of the kv extras and assigns its sequence
@@ -232,32 +221,15 @@ func (r *EventRecorder) record(ev Event, kv []string) {
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	r.buf[(r.seq-1)%uint64(len(r.buf))] = ev
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, ev)
+	} else {
+		r.buf[(r.seq-1)%uint64(r.capacity)] = ev
+	}
 	r.mu.Unlock()
 }
 
-// Reserve grows the ring to hold at least n events, keeping the retained
-// ones in order; it never shrinks. A run that must keep every event (a
-// -trace export) sizes the ring this way once it knows its workload.
-func (r *EventRecorder) Reserve(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= len(r.buf) {
-		return
-	}
-	old, size := uint64(len(r.buf)), uint64(n)
-	buf := make([]Event, size)
-	r.lost = max(r.lost, r.seq-min(r.seq, old))
-	for i := r.lost; i < r.seq; i++ {
-		buf[i%size] = r.buf[i%old]
-	}
-	r.buf = buf
-}
-
-// Total returns how many events were ever emitted (including those the
+// Total returns how many events were ever recorded (including those the
 // ring has since overwritten).
 func (r *EventRecorder) Total() uint64 {
 	if r == nil {
@@ -301,12 +273,10 @@ func (r *EventRecorder) Events(f EventFilter) []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.seq
-	capacity := uint64(len(r.buf))
-	start := max(r.lost, n-min(n, capacity))
-	out := make([]Event, 0, n-start)
-	for i := start; i < n; i++ {
-		e := &r.buf[i%capacity]
+	n, size := r.seq, uint64(len(r.buf))
+	out := make([]Event, 0, size)
+	for i := n - size; i < n; i++ {
+		e := &r.buf[i%size]
 		if f.match(e) {
 			out = append(out, *e)
 		}

@@ -1,22 +1,34 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
+// timeOp records one operation lasting d on clock into r through
+// Begin/End, the recorder's only writer.
+func timeOp(r *EventRecorder, clock *ManualClock, op, layer, site, outcome string, d time.Duration, kv ...string) {
+	in := &Instruments{Clock: clock, Events: r}
+	t := in.Begin(WithOpID(context.Background(), op), layer, site)
+	clock.Advance(d)
+	t.End(outcome, kv...)
+}
+
 func TestEventRecorderRingAndFilters(t *testing.T) {
 	clock := NewManualClock(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
-	r := NewEventRecorder(4, clock)
-	r.Emit("op1", LayerHTTP, "/", "ok", 10*time.Millisecond, "status", "200")
-	r.Emit("op2", LayerHTTP, "/api/query", "error", 30*time.Millisecond)
-	r.Emit("op3", LayerStore, "save", "ok", 2*time.Millisecond)
-	r.Emit("op4", LayerVQL, "query", "ok", 50*time.Millisecond)
-	r.Emit("op5", LayerHTTP, "/", "ok", 5*time.Millisecond)
-	r.Emit("op6", LayerBench, "sqlparse", "ok", time.Millisecond)
+	r := NewEventRecorder(4, nil)
+	timeOp(r, clock, "op1", LayerHTTP, "/", "ok", 10*time.Millisecond, "status", "200")
+	timeOp(r, clock, "op2", LayerHTTP, "/api/query", "error", 30*time.Millisecond)
+	timeOp(r, clock, "op3", LayerStore, "save", "ok", 2*time.Millisecond)
+	timeOp(r, clock, "op4", LayerVQL, "query", "ok", 50*time.Millisecond)
+	timeOp(r, clock, "op5", LayerHTTP, "/", "ok", 5*time.Millisecond)
+	timeOp(r, clock, "op6", LayerBench, "sqlparse", "ok", time.Millisecond)
 
 	if got := r.Total(); got != 6 {
 		t.Fatalf("Total = %d, want 6", got)
@@ -49,41 +61,41 @@ func TestEventRecorderRingAndFilters(t *testing.T) {
 	}
 }
 
-// TestReserveKeepsRetainedEvents grows a ring that has already wrapped and
-// checks every retained event survives, in order, with room for more.
-func TestReserveKeepsRetainedEvents(t *testing.T) {
-	r := NewEventRecorder(2, nil)
-	var ops []string
-	for i, op := range []string{"op1", "op2", "op3", "op4", "op5"} {
-		if i == 3 {
-			r.Reserve(4)
-			r.Reserve(1) // never shrinks
+// TestEventRingGrowsToItsCapacity checks the ring grows as events
+// arrive, wraps once full, and that a recorder with no practical bound
+// keeps every event while allocating only for what it recorded.
+func TestEventRingGrowsToItsCapacity(t *testing.T) {
+	clock := NewManualClock(time.Unix(0, 0))
+	ops := func(r *EventRecorder) (out []string) {
+		for _, e := range r.Events(EventFilter{}) {
+			out = append(out, e.Op)
 		}
-		r.Emit(op, LayerBench, "pair", "ok", time.Millisecond)
+		return out
 	}
-	for _, e := range r.Events(EventFilter{}) {
-		ops = append(ops, e.Op)
+	r := NewEventRecorder(3, nil)
+	for i, op := range []string{"op1", "op2", "op3", "op4", "op5"} {
+		timeOp(r, clock, op, LayerBench, "pair", "ok", time.Millisecond)
+		if i == 1 {
+			if got, want := ops(r), []string{"op1", "op2"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("before the ring fills: %v, want %v", got, want)
+			}
+		}
 	}
-	if want := []string{"op2", "op3", "op4", "op5"}; !reflect.DeepEqual(ops, want) {
-		t.Fatalf("retained %v, want %v", ops, want)
+	if got, want := ops(r), []string{"op3", "op4", "op5"}; !reflect.DeepEqual(got, want) || r.Total() != 5 {
+		t.Fatalf("after wrapping: %v of %d, want %v of 5", got, r.Total(), want)
 	}
-	(*EventRecorder)(nil).Reserve(8) // no-op
 
-	// Growing a wrapped ring cannot bring back what it overwrote: the
-	// lost event stays lost, not a zero Event in its slot, so a caller
-	// comparing Total with the retained count still sees the truncation.
-	r = NewEventRecorder(2, nil)
-	for _, op := range []string{"op1", "op2", "op3"} {
-		r.Emit(op, LayerBench, "pair", "ok", time.Millisecond)
+	r = NewEventRecorder(math.MaxInt, nil)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		timeOp(r, clock, fmt.Sprint(i), LayerBench, "sqlparse", "ok", time.Microsecond)
 	}
-	r.Reserve(8)
-	r.Reserve(16) // a second growth still knows op1 is gone
-	ops = nil
-	for _, e := range r.Events(EventFilter{}) {
-		ops = append(ops, e.Op)
+	events := r.Events(EventFilter{})
+	if len(events) != n || events[0].Op != "0" || events[n-1].Op != fmt.Sprint(n-1) {
+		t.Fatalf("unbounded ring kept %d of %d events", len(events), n)
 	}
-	if want := []string{"op2", "op3"}; !reflect.DeepEqual(ops, want) || r.Total() != 3 {
-		t.Fatalf("after growing a wrapped ring: retained %v of %d, want %v of 3", ops, r.Total(), want)
+	if c := cap(r.buf); c > 2*n {
+		t.Fatalf("unbounded ring allocated %d slots for %d events", c, n)
 	}
 }
 
@@ -132,24 +144,24 @@ func TestEventJSONRoundTrip(t *testing.T) {
 
 func TestNilEventRecorderIsSafe(t *testing.T) {
 	var r *EventRecorder
-	r.Emit("op", LayerHTTP, "/", "ok", time.Second, "k", "v")
+	r.record(Event{Op: "op", Layer: LayerHTTP, Site: "/", Outcome: "ok"}, []string{"k", "v"})
 	if r.Total() != 0 || r.Events(EventFilter{}) != nil {
 		t.Fatal("nil recorder not inert")
 	}
 }
 
 func TestEventRecorderConcurrent(t *testing.T) {
-	r := NewEventRecorder(64, NewManualClock(time.Unix(0, 0)))
+	r := NewEventRecorder(64, nil)
+	clock := NewManualClock(time.Unix(0, 0))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Emit("op", LayerHTTP, "/", "ok", 2*time.Millisecond, "i", "x")
+				timeOp(r, clock, "op", LayerHTTP, "/", "ok", 2*time.Millisecond, "i", "x")
 				r.Events(EventFilter{Layer: LayerHTTP})
 				r.Total()
-				r.Reserve(64 + i)
 			}
 		}()
 	}

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -141,8 +142,12 @@ func TestDebugEventsFilters(t *testing.T) {
 		t.Fatalf("route filter = %+v", page.Events)
 	}
 
-	// A synthetic slow store event is the only one above a high floor.
-	s.cfg.Obs.Events.Emit("slow-op", obs.LayerStore, "save", "ok", 2*time.Second)
+	// A synthetic slow store operation is the only one above a high floor.
+	clock := obs.NewManualClock(time.Unix(0, 0))
+	slow := &obs.Instruments{Clock: clock, Events: s.cfg.Obs.Events}
+	op := slow.Begin(obs.WithOpID(context.Background(), "slow-op"), obs.LayerStore, "save")
+	clock.Advance(2 * time.Second)
+	op.End("ok")
 	page = decodeEventsPage(t, doGet(s, "/debug/events?min_ms=1500"))
 	if page.Count != 1 || page.Events[0].Op != "slow-op" {
 		t.Fatalf("min_ms filter = %+v", page.Events)

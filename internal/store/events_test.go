@@ -168,8 +168,7 @@ func TestEventsLeaveSavedStoreByteIdentical(t *testing.T) {
 	}
 	ins, rec := eventInstruments()
 	st.Instrument(ins)
-	fault.RegisterEvents(rec)
-	defer fault.RegisterEvents(nil)
+	defer fault.Instrument(ins)()
 	restore := fault.Activate(fault.NewPlan(7).Add(
 		fault.Rule{Site: "*", Kind: fault.KindLatency, Rate: 0.5, Delay: 100 * time.Microsecond}))
 	_, err = st.Save(b, BuildInfo{Seed: testCfg.Seed, Fingerprint: Fingerprint(bench.DefaultOptions())})
