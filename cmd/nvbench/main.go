@@ -297,29 +297,31 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fmt.Fprintln(w)
 	writeStageTable(w, reg)
 	bench.WriteQuarantine(w, b)
+
+	var manifest *store.Manifest
+	if *save {
+		manifest, err = st.Save(b, store.BuildInfo{Seed: *seed, Fingerprint: fingerprint})
+		if err == nil {
+			fmt.Fprintf(w, "\nsaved %d entries (%d database payloads) to %s\n",
+				len(manifest.Entries), len(manifest.Databases), *storeDir)
+		}
+	}
+	if err == nil && *out != "" {
+		if err = export(b, *out, *vega, ins); err == nil {
+			fmt.Fprintf(w, "\nwrote %s\n", *out)
+		}
+	}
+	// After -save and -out, so injections fired while saving or
+	// exporting are counted too, also when one of them failed.
 	if plan != nil {
-		fmt.Fprintln(w, "fault injections by site:")
+		fmt.Fprintln(w, "\nfault injections by site:")
 		for _, st := range plan.Stats() {
 			fmt.Fprintf(w, "  %-12s calls=%-6d errors=%-5d panics=%-5d delays=%-5d torn=%d\n",
 				st.Site, st.Calls, st.Errors, st.Panics, st.Latency, st.Torn)
 		}
 	}
-
-	var manifest *store.Manifest
-	if *save {
-		manifest, err = st.Save(b, store.BuildInfo{Seed: *seed, Fingerprint: fingerprint})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nsaved %d entries (%d database payloads) to %s\n",
-			len(manifest.Entries), len(manifest.Databases), *storeDir)
-	}
-
-	if *out != "" {
-		if err := export(b, *out, *vega, ins); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", *out)
+	if err != nil {
+		return err
 	}
 
 	if err := writeTrace(*tracePath, ins.Events); err != nil {

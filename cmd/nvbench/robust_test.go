@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -67,6 +68,32 @@ func TestRunCompletesUnderFaultPlan(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatalf("fault plan active but zero injections recorded:\n%s", text)
+	}
+}
+
+// TestFaultTableCountsExportInjections checks that the "fault injections
+// by site" table is printed after the -out export, so the render faults
+// fired while exporting Vega-Lite specs are counted in it.
+func TestFaultTableCountsExportInjections(t *testing.T) {
+	var out strings.Builder
+	args := []string{
+		"-dbs", "3", "-pairs", "5", "-seed", "2",
+		"-faults", "render:latency:1:1ms",
+		"-out", filepath.Join(t.TempDir(), "p.json"), "-vega",
+	}
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	text := out.String()
+	m := regexp.MustCompile(`(?m)^  render\s+calls=(\d+)\s+errors=\d+\s+panics=\d+\s+delays=(\d+)`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatalf("no render row in the fault table:\n%s", text)
+	}
+	if m[1] == "0" || m[2] == "0" {
+		t.Errorf("render row reports calls=%s delays=%s, want both > 0:\n%s", m[1], m[2], text)
+	}
+	if strings.Index(text, "fault injections by site:") < strings.Index(text, "wrote ") {
+		t.Errorf("fault table printed before the export finished:\n%s", text)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"nvbench/internal/ast"
@@ -17,6 +18,7 @@ import (
 	"nvbench/internal/seq2vis"
 	"nvbench/internal/spider"
 	"nvbench/internal/sqlparser"
+	"nvbench/internal/store"
 )
 
 // smallBenchmark builds one compact end-to-end benchmark for integration
@@ -127,6 +129,9 @@ func TestSeq2VisDataRoundTrip(t *testing.T) {
 	}
 }
 
+// referenceDigest is bench.Digest of the seed-1 reference corpus.
+const referenceDigest = "123128b151f8cf5b806aa7a36ad2f6688a747712df02e3cd7e22457f27406e30"
+
 // TestReferenceCorpusDigest pins the seed-1, 40-database reference corpus
 // (EXPERIMENTS.md): its entry and (nl, vis) pair counts, the digest of
 // every synthesized entry, and its Table 3. A change that moves any entry,
@@ -136,14 +141,13 @@ func TestReferenceCorpusDigest(t *testing.T) {
 	const (
 		wantEntries = 2331
 		wantPairs   = 9351
-		wantDigest  = "123128b151f8cf5b806aa7a36ad2f6688a747712df02e3cd7e22457f27406e30"
 	)
 	if len(b.Entries) != wantEntries || b.NumPairs() != wantPairs {
 		t.Fatalf("reference corpus built %d entries and %d pairs, want %d and %d",
 			len(b.Entries), b.NumPairs(), wantEntries, wantPairs)
 	}
-	if got := bench.Digest(b); got != wantDigest {
-		t.Fatalf("reference corpus digest %s, want %s", got, wantDigest)
+	if got := bench.Digest(b); got != referenceDigest {
+		t.Fatalf("reference corpus digest %s, want %s", got, referenceDigest)
 	}
 
 	// The report prints BLEU to three decimals, so the rows are also hashed
@@ -220,6 +224,88 @@ func TestReferenceCorpusDigest(t *testing.T) {
 	if got := 100 * b.ManualFraction(); math.Abs(got-27.4) > 3 {
 		t.Errorf("§3.1: manual NL fraction %.1f%%, want 27.4%% ± 3 points", got)
 	}
+}
+
+// TestReferenceCorpusStoreRoundTrip saves the reference corpus to a store
+// and loads it back through a fresh Open. bench.Digest hashes a database
+// by its name only, so the loaded databases are also compared with the
+// built ones table by table and cell by cell: this pins the store
+// decoders on the reference corpus's payloads.
+func TestReferenceCorpusStoreRoundTrip(t *testing.T) {
+	_, b := corpusAndBench(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(b, store.BuildInfo{Seed: benchCfg.Seed}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bench.Digest(loaded); got != referenceDigest {
+		t.Fatalf("loaded reference corpus digest %s, want %s", got, referenceDigest)
+	}
+	built := map[int]*dataset.Database{}
+	distinct := map[*dataset.Database]bool{}
+	for _, e := range b.Entries {
+		built[e.ID] = e.DB
+		distinct[e.DB] = true
+	}
+	checked := map[*dataset.Database]bool{}
+	for _, e := range loaded.Entries {
+		if checked[e.DB] {
+			continue
+		}
+		checked[e.DB] = true
+		if err := sameDatabase(e.DB, built[e.ID]); err != nil {
+			t.Errorf("entry %d: loaded database %s differs from the built one: %v", e.ID, e.DB.Name, err)
+		}
+	}
+	if len(checked) != len(distinct) {
+		t.Errorf("compared %d loaded databases, want the %d the entries reference", len(checked), len(distinct))
+	}
+}
+
+// sameDatabase compares two databases field by field, timestamps by
+// time.Time.Equal.
+func sameDatabase(got, want *dataset.Database) error {
+	if want == nil {
+		return fmt.Errorf("no built database")
+	}
+	if got.Name != want.Name || got.Domain != want.Domain {
+		return fmt.Errorf("name/domain %q/%q, want %q/%q", got.Name, got.Domain, want.Name, want.Domain)
+	}
+	if !slices.Equal(got.ForeignKeys, want.ForeignKeys) {
+		return fmt.Errorf("foreign keys %v, want %v", got.ForeignKeys, want.ForeignKeys)
+	}
+	if len(got.Tables) != len(want.Tables) {
+		return fmt.Errorf("%d tables, want %d", len(got.Tables), len(want.Tables))
+	}
+	for ti, gt := range got.Tables {
+		wt := want.Tables[ti]
+		if gt.Name != wt.Name || !slices.Equal(gt.Columns, wt.Columns) || len(gt.Rows) != len(wt.Rows) {
+			return fmt.Errorf("table %d: %s %v with %d rows, want %s %v with %d rows",
+				ti, gt.Name, gt.Columns, len(gt.Rows), wt.Name, wt.Columns, len(wt.Rows))
+		}
+		for ri, row := range gt.Rows {
+			if len(row) != len(wt.Rows[ri]) {
+				return fmt.Errorf("table %s row %d has %d cells, want %d", gt.Name, ri, len(row), len(wt.Rows[ri]))
+			}
+			for ci, c := range row {
+				w := wt.Rows[ri][ci]
+				if c.Kind != w.Kind || c.Null != w.Null || c.Str != w.Str || c.Num != w.Num || !c.Time.Equal(w.Time) {
+					return fmt.Errorf("table %s row %d cell %d is %+v, want %+v", gt.Name, ri, ci, c, w)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestReferenceCandidateResults pins what the executor returns for every

@@ -87,8 +87,13 @@ func encodeEntry(e *bench.Entry, dbHash string) ([]byte, error) {
 }
 
 // decodeEntryRecord parses entry-record bytes without resolving the
-// database reference; Load resolves it and calls toEntry.
+// database reference; Load resolves it and calls toEntry. The one-pass
+// scan handles canonical bytes; anything it gives up on is decoded, and
+// accepted or rejected, by decodeStrict.
 func decodeEntryRecord(data []byte) (*entryRecord, error) {
+	if rec, ok := scanEntryRecord(data); ok {
+		return rec, nil
+	}
 	var rec entryRecord
 	if err := decodeStrict(data, &rec); err != nil {
 		return nil, err
@@ -389,8 +394,19 @@ func encodeDatabase(db *dataset.Database) ([]byte, error) {
 	return canonicalJSON(rec)
 }
 
-// decodeDatabase inverts encodeDatabase.
+// decodeDatabase inverts encodeDatabase: by the one-pass scan for
+// canonical bytes, and by decodeDatabaseStrict for anything it gives up
+// on, which accepts or rejects the payload.
 func decodeDatabase(data []byte) (*dataset.Database, error) {
+	if db, ok := scanDatabase(data); ok {
+		return db, nil
+	}
+	return decodeDatabaseStrict(data)
+}
+
+// decodeDatabaseStrict decodes a payload with decodeStrict and the
+// cellRecord codec, then checks column types and row widths.
+func decodeDatabaseStrict(data []byte) (*dataset.Database, error) {
 	var rec dbRecord
 	if err := decodeStrict(data, &rec); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -162,6 +163,182 @@ func FuzzSelfHashed(f *testing.F) {
 		payload, err := verifySelfHashed(data)
 		if err == nil && !bytes.Equal(selfHashed(payload), data) {
 			t.Fatal("accepted frame does not re-frame identically")
+		}
+	})
+}
+
+// decodeSeed is one fuzz seed and whether the one-pass scan must take it
+// (fast) rather than leave it to the strict decoder.
+type decodeSeed struct {
+	data string
+	fast bool
+}
+
+// addDecodeSeeds adds the encoder's own output and the hand-written edge
+// cases to f. Every encoder output must take the one-pass scan, and each
+// edge case the path it names; a counter of fast-path hits over the
+// encoder outputs shows the seeds exercise the scan, not just the
+// fallback.
+func addDecodeSeeds(f *testing.F, encoded [][]byte, edges []decodeSeed, scan func([]byte) bool) {
+	f.Helper()
+	hits := 0
+	for _, data := range encoded {
+		if scan(data) {
+			hits++
+		}
+		f.Add(data)
+	}
+	if hits != len(encoded) || hits == 0 {
+		f.Fatalf("%d of %d encoder outputs took the one-pass scan, want all", hits, len(encoded))
+	}
+	for _, e := range edges {
+		if got := scan([]byte(e.data)); got != e.fast {
+			f.Fatalf("scan of %q: ok = %v, want %v", e.data, got, e.fast)
+		}
+		f.Add([]byte(e.data))
+	}
+}
+
+// FuzzDecodeDatabase checks the one-pass payload scan against its oracle,
+// decodeDatabaseStrict: whatever the scan accepts the strict decoder
+// accepts too, with a reflect.DeepEqual value (nil and empty slices
+// told apart), and on input the strict decoder rejects decodeDatabase
+// returns exactly its error.
+func FuzzDecodeDatabase(f *testing.F) {
+	_, b := testBench(f)
+	var encoded [][]byte
+	seen := map[*dataset.Database]bool{}
+	for _, e := range b.Entries {
+		if seen[e.DB] || len(seen) == 1 {
+			continue
+		}
+		seen[e.DB] = true
+		// Whole payloads run to ~100 KB. With seeds of even 4–9 KB (two
+		// rows per table of three databases) the fuzzer found no new
+		// input, so the seed is one database with one row per table.
+		small := *e.DB
+		small.Tables = nil
+		for _, t := range e.DB.Tables {
+			small.Tables = append(small.Tables, &dataset.Table{Name: t.Name, Columns: t.Columns, Rows: t.Rows[:min(1, len(t.Rows))]})
+		}
+		data, err := encodeDatabase(&small)
+		if err != nil {
+			f.Fatal(err)
+		}
+		encoded = append(encoded, data)
+	}
+	const tables = `"tables":[{"name":"t","columns":[{"name":"a","type":"C"},{"name":"q","type":"Q"},{"name":"w","type":"T"}],"rows":[`
+	edges := []decodeSeed{
+		{`{"name":"a\"b","domain":"\u003cd\u003e","tables":[]}`, true},
+		{`{"name":"😀","domain":"\ud83d","tables":[]}`, true},
+		{"{\"name\":\"\xff\",\"domain\":\"d\",\"tables\":[]}", false},
+		{`{"name":"caf` + "é" + `","domain":"d","tables":[]}`, true},
+		{`{"name":"n","domain":"d",` + tables + `[["C"],["Q"],["T"]]]}]}`, true},
+		{`{"name":"n","domain":"d",` + tables + `[["C",null],["Q"],["T"]]]}]}`, false},
+		{`{"name":null,"domain":"d","tables":[]}`, false},
+		{`{"name":"n","domain":"d","tables":[],"foreign_keys":null}`, false},
+		{`{"name":"n","domain":"d",` + tables + `[["C","x"],["Q",-0],["T","2020-01-02T03:04:05.5+02:00"]]]}]}`, true},
+		{`{"name":"n","domain":"d",` + tables + `[["C","x"],["Q",1e400],["T","2020-01-02T03:04:05Z"]]]}]}`, false},
+		{`{"name":"n","domain":"d",` + tables + `[["C","x"],["Q",01],["T","2020-01-02T03:04:05Z"]]]}]}`, false},
+		{`{"name":"n","domain":"d",` + tables + `[["C","x"],["Q",1.0E+2],["T","2020-01-02T03:04:05Z"]]]}]}`, true},
+		{`{"name":"n","domain":"d",` + tables + `[["C","x"],["Q",1],["T","yesterday"]]]}]}`, false},
+		{`{"name":"n","domain":"d",` + tables + `[["C","x"],["Q",1]]]}]}`, false},
+		{`{"name":"n","domain":"d","tables":[{"name":"t","columns":[{"name":"a","type":"X"}],"rows":[]}]}`, false},
+		{`{"Name":"n","domain":"d","tables":[]}`, false},
+		{`{"name":"n","name":"m","domain":"d","tables":[]}`, false},
+		{`{"name":"n","domain":"d","tables":[{"name":"t","columns":[],"rows":[]}]}`, true},
+		{`{"name":"n","domain":"d","tables":[{"name":"t","columns":[],"rows":[[],[]]}]}`, true},
+		{`{"name":"n","domain":"d","tables":[],"foreign_keys":[]}`, true},
+		{`{"name":"n","domain":"d","tables":[],"foreign_keys":[{"from_table":"a","from_column":"b","to_table":"c","to_column":"d"}]}`, true},
+		{"{\"name\":\"n\",\"domain\":\"d\",\"tables\":[]}\n \t", true},
+		{`{"name":"n","domain":"d","tables":[]} {}`, false},
+		{``, false},
+	}
+	addDecodeSeeds(f, encoded, edges, func(data []byte) bool { _, ok := scanDatabase(data); return ok })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := decodeDatabaseStrict(data)
+		if scanned, ok := scanDatabase(data); ok {
+			if wantErr != nil {
+				t.Fatalf("scan accepted what the strict decoder rejects: %v", wantErr)
+			}
+			if !reflect.DeepEqual(scanned, want) {
+				t.Fatalf("scan and strict decoder disagree:\n%#v\nvs\n%#v", scanned, want)
+			}
+		}
+		got, err := decodeDatabase(data)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("decodeDatabase error %v, want the strict decoder's %v", err, wantErr)
+			}
+			return
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeDatabase = %#v, %v; want %#v", got, err, want)
+		}
+	})
+}
+
+// FuzzDecodeEntry is FuzzDecodeDatabase for entry records, whose oracle is
+// decodeStrict into an entryRecord.
+func FuzzDecodeEntry(f *testing.F) {
+	_, b := testBench(f)
+	var encoded [][]byte
+	for i, e := range b.Entries {
+		if i >= 8 {
+			break
+		}
+		data, err := encodeEntry(e, "d41d8c")
+		if err != nil {
+			f.Fatal(err)
+		}
+		encoded = append(encoded, data)
+	}
+	const head = `{"id":1,"pair_id":2,"db":"x","source_nl":"q","vis":"visualize bar select t.a count t.* from t group grouping t.a","chart":"bar","hardness":"easy",`
+	edges := []decodeSeed{
+		{head + `"nls":["a \"b\" \u003c c"]}`, true},
+		{head + `"nls":["😀 \ud800"]}`, true},
+		{head + "\"nls\":[\"\xc3\x28\"]}", false},
+		{head + `"nls":null}`, false},
+		{head + `"nls":[null]}`, false},
+		{head + `"nls":[]}`, true},
+		{head + `"manual":true,"nls":["x"]}`, true},
+		{head + `"nls":["x"],"edit":[]}`, true},
+		{head + `"nls":["x"],"edit":null}`, false},
+		{head + `"nls":["x"],"edit":[{"kind":"insert-visualize","chart":"bar"}]}`, true},
+		{head + `"nls":["x"],"edit":[{"kind":"insert-group","attr":{"column":"a","table":"t"},"group":{"kind":"binning","attr":{"column":"a","table":"t","distinct":true},"bin":"year","num_bins":10}},{"kind":"insert-order","order":{"dir":"asc","attr":{"agg":"count","column":"*"}}}]}`, true},
+		{head + `"nls":["x"],"edit":[{"kind":"insert-order","attr":null}]}`, false},
+		{`{"id":-0,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","nls":[]}`, true},
+		{`{"id":1e400,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","nls":[]}`, false},
+		{`{"id":01,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","nls":[]}`, false},
+		{`{"id":1.0E+2,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","nls":[]}`, false},
+		{`{"ID":1,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","nls":[]}`, false},
+		{`{"id":1,"id":1,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","nls":[]}`, false},
+		{`{"id":1,"pair_id":2,"db":"x","source_nl":"q","vis":"v","chart":"bar","hardness":"easy","manual":"yes","nls":[]}`, false},
+		{head + `"nls":["x"]}` + "\n", true},
+		{head + `"nls":["x"]}]`, false},
+		{head + `"nls":["x"],"extra":1}`, false},
+	}
+	addDecodeSeeds(f, encoded, edges, func(data []byte) bool { _, ok := scanEntryRecord(data); return ok })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want entryRecord
+		wantErr := decodeStrict(data, &want)
+		if scanned, ok := scanEntryRecord(data); ok {
+			if wantErr != nil {
+				t.Fatalf("scan accepted what the strict decoder rejects: %v", wantErr)
+			}
+			if !reflect.DeepEqual(*scanned, want) {
+				t.Fatalf("scan and strict decoder disagree:\n%#v\nvs\n%#v", *scanned, want)
+			}
+		}
+		got, err := decodeEntryRecord(data)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("decodeEntryRecord error %v, want the strict decoder's %v", err, wantErr)
+			}
+			return
+		}
+		if err != nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("decodeEntryRecord = %#v, %v; want %#v", got, err, want)
 		}
 	})
 }

@@ -235,3 +235,42 @@ func BenchmarkVerifyClean(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreLoad measures serve set-up's store half: Open plus Load of
+// a saved single-copy store, which reads, hashes and decodes every
+// database payload and entry record. The store is saved before the timer
+// starts, so no fsync falls in the timed region. Rows are capped at the
+// CLI's 2,000, so database payloads weigh what they do in a served store.
+// It is recorded in BENCH_store.json but not gated.
+func BenchmarkStoreLoad(b *testing.B) {
+	corpus, err := spider.Generate(spider.Config{Seed: 11, NumDatabases: 6, PairsPerDB: 24, MaxRows: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := bench.Build(corpus, bench.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Save(built, BuildInfo{Seed: 11, Fingerprint: Fingerprint(bench.DefaultOptions())}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loaded, _, err := st.Load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(loaded.Entries) != len(built.Entries) {
+			b.Fatalf("loaded %d entries, want %d", len(loaded.Entries), len(built.Entries))
+		}
+	}
+}

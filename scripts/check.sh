@@ -41,6 +41,8 @@ go test -race ./internal/obs
 echo "== crashguard: fuzzers"
 for target in \
     "FuzzEntryCodec ./internal/store" \
+    "FuzzDecodeDatabase ./internal/store" \
+    "FuzzDecodeEntry ./internal/store" \
     "FuzzSelfHashed ./internal/store" \
     "FuzzJournalRecover ./internal/store" \
     "FuzzShardRoute ./internal/store" \
