@@ -1,8 +1,9 @@
 // Package faultsite guards the fault-injection registry invariant: every
-// call to fault.Inject must name a registered site, as a compile-time
-// constant. The crash harness and the "*" plan wildcard both enumerate
-// fault.Sites(), so an Inject call with an unregistered or runtime-built
-// site string is a fault point the sweeps silently never exercise.
+// call to fault.Inject or fault.InjectContext must name a registered
+// site, as a compile-time constant. The crash harness and the "*" plan
+// wildcard both enumerate fault.Sites(), so an Inject call with an
+// unregistered or runtime-built site string is a fault point the sweeps
+// silently never exercise.
 //
 // The check is cross-package and uses the engine's facts: analyzing the
 // fault package itself exports a SitesFact listing the declared Site*
@@ -43,8 +44,8 @@ func (*SitesFact) AFact() {}
 // Analyzer is the registered-fault-site check.
 var Analyzer = &analysis.Analyzer{
 	Name:    "faultsite",
-	Version: "1",
-	Doc: "fault.Inject sites must be registered compile-time constants\n\n" +
+	Version: "2",
+	Doc: "fault.Inject and fault.InjectContext sites must be registered compile-time constants\n\n" +
 		"The crash harness sweeps fault.Sites(); an Inject call whose site\n" +
 		"is computed at runtime or not declared as a Site* constant in\n" +
 		"internal/fault is an injection point no sweep will ever reach.",
@@ -118,7 +119,12 @@ func exportSites(pass *analysis.Pass, files []*ast.File) {
 	}
 }
 
-// checkInjectCalls validates every call to a fault package's Inject.
+// injectArity maps each fault-package entry point to its argument count;
+// the site is always the last argument.
+var injectArity = map[string]int{"Inject": 1, "InjectContext": 2}
+
+// checkInjectCalls validates every call to a fault package's Inject or
+// InjectContext.
 func checkInjectCalls(pass *analysis.Pass, files []*ast.File) {
 	analysis.Preorder(files, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
@@ -126,16 +132,15 @@ func checkInjectCalls(pass *analysis.Pass, files []*ast.File) {
 			return
 		}
 		fn := calleeFunc(pass, call)
-		if fn == nil || fn.Name() != "Inject" || fn.Pkg() == nil ||
-			!analysis.PathMatchesAny(fn.Pkg().Path(), FaultPackageSuffixes) {
+		if fn == nil || fn.Pkg() == nil || !analysis.PathMatchesAny(fn.Pkg().Path(), FaultPackageSuffixes) {
 			return
 		}
-		if len(call.Args) != 1 {
+		if arity, entry := injectArity[fn.Name()]; !entry || len(call.Args) != arity {
 			return
 		}
-		tv, ok := pass.Info.Types[call.Args[0]]
+		tv, ok := pass.Info.Types[call.Args[len(call.Args)-1]]
 		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-			pass.Reportf(call.Pos(), "fault.Inject site must be a compile-time constant, not a runtime value")
+			pass.Reportf(call.Pos(), "fault.%s site must be a compile-time constant, not a runtime value", fn.Name())
 			return
 		}
 		site := constant.StringVal(tv.Value)
@@ -148,8 +153,8 @@ func checkInjectCalls(pass *analysis.Pass, files []*ast.File) {
 				return
 			}
 		}
-		pass.Reportf(call.Pos(), "fault.Inject site %q is not registered in %s (known sites: %s)",
-			site, fn.Pkg().Path(), strings.Join(sites, ", "))
+		pass.Reportf(call.Pos(), "fault.%s site %q is not registered in %s (known sites: %s)",
+			fn.Name(), site, fn.Pkg().Path(), strings.Join(sites, ", "))
 	})
 }
 

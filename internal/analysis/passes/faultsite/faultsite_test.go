@@ -37,14 +37,15 @@ func TestFaultsiteConsumersViaFact(t *testing.T) {
 	for _, want := range []string{
 		`duplicate fault site "parse"`,
 		`site "renderx" is not registered`,
-		`must be a compile-time constant`,
+		`fault.Inject site must be a compile-time constant`,
+		`fault.InjectContext site must be a compile-time constant`,
 	} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("missing %q in diagnostics:\n%s", want, joined)
 		}
 	}
-	if len(diags) != 3 {
-		t.Fatalf("expected exactly 3 diagnostics, got %d:\n%s", len(diags), joined)
+	if len(diags) != 4 {
+		t.Fatalf("expected exactly 4 diagnostics, got %d:\n%s", len(diags), joined)
 	}
 	// The registered-site list in the message comes from the fact: it must
 	// be the deduplicated, sorted registry.

@@ -1,6 +1,8 @@
-// Fixture registry: Site* constants plus the Inject entry point, with one
-// deliberate duplicate value.
+// Fixture registry: Site* constants plus the Inject and InjectContext
+// entry points, with one deliberate duplicate value.
 package fault
+
+import "context"
 
 // Registered injection sites.
 const (
@@ -17,4 +19,10 @@ const unrelated = "not-a-site"
 func Inject(site string) error {
 	_ = site
 	return nil
+}
+
+// InjectContext is Inject carrying an operation's context.
+func InjectContext(ctx context.Context, site string) error {
+	_ = ctx
+	return Inject(site)
 }

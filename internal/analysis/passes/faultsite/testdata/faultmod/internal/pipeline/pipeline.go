@@ -1,8 +1,12 @@
 // Fixture consumer of the fault registry: constant, literal, unregistered
-// and runtime-built Inject sites.
+// and runtime-built Inject and InjectContext sites.
 package pipeline
 
-import "example.com/internal/fault"
+import (
+	"context"
+
+	"example.com/internal/fault"
+)
 
 // viaConstant is the canonical call shape.
 func viaConstant() error {
@@ -22,4 +26,15 @@ func unregistered() error {
 // runtimeSite cannot be validated or enumerated at all.
 func runtimeSite(site string) error {
 	return fault.Inject(site) // want `fault\.Inject site must be a compile-time constant`
+}
+
+// withContext is the context-carrying call shape; its site is checked the
+// same way.
+func withContext(ctx context.Context) error {
+	return fault.InjectContext(ctx, fault.SiteRender)
+}
+
+// runtimeSiteWithContext is runtimeSite through the context entry point.
+func runtimeSiteWithContext(ctx context.Context, site string) error {
+	return fault.InjectContext(ctx, site) // want `fault\.InjectContext site must be a compile-time constant`
 }

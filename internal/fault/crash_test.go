@@ -5,6 +5,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -45,7 +46,7 @@ func TestTornFractionDeterministic(t *testing.T) {
 		var out []float64
 		for i := 0; i < 20; i++ {
 			var torn *TornError
-			if !errors.As(p.inject(SiteShardSave), &torn) {
+			if !errors.As(p.inject(context.Background(), SiteShardSave), &torn) {
 				t.Fatal("torn rule at rate 1 did not fire")
 			}
 			out = append(out, torn.Frac)

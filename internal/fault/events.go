@@ -27,10 +27,10 @@ func Instrument(in *obs.Instruments) (restore func()) {
 }
 
 // interfere sleeps for delay inside one fault-layer timed operation at
-// site, so the event starts before the delay and lasts as long. The op ID
-// is empty — Inject has no context to carry one.
-func interfere(site, kind string, delay time.Duration) {
-	t := instrument.Load().Begin(context.Background(), obs.LayerFault, site)
+// site under ctx's op ID (empty for a plain Inject), so the event starts
+// before the delay and lasts as long.
+func interfere(ctx context.Context, site, kind string, delay time.Duration) {
+	t := instrument.Load().Begin(ctx, obs.LayerFault, site)
 	time.Sleep(delay)
 	t.End("fault", "kind", kind)
 }

@@ -35,6 +35,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -343,16 +344,27 @@ func Enabled() bool { return active.Load() != nil }
 // return an injected transient error (error or torn rule). With no active
 // plan it returns nil at the cost of one atomic load. When several rules
 // fire on the same invocation, latency applies first, then crash beats
-// panic beats torn beats error.
+// panic beats torn beats error. A fired injection's event carries no op
+// ID; see InjectContext.
 func Inject(site string) error {
+	if active.Load() == nil {
+		return nil // checked here too so the no-plan path inlines into callers
+	}
+	return InjectContext(context.Background(), site)
+}
+
+// InjectContext is Inject for a caller that holds an operation's context:
+// the fault event of a fired injection carries ctx's op ID, so it joins
+// the operation it interfered with.
+func InjectContext(ctx context.Context, site string) error {
 	p := active.Load()
 	if p == nil {
 		return nil
 	}
-	return p.inject(site)
+	return p.inject(ctx, site)
 }
 
-func (p *Plan) inject(site string) error {
+func (p *Plan) inject(ctx context.Context, site string) error {
 	rules := p.rules[site]
 	if len(rules) == 0 {
 		return nil
@@ -407,7 +419,7 @@ func (p *Plan) inject(site string) error {
 		kind = "latency"
 	}
 	if kind != "" {
-		interfere(site, kind, delay)
+		interfere(ctx, site, kind, delay)
 	}
 	if doCrash {
 		crash(site, n)

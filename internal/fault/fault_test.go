@@ -47,7 +47,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		p := NewPlan(seed).Add(Rule{Site: SiteRender, Kind: KindError, Rate: 0.3})
 		var out []bool
 		for i := 0; i < 200; i++ {
-			out = append(out, p.inject(SiteRender) != nil)
+			out = append(out, p.inject(context.Background(), SiteRender) != nil)
 		}
 		return out
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"nvbench/internal/bench"
+	"nvbench/internal/fault"
 	"nvbench/internal/obs"
 	"nvbench/internal/spider"
 )
@@ -174,6 +175,31 @@ func TestDebugEventsWithoutRecorder(t *testing.T) {
 	page := decodeEventsPage(t, doGet(s, "/debug/events"))
 	if page.Total != 0 || page.Count != 0 || page.Events == nil {
 		t.Fatalf("recorderless page = %+v", page)
+	}
+}
+
+// TestServerFaultEventCarriesRequestOp checks that an injection fired at
+// the server site is recorded under the request's op ID, so
+// /debug/events?op= joins the fault to the request it slowed.
+func TestServerFaultEventCarriesRequestOp(t *testing.T) {
+	s, _ := newDebugServer(t, DefaultConfig())
+	defer fault.Instrument(s.cfg.Obs)()
+	plan, err := fault.ParsePlan("server:latency:1:1ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Activate(plan)()
+	if rec := getWithRequestID(s, "/", "abc"); rec.Code != http.StatusOK {
+		t.Fatalf("/ under a latency fault = %d", rec.Code)
+	}
+	var faults []obs.Event
+	for _, e := range decodeEventsPage(t, doGet(s, "/debug/events?op=abc")).Events {
+		if e.Layer == obs.LayerFault {
+			faults = append(faults, e)
+		}
+	}
+	if len(faults) != 1 || faults[0].Site != fault.SiteServer || faults[0].Field("kind") != "latency" {
+		t.Fatalf("fault events for op abc = %+v, want the one server latency injection", faults)
 	}
 }
 

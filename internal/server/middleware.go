@@ -89,10 +89,11 @@ func (s *Server) withShed(next http.Handler) http.Handler {
 // injectFaults is the server's registered fault site. Error-kind
 // injections answer 500 directly (handlers have no error channel to
 // propagate through); panic- and latency-kind injections pass through the
-// real recovery and timeout layers above.
+// real recovery and timeout layers above. A fired injection's event
+// carries the request's op ID.
 func (s *Server) injectFaults(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if err := fault.Inject(fault.SiteServer); err != nil {
+		if err := fault.InjectContext(r.Context(), fault.SiteServer); err != nil {
 			outcomeOf(r).set(outcomeFault)
 			http.Error(w, "injected fault", http.StatusInternalServerError)
 			return

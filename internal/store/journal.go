@@ -188,12 +188,6 @@ func recoverJournal(data []byte) journalInfo {
 	return j
 }
 
-// readJournal loads and classifies the root journal (shard journals are
-// read through their boxes).
-func (s *Store) readJournal() journalInfo {
-	return s.rootBox().readJournal()
-}
-
 // healTail positions f at its end, first completing a newline-less final
 // record (a torn append) so recovery keeps discarding exactly one line.
 func healTail(f *os.File) error {

@@ -44,7 +44,7 @@ func TestJournalRecordsCommittedSave(t *testing.T) {
 	st, m := mustSave(t, dir, b)
 	// The root journal frames the merge: begin (with build info and the
 	// shard count of the save), the manifest and sum intents, commit.
-	j := st.readJournal()
+	j := st.rootBox().readJournal()
 	if j.State != JournalClean {
 		t.Fatalf("root journal state = %s, want clean", j.State)
 	}
@@ -170,7 +170,7 @@ func TestJournalAppendHealsTornTail(t *testing.T) {
 	if err := st.rootBox().journalAppend(journalRecord{Op: opCommit}); err != nil {
 		t.Fatal(err)
 	}
-	j := st.readJournal()
+	j := st.rootBox().readJournal()
 	if j.State != JournalClean || j.TornTail {
 		t.Fatalf("append over a torn tail: state=%s torn=%t, want clean journal", j.State, j.TornTail)
 	}
@@ -258,7 +258,7 @@ func TestStatusDiagnosesInterruptedSave(t *testing.T) {
 
 	// The diagnosis must survive a reopen — it lives in the journal, not in
 	// process memory.
-	st.refreshStatus()
+	st.refreshStatus(m)
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -88,6 +88,19 @@ func (m *Manifest) EntryShards() []string {
 	return out
 }
 
+// shardRefs maps each shard the manifest lists to the content hash its
+// shard manifest must have; a nil manifest lists none.
+func (m *Manifest) shardRefs() map[string]string {
+	if m == nil {
+		return nil
+	}
+	refs := make(map[string]string, len(m.Shards))
+	for _, sr := range m.Shards {
+		refs[sr.Name] = sr.Hash
+	}
+	return refs
+}
+
 // Corruption is one artifact Verify could not validate. Paths are
 // root-relative, so a shard artifact reads "shards/03/entries/<h>.json" —
 // the prefix is what attributes damage to a shard.
@@ -174,23 +187,13 @@ func (s *Store) Verify() (*FsckReport, error) {
 			Detail: fmt.Sprintf("hash %s does not match recorded %s", hashBytes(mdata), trimSum(sum)),
 		})
 	}
-	var m Manifest
-	if err := decodeStrict(mdata, &m); err != nil {
-		rep.Corrupt = append(rep.Corrupt, Corruption{Path: manifestName, Detail: "undecodable: " + err.Error()})
-		return rep, nil
-	}
-	if !validShardCount(m.ShardCount) {
-		rep.Corrupt = append(rep.Corrupt, Corruption{
-			Path:   manifestName,
-			Detail: fmt.Sprintf("invalid shard count %d", m.ShardCount),
-		})
+	m, err := parseManifest(mdata)
+	if err != nil {
+		rep.Corrupt = append(rep.Corrupt, Corruption{Path: manifestName, Detail: err.Error()})
 		s.finishVerify(rep)
 		return rep, nil
 	}
-	refs := map[string]string{}
-	for _, sr := range m.Shards {
-		refs[sr.Name] = sr.Hash
-	}
+	refs := m.shardRefs()
 	names, err := s.shardUniverse(refs)
 	if err != nil {
 		rep.Corrupt = append(rep.Corrupt, Corruption{Path: shardsDir, Detail: err.Error()})
@@ -223,21 +226,9 @@ func (s *Store) Verify() (*FsckReport, error) {
 		}
 		parts = append(parts, shardPart{name: name, m: sm, hash: smHash})
 	}
-	for _, sr := range m.Shards {
+	if shardsIntact {
 		// Only manifests of listed shards participate in the merge; a
 		// healthy unreferenced shard directory (e.g. cache-only) does not.
-		found := false
-		for _, p := range parts {
-			if p.name == sr.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			shardsIntact = false
-		}
-	}
-	if shardsIntact {
 		merged := parts[:0:0]
 		for _, p := range parts {
 			if _, listed := refs[p.name]; listed {
@@ -326,18 +317,13 @@ func (s *Store) verifyShard(rep *FsckReport, bx box, name, wantHash string, list
 				Path:   bx.key(manifestName),
 				Detail: fmt.Sprintf("hash %s does not match the root manifest's %s", smHash, wantHash),
 			})
-			sm = nil
 		}
-		var dec ShardManifest
-		if derr := decodeStrict(smdata, &dec); derr != nil {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: bx.key(manifestName), Detail: "undecodable: " + derr.Error()})
-		} else if dec.FormatVersion != FormatVersion || dec.Shard != name || dec.ShardCount != count {
-			rep.Corrupt = append(rep.Corrupt, Corruption{
-				Path:   bx.key(manifestName),
-				Detail: fmt.Sprintf("describes shard %s of %d (format %d), found in shard %s of %d", dec.Shard, dec.ShardCount, dec.FormatVersion, name, count),
-			})
-		} else if !listed || smHash == wantHash {
-			sm = &dec
+		dec, perr := parseShardManifest(smdata, name, count)
+		switch {
+		case perr != nil:
+			rep.Corrupt = append(rep.Corrupt, Corruption{Path: bx.key(manifestName), Detail: perr.Error()})
+		case !listed || smHash == wantHash:
+			sm = dec
 		}
 	}
 	// The artifact sweep: everything the shard manifest (or, failing that,

@@ -80,12 +80,6 @@ func (r *RepairReport) Clean() bool {
 		!r.RolledForward && !r.RolledBack && !r.JournalReset && len(r.Shards) == 0
 }
 
-// moveAside relocates one root-level artifact into lost+found/ (shard
-// artifacts move through their box's moveAside).
-func (s *Store) moveAside(rel string) error {
-	return box{root: s.dir}.moveAside(rel)
-}
-
 // Repair heals the store in place and reports what it salvaged: temp
 // sweep, then every shard repaired from its own journal and artifacts
 // (each pass behind the store.shard.repair fault site), then the root
@@ -128,16 +122,14 @@ func (s *Store) repair(ctx context.Context) (*RepairReport, error) {
 	js := root.readJournal()
 	count := s.shardCount
 
-	// The root candidate: a decodable on-disk root manifest is the repair
-	// intent; a torn one moves aside and the root is re-merged from shards.
-	cand, mdataOld := s.repairRootCandidate(rep)
-	refs := map[string]string{}
-	if cand != nil {
-		for _, sr := range cand.Shards {
-			refs[sr.Name] = sr.Hash
-		}
+	// The root candidate: an on-disk root manifest that passes the parse
+	// rule is the repair intent; one that fails it moves aside and the root
+	// is re-merged from shards.
+	cand, mdataOld, perr := s.peekManifest()
+	if perr != nil && mdataOld != nil && s.rootBox().moveAside(manifestName) == nil {
+		rep.CorruptMoved = append(rep.CorruptMoved, manifestName)
 	}
-	names, err := s.shardUniverse(refs)
+	names, err := s.shardUniverse(cand.shardRefs())
 	if err != nil {
 		return nil, fmt.Errorf("store: repair: %w", err)
 	}
@@ -222,27 +214,8 @@ func (s *Store) repair(ctx context.Context) (*RepairReport, error) {
 		return nil, err
 	}
 	s.open.Shards = nil // healed: the re-read below re-diagnoses from disk
-	s.refreshStatus()
+	s.refreshStatus(m)  // the root manifest on disk is exactly m
 	return rep, nil
-}
-
-// repairRootCandidate loads the on-disk root manifest as the repair intent
-// if it decodes as the current format; an undecodable (torn) or
-// wrong-format manifest is moved aside. Returns the manifest (nil if
-// unusable) and its raw bytes.
-func (s *Store) repairRootCandidate(rep *RepairReport) (*Manifest, []byte) {
-	mdata, err := os.ReadFile(s.rootBox().path(manifestName))
-	if err != nil {
-		return nil, nil
-	}
-	var m Manifest
-	if decodeStrict(mdata, &m) != nil || m.FormatVersion != FormatVersion || !validShardCount(m.ShardCount) {
-		if s.moveAside(manifestName) == nil {
-			rep.CorruptMoved = append(rep.CorruptMoved, manifestName)
-		}
-		return nil, nil
-	}
-	return &m, mdata
 }
 
 // repairShard heals one shard directory using nothing outside it: hash
@@ -414,22 +387,22 @@ func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPa
 }
 
 // shardCandidate loads one shard's on-disk manifest as its repair intent
-// if it decodes and describes this very shard; anything else moves aside.
-// Returns (nil, raw bytes) when a corrupt candidate was moved, (nil, nil)
-// when there was none.
+// if it passes the shard parse rule; anything else moves aside. Returns
+// (nil, raw bytes) when a corrupt candidate was moved, (nil, nil) when
+// there was none.
 func shardCandidate(bx box, name string, count int, rep *RepairReport) (*ShardManifest, []byte) {
 	cdata, err := os.ReadFile(bx.path(manifestName))
 	if err != nil {
 		return nil, nil
 	}
-	var sm ShardManifest
-	if decodeStrict(cdata, &sm) != nil || sm.FormatVersion != FormatVersion || sm.Shard != name || sm.ShardCount != count {
+	sm, err := parseShardManifest(cdata, name, count)
+	if err != nil {
 		if bx.moveAside(manifestName) == nil {
 			rep.CorruptMoved = append(rep.CorruptMoved, bx.key(manifestName))
 		}
 		return nil, cdata
 	}
-	return &sm, cdata
+	return sm, cdata
 }
 
 // trimShardManifest drops references whose artifacts did not survive the

@@ -6,9 +6,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,7 +163,7 @@ func TestRepairRollsBackUncommittedSave(t *testing.T) {
 	if err := bx.writeIntended(entriesDir+"/"+h+".json", h, data); err != nil {
 		t.Fatal(err)
 	}
-	st.refreshStatus()
+	st.refreshStatus(m)
 	if r := st.Status(); r.Journal != JournalClean || len(r.Shards) != 1 ||
 		r.Shards[0].Shard != shard || r.Shards[0].Journal != JournalInProgress {
 		t.Fatalf("setup: status = %+v, want exactly shard %s in-progress", st.Status(), shard)
@@ -213,7 +215,7 @@ func TestRepairRollsForwardLandedManifest(t *testing.T) {
 	}
 	intend(manifestName)
 	intend(manifestSumName)
-	st.refreshStatus()
+	st.refreshStatus(m)
 	if r := st.Status(); r.Journal != JournalInProgress || r.PendingMissing != 0 || r.PendingTorn != 0 {
 		t.Fatalf("setup: status = %+v, want in-progress with all artifacts intact", r)
 	}
@@ -264,7 +266,7 @@ func TestRepairRebuildsTornManifestFromJournal(t *testing.T) {
 	if err := decodeStrict(mdata, &orig); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, _, err := st.loadManifest()
+	rebuilt, err := st.loadManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +276,73 @@ func TestRepairRebuildsTornManifestFromJournal(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, lostFoundDir, manifestName)); err != nil {
 		t.Fatalf("torn manifest not preserved in lost+found: %v", err)
+	}
+}
+
+// TestDamagedRootManifestFailsParseRule damages the root manifest four
+// ways and rewrites its sum to match, so the parse rule alone decides:
+// Open still succeeds (it only peeks), Load and Verify reject the
+// manifest, and Repair moves it aside and re-merges the original entries
+// from the shards.
+func TestDamagedRootManifestFailsParseRule(t *testing.T) {
+	_, b := testBench(t)
+	want := bench.Digest(b)
+	damage := []struct {
+		name string
+		fn   func(m *Manifest, mdata []byte) []byte
+	}{
+		{"undecodable", func(_ *Manifest, mdata []byte) []byte { return mdata[:len(mdata)/2] }},
+		{"unknown field", func(_ *Manifest, mdata []byte) []byte {
+			return bytes.Replace(mdata, []byte("{\n"), []byte("{\n  \"bogus\": 1,\n"), 1)
+		}},
+		{"format 3", func(_ *Manifest, mdata []byte) []byte {
+			return bytes.Replace(mdata, []byte(`"format_version": 2,`), []byte(`"format_version": 3,`), 1)
+		}},
+		{"shard count 3", func(m *Manifest, mdata []byte) []byte {
+			return bytes.Replace(mdata, []byte(fmt.Sprintf(`"shard_count": %d,`, m.ShardCount)), []byte(`"shard_count": 3,`), 1)
+		}},
+	}
+	for _, d := range damage {
+		t.Run(d.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, m := mustSave(t, dir, b)
+			path := filepath.Join(dir, manifestName)
+			mdata, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := d.fn(m, mdata)
+			if bytes.Equal(bad, mdata) {
+				t.Fatal("damage left the manifest unchanged")
+			}
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, manifestSumName), []byte(hashBytes(bad)+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if _, _, err := st.Load(); err == nil {
+				t.Fatal("Load accepted a manifest that fails the parse rule")
+			}
+			if frep, err := st.Verify(); err != nil || frep.OK() {
+				t.Fatalf("Verify = (%+v, %v), want a finding", frep, err)
+			}
+			rep := mustRepair(t, st)
+			if !slices.Contains(rep.CorruptMoved, manifestName) {
+				t.Fatalf("corrupt moved = %v, want %s", rep.CorruptMoved, manifestName)
+			}
+			loaded, _, err := st.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bench.Digest(loaded); got != want {
+				t.Fatalf("repaired store loads digest %s, want the original %s", got, want)
+			}
+		})
 	}
 }
 

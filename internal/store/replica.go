@@ -162,7 +162,7 @@ func (s *Store) selectServing() {
 	if s.replicas <= 1 {
 		return
 	}
-	m, _, err := s.loadManifest()
+	m, err := s.loadManifest()
 	if err != nil {
 		return
 	}

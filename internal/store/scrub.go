@@ -105,7 +105,8 @@ func (s *Store) scrub(ctx context.Context) (*ScrubReport, error) {
 		rep.Repair = rr
 	}
 	s.addScrubRepaired(len(rep.Repaired))
-	s.refreshStatus()
+	m, _, _ := s.peekManifest() // nil when it fails: no linkage to check
+	s.refreshStatus(m)
 	s.selectServing()
 	return rep, nil
 }
@@ -123,8 +124,8 @@ type scrubArtifact struct {
 // rest from one of them. Returns whether escalation to Repair is needed —
 // an artifact, shard manifest, or journal bad in every replica.
 func (s *Store) scrubCopies(ctx context.Context, rep *ScrubReport) (escalate bool, err error) {
-	m, _, err := s.loadManifest()
-	if err != nil || m.FormatVersion != FormatVersion {
+	m, err := s.loadManifest()
+	if err != nil {
 		// No usable root manifest: only Repair's root rebuild can help.
 		return true, nil
 	}
@@ -133,7 +134,7 @@ func (s *Store) scrubCopies(ctx context.Context, rep *ScrubReport) (escalate boo
 			return escalate, fmt.Errorf("store: scrub: %w", err)
 		}
 		rep.Shards++
-		esc, err := s.scrubShard(sr, rep)
+		esc, err := s.scrubShard(sr, m.ShardCount, rep)
 		if err != nil {
 			return escalate, err
 		}
@@ -142,8 +143,8 @@ func (s *Store) scrubCopies(ctx context.Context, rep *ScrubReport) (escalate boo
 	return escalate, nil
 }
 
-// scrubShard heals one shard across all replicas.
-func (s *Store) scrubShard(sr ShardRef, rep *ScrubReport) (escalate bool, err error) {
+// scrubShard heals one shard of a count-shard layout across all replicas.
+func (s *Store) scrubShard(sr ShardRef, count int, rep *ScrubReport) (escalate bool, err error) {
 	// The truth copy: the first replica whose shard manifest hashes to the
 	// root manifest's expectation. Without one the shard's artifact set is
 	// unknowable here — Repair rebuilds it from surviving entry records.
@@ -160,10 +161,10 @@ func (s *Store) scrubShard(sr ShardRef, rep *ScrubReport) (escalate bool, err er
 		rep.Unrecoverable = append(rep.Unrecoverable, s.replicaShardRel(0, sr.Name)+"/"+manifestName)
 		return true, nil
 	}
-	var sm ShardManifest
-	if derr := decodeStrict(smdata, &sm); derr != nil {
-		// Hashes true yet undecodable: the root manifest itself references
-		// garbage. Only a repair can untangle that.
+	sm, perr := parseShardManifest(smdata, sr.Name, count)
+	if perr != nil {
+		// Hashes true yet fails the parse rule: the root manifest itself
+		// references garbage. Only a repair can untangle that.
 		rep.Unrecoverable = append(rep.Unrecoverable, s.replicaShardRel(0, sr.Name)+"/"+manifestName)
 		return true, nil
 	}

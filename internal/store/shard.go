@@ -98,6 +98,21 @@ type ShardManifest struct {
 	Entries       []EntryRef `json:"entries"`
 }
 
+// parseShardManifest is the one validity rule for a shard manifest: a
+// strict decode, the current format, and shard name of count. Its error
+// doubles as a Verify finding.
+func parseShardManifest(data []byte, name string, count int) (*ShardManifest, error) {
+	var sm ShardManifest
+	if err := decodeStrict(data, &sm); err != nil {
+		return nil, fmt.Errorf("undecodable: %w", err)
+	}
+	if sm.FormatVersion != FormatVersion || sm.Shard != name || sm.ShardCount != count {
+		return nil, fmt.Errorf("describes shard %s of %d (format %d), found in shard %s of %d",
+			sm.Shard, sm.ShardCount, sm.FormatVersion, name, count)
+	}
+	return &sm, nil
+}
+
 // shardPart is one shard's contribution to the root merge.
 type shardPart struct {
 	name string
@@ -177,25 +192,6 @@ func (s *Store) shardDirsIn(rel string) ([]string, error) {
 		}
 	}
 	return names, nil
-}
-
-// rootShardRefs reads the root manifest's shard list best-effort: a store
-// whose root manifest is torn or missing simply has no expectations to
-// check shards against.
-func (s *Store) rootShardRefs() map[string]string {
-	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if err != nil {
-		return nil
-	}
-	var m Manifest
-	if decodeStrict(data, &m) != nil || m.FormatVersion != FormatVersion {
-		return nil
-	}
-	refs := make(map[string]string, len(m.Shards))
-	for _, sr := range m.Shards {
-		refs[sr.Name] = sr.Hash
-	}
-	return refs
 }
 
 // shardUniverse is every shard that exists on disk (in any replica) or is

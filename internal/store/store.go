@@ -55,10 +55,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -185,7 +185,8 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	s := &Store{dir: dir, shardCount: DefaultShardCount, replicas: 1, saveWorkers: runtime.GOMAXPROCS(0)}
-	if err := s.detectLayout(); err != nil {
+	m, err := s.detectLayout()
+	if err != nil {
 		return nil, err
 	}
 	swept, err := s.sweepAllTemps()
@@ -193,30 +194,26 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	s.open.TempsSwept = swept
-	s.refreshStatus()
+	s.refreshStatus(m)
 	return s, nil
 }
 
 // detectLayout decides, from what is on disk, what shard and replica
 // counts the store uses, and refuses a format-1 store. It must work on
-// stores Verify would reject, so it peeks rather than validates.
-func (s *Store) detectLayout() error {
-	if data, err := os.ReadFile(filepath.Join(s.dir, manifestName)); err == nil {
-		var m Manifest
-		if decodeStrict(data, &m) == nil {
-			if m.FormatVersion == 1 {
-				return fmt.Errorf("store: open %s: format 1 (the flat pre-shard layout) is not supported; rebuild the benchmark into a fresh store with -save", s.dir)
-			}
-			if m.FormatVersion == FormatVersion && validShardCount(m.ShardCount) {
-				s.shardCount = m.ShardCount
-				s.countFixed = true
-				if validReplicaCount(m.ReplicaCount) {
-					s.replicas = m.ReplicaCount
-				}
-				s.replicasFixed = true // zero ReplicaCount pins the single-copy layout
-				return nil
-			}
+// stores Verify would reject, so it peeks, and returns what it peeked.
+func (s *Store) detectLayout() (*Manifest, error) {
+	m, _, err := s.peekManifest()
+	if errors.Is(err, formatVersionError(1)) {
+		return nil, fmt.Errorf("store: open %s: format 1 (the flat pre-shard layout) is not supported; rebuild the benchmark into a fresh store with -save", s.dir)
+	}
+	if m != nil {
+		s.shardCount = m.ShardCount
+		s.countFixed = true
+		if validReplicaCount(m.ReplicaCount) {
+			s.replicas = m.ReplicaCount
 		}
+		s.replicasFixed = true // zero ReplicaCount pins the single-copy layout
+		return m, nil
 	}
 	// Torn or absent root manifest: the root journal's begin record carries
 	// the shard and replica counts of the save that was in flight.
@@ -227,7 +224,7 @@ func (s *Store) detectLayout() error {
 			s.replicas = j.Begin.Replicas
 		}
 		s.replicasFixed = true
-		return nil
+		return nil, nil
 	}
 	// Manifest and journal both gone: replica directories on disk still
 	// witness a replicated layout.
@@ -235,7 +232,7 @@ func (s *Store) detectLayout() error {
 		s.replicas = n
 		s.replicasFixed = true
 	}
-	return nil
+	return nil, nil
 }
 
 // Dir returns the store's root directory.
@@ -290,15 +287,16 @@ func classifyIntents(bx box, j journalInfo) (intents, missing, torn int) {
 
 // refreshStatus re-reads every journal into the open report: the root
 // journal for the save-in-flight diagnosis, then each shard's journal and
-// manifest linkage, keeping only the shards with something wrong.
-func (s *Store) refreshStatus() {
+// linkage to m, the root manifest on disk (nil: none to check against),
+// keeping only the shards with something wrong.
+func (s *Store) refreshStatus(m *Manifest) {
 	root := s.rootBox()
 	j := root.readJournal()
 	s.open.Journal = j.State
 	s.open.PendingIntents, s.open.PendingMissing, s.open.PendingTorn = classifyIntents(root, j)
 	s.open.ShardCount = s.shardCount
 	s.open.Shards = nil
-	refs := s.rootShardRefs()
+	refs := m.shardRefs()
 	names, err := s.shardUniverse(refs)
 	if err != nil {
 		return // unreadable shards/ dir: the root diagnosis stands alone
@@ -469,53 +467,84 @@ func (s *Store) save(ctx context.Context, b *bench.Benchmark, info BuildInfo) (*
 		return nil, err
 	}
 	root := s.rootBox()
-	if err := root.journalBegin(journalRecord{Build: &info, Shards: count, Replicas: s.manifestReplicas()}); err != nil {
-		s.refreshStatus()
-		return nil, err
+	err = root.journalBegin(journalRecord{Build: &info, Shards: count, Replicas: s.manifestReplicas()})
+	if err == nil {
+		err = s.saveShards(ctx, plans, info, count)
 	}
-	if err := s.saveShards(ctx, plans, info, count); err != nil {
+	if err == nil {
+		err = root.commitManifest(mdata)
+	}
+	if err != nil {
 		// The root journal keeps its uncommitted begin: an aborted save is
 		// a dirty store, and the report says so until Repair (or a
 		// completed re-save) heals it.
-		s.refreshStatus()
-		return nil, err
-	}
-	if err := root.commitManifest(mdata); err != nil {
-		s.refreshStatus()
+		prior, _, _ := s.peekManifest()
+		s.refreshStatus(prior)
 		return nil, err
 	}
 	s.countFixed = true
 	s.replicasFixed = true
 	s.setIndexed(b, m)
-	s.refreshStatus()
+	s.refreshStatus(m) // the committed bytes are exactly m
 	return m, nil
 }
 
-// loadManifest reads and self-checks the root manifest, returning it with
-// its raw bytes.
-func (s *Store) loadManifest() (*Manifest, []byte, error) {
-	data, err := s.rootBox().readArtifact(manifestName)
+// formatVersionError is parseManifest's rejection of a manifest that
+// decodes but names another format; Open singles out format 1.
+type formatVersionError int
+
+func (v formatVersionError) Error() string {
+	return fmt.Sprintf("format version %d, this build reads %d", int(v), FormatVersion)
+}
+
+// parseManifest is the one validity rule for a root manifest: a strict
+// decode, the current format, a usable shard count. Its error doubles as
+// a Verify finding.
+func parseManifest(data []byte) (*Manifest, error) {
+	var m Manifest
+	if err := decodeStrict(data, &m); err != nil {
+		return nil, fmt.Errorf("undecodable: %w", err)
+	}
+	if m.FormatVersion != FormatVersion {
+		return nil, formatVersionError(m.FormatVersion)
+	}
+	if !validShardCount(m.ShardCount) {
+		return nil, fmt.Errorf("invalid shard count %d", m.ShardCount)
+	}
+	return &m, nil
+}
+
+// peekManifest is the best-effort read of the root manifest — no fault
+// site, no sum check — for callers that must work on stores Verify would
+// reject. data is nil only when the file could not be read.
+func (s *Store) peekManifest() (m *Manifest, data []byte, err error) {
+	data, err = os.ReadFile(s.rootBox().path(manifestName))
 	if err != nil {
 		return nil, nil, err
+	}
+	m, err = parseManifest(data)
+	return m, data, err
+}
+
+// loadManifest reads the root manifest through the store.load fault site,
+// checks it against its recorded sum, and parses it.
+func (s *Store) loadManifest() (*Manifest, error) {
+	data, err := s.rootBox().readArtifact(manifestName)
+	if err != nil {
+		return nil, err
 	}
 	sum, err := s.rootBox().readArtifact(manifestSumName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if want, got := trimSum(sum), hashBytes(data); want != got {
-		return nil, nil, fmt.Errorf("store: %s corrupt: hash %s does not match %s", manifestName, got, want)
+		return nil, fmt.Errorf("store: %s corrupt: hash %s does not match %s", manifestName, got, want)
 	}
-	var m Manifest
-	if err := decodeStrict(data, &m); err != nil {
-		return nil, nil, fmt.Errorf("store: decode %s: %w", manifestName, err)
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", manifestName, err)
 	}
-	if m.FormatVersion != FormatVersion {
-		return nil, nil, fmt.Errorf("store: format version %d, this build reads %d", m.FormatVersion, FormatVersion)
-	}
-	if !validShardCount(m.ShardCount) {
-		return nil, nil, fmt.Errorf("store: %s: invalid shard count %d", manifestName, m.ShardCount)
-	}
-	return &m, data, nil
+	return m, nil
 }
 
 // ShardFailure is one shard LoadPartial could not serve.
@@ -574,7 +603,7 @@ func (s *Store) load(partial bool) (*bench.Benchmark, *Manifest, []ShardFailure,
 // to the entries actually loaded; in strict mode there are no failures to
 // prune.
 func (s *Store) loadShards(ctx context.Context, partial bool) (*bench.Benchmark, *Manifest, []ShardFailure, error) {
-	m, _, err := s.loadManifest()
+	m, err := s.loadManifest()
 	if err != nil {
 		return nil, nil, nil, err
 	}

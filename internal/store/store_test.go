@@ -287,6 +287,43 @@ func TestVerifyDetectsManifestTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyUndecodableManifestStillChecksJournal pins Verify's one exit
+// for a root manifest that fails the parse rule: the walk still checks
+// the root journal and sorts its findings, so a torn manifest left by a
+// save in flight is reported with the incomplete save that explains it.
+func TestVerifyUndecodableManifestStillChecksJournal(t *testing.T) {
+	_, b := testBench(t)
+	dir := t.TempDir()
+	st, m := mustSave(t, dir, b)
+	path := filepath.Join(dir, manifestName)
+	mdata, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, mdata[:len(mdata)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.rootBox().journalBegin(journalRecord{Build: &m.Build, Shards: m.ShardCount}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := st.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checked != 2 {
+		t.Fatalf("checked %d artifacts, want the root manifest and the root journal", rep.Checked)
+	}
+	if len(rep.Corrupt) != 3 || rep.Corrupt[0].Path != journalName ||
+		!strings.Contains(rep.Corrupt[0].Detail, "incomplete save") {
+		t.Fatalf("corrupt = %+v, want the incomplete-save journal finding first, then the two manifest findings", rep.Corrupt)
+	}
+	for _, c := range rep.Corrupt[1:] {
+		if c.Path != manifestName {
+			t.Fatalf("corrupt = %+v, want the other findings on %s", rep.Corrupt, manifestName)
+		}
+	}
+}
+
 func TestVerifyDetectsMissingArtifact(t *testing.T) {
 	_, b := testBench(t)
 	dir := t.TempDir()
