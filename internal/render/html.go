@@ -2,10 +2,35 @@ package render
 
 import (
 	"encoding/json"
-	"fmt"
+	"unicode/utf8"
 
 	"nvbench/internal/ast"
 	"nvbench/internal/dataset"
+)
+
+// The page template, split where AppendHTMLPage writes the title, the
+// caller's header fragment and the spec.
+const (
+	pageHead = `<!DOCTYPE html>
+<html>
+<head>
+  <meta charset="utf-8">
+  <title>`
+	pageBody = `</title>
+  <script src="https://cdn.jsdelivr.net/npm/vega@5"></script>
+  <script src="https://cdn.jsdelivr.net/npm/vega-lite@5"></script>
+  <script src="https://cdn.jsdelivr.net/npm/vega-embed@6"></script>
+</head>
+<body>
+  `
+	pageVis = `<div id="vis"></div>
+  <script>
+    vegaEmbed("#vis", `
+	pageTail = `);
+  </script>
+</body>
+</html>
+`
 )
 
 // HTMLPage wraps a Vega-Lite spec in a self-contained HTML document that
@@ -17,23 +42,21 @@ func HTMLPage(title string, vegaSpec []byte) []byte {
 	if err := json.Unmarshal(vegaSpec, &check); err != nil {
 		vegaSpec = []byte("{}")
 	}
-	return []byte(fmt.Sprintf(`<!DOCTYPE html>
-<html>
-<head>
-  <meta charset="utf-8">
-  <title>%s</title>
-  <script src="https://cdn.jsdelivr.net/npm/vega@5"></script>
-  <script src="https://cdn.jsdelivr.net/npm/vega-lite@5"></script>
-  <script src="https://cdn.jsdelivr.net/npm/vega-embed@6"></script>
-</head>
-<body>
-  <div id="vis"></div>
-  <script>
-    vegaEmbed("#vis", %s);
-  </script>
-</body>
-</html>
-`, htmlEscape(title), vegaSpec))
+	return AppendHTMLPage(nil, title, nil, vegaSpec)
+}
+
+// AppendHTMLPage appends HTMLPage's document to dst with header, raw HTML,
+// placed just before the chart container. The spec is written as given,
+// unchecked: pass JSON that VegaLite produced, and anything else through
+// HTMLPage.
+func AppendHTMLPage(dst []byte, title string, header, vegaSpec []byte) []byte {
+	dst = append(dst, pageHead...)
+	dst = appendTitle(dst, title)
+	dst = append(dst, pageBody...)
+	dst = append(dst, header...)
+	dst = append(dst, pageVis...)
+	dst = append(dst, vegaSpec...)
+	return append(dst, pageTail...)
 }
 
 // Page executes the vis query and returns a complete HTML document.
@@ -45,19 +68,20 @@ func Page(db *dataset.Database, q *ast.Query, title string) ([]byte, error) {
 	return HTMLPage(title, spec), nil
 }
 
-func htmlEscape(s string) string {
-	out := make([]rune, 0, len(s))
+// appendTitle appends s with <, > and & escaped, rune by rune, so an
+// invalid UTF-8 byte becomes U+FFFD.
+func appendTitle(dst []byte, s string) []byte {
 	for _, r := range s {
 		switch r {
 		case '<':
-			out = append(out, []rune("&lt;")...)
+			dst = append(dst, "&lt;"...)
 		case '>':
-			out = append(out, []rune("&gt;")...)
+			dst = append(dst, "&gt;"...)
 		case '&':
-			out = append(out, []rune("&amp;")...)
+			dst = append(dst, "&amp;"...)
 		default:
-			out = append(out, r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return string(out)
+	return dst
 }

@@ -1,7 +1,9 @@
 package render
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -261,6 +263,65 @@ func TestHTMLPage(t *testing.T) {
 	broken := HTMLPage("x", []byte("{not json"))
 	if !strings.Contains(string(broken), "vegaEmbed(\"#vis\", {})") {
 		t.Error("broken spec should degrade to {}")
+	}
+}
+
+// oracleHTMLPage is HTMLPage's document as one fmt template, with the
+// escaping it has always had: <, > and & only, rune by rune.
+func oracleHTMLPage(title string, vegaSpec []byte) []byte {
+	var check map[string]any
+	if err := json.Unmarshal(vegaSpec, &check); err != nil {
+		vegaSpec = []byte("{}")
+	}
+	var esc []rune
+	for _, r := range title {
+		switch r {
+		case '<':
+			esc = append(esc, []rune("&lt;")...)
+		case '>':
+			esc = append(esc, []rune("&gt;")...)
+		case '&':
+			esc = append(esc, []rune("&amp;")...)
+		default:
+			esc = append(esc, r)
+		}
+	}
+	return []byte(fmt.Sprintf(`<!DOCTYPE html>
+<html>
+<head>
+  <meta charset="utf-8">
+  <title>%s</title>
+  <script src="https://cdn.jsdelivr.net/npm/vega@5"></script>
+  <script src="https://cdn.jsdelivr.net/npm/vega-lite@5"></script>
+  <script src="https://cdn.jsdelivr.net/npm/vega-embed@6"></script>
+</head>
+<body>
+  <div id="vis"></div>
+  <script>
+    vegaEmbed("#vis", %s);
+  </script>
+</body>
+</html>
+`, string(esc), vegaSpec))
+}
+
+func TestHTMLPageMatchesTemplate(t *testing.T) {
+	for _, title := range []string{"", "entry 7", `a <b> & 'c' "d"`, "bad \xff\xc3 utf8", "📊"} {
+		for _, spec := range []string{`{"mark": "bar"}`, "{not json", "[1, 2]", ""} {
+			got, want := HTMLPage(title, []byte(spec)), oracleHTMLPage(title, []byte(spec))
+			if !bytes.Equal(got, want) {
+				t.Errorf("HTMLPage(%q, %q):\n%s\nwant\n%s", title, spec, got, want)
+			}
+		}
+	}
+	// A header fragment lands just before the chart container, as the
+	// entry pages used to splice it in.
+	header := []byte("<h1>entry 7</h1><ul><li>nl</li></ul>")
+	got := AppendHTMLPage([]byte("prefix:"), "entry 7", header, []byte(`{"mark": "bar"}`))
+	want := "prefix:" + strings.Replace(string(oracleHTMLPage("entry 7", []byte(`{"mark": "bar"}`))),
+		`<div id="vis"></div>`, string(header)+`<div id="vis"></div>`, 1)
+	if string(got) != want {
+		t.Errorf("AppendHTMLPage with a header:\n%s\nwant\n%s", got, want)
 	}
 }
 

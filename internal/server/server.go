@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"html"
 	"log"
 	"net"
 	"net/http"
@@ -64,10 +63,15 @@ type Server struct {
 	cfg     Config
 	ready   atomic.Bool
 	handler http.Handler
+	// bodies holds each entry's /api/entry/N response body, encoded once
+	// at construction, positionally aligned with Bench.Entries.
+	bodies [][]byte
+	// index is the / page, built once at construction.
+	index []byte
 	// etags holds one strong cache validator per entry, positionally
-	// aligned with Bench.Entries. Defaults to a hash of each entry's JSON
-	// representation; a store-backed server overrides them with the
-	// manifest's content hashes via SetEntryETags.
+	// aligned with Bench.Entries. Defaults to the SHA-256 of each entry's
+	// body; a store-backed server overrides them with the manifest's
+	// content hashes via SetEntryETags.
 	etags []string
 	// byID maps entry ID to its position in Bench.Entries. The two differ
 	// on a partially loaded store, where a lost shard leaves ID gaps.
@@ -156,17 +160,13 @@ func NewWithConfig(b *bench.Benchmark, cfg Config) *Server {
 	if s.ids == nil {
 		s.ids = obs.NewIDGen(cfg.Obs.Clock)
 	}
+	s.bodies = encodeEntries(b.Entries)
+	s.index = bytes.Clone(appendIndex(nil, b))
 	s.etags = make([]string, len(b.Entries))
 	s.byID = make(map[int]int, len(b.Entries))
 	for i, e := range b.Entries {
 		s.byID[e.ID] = i
-		data, err := json.Marshal(toAPI(e))
-		if err != nil {
-			// An entry that cannot marshal would fail every handler anyway;
-			// an empty validator just disables caching for it.
-			continue
-		}
-		sum := sha256.Sum256(data)
+		sum := sha256.Sum256(s.bodies[i])
 		s.etags[i] = hex.EncodeToString(sum[:])
 	}
 	s.engine = vql.NewEngine(b)
@@ -235,13 +235,12 @@ func (s *Server) SetEntryShards(shards []string) error {
 	return nil
 }
 
-// notModified sets the entry's cache-validator headers and answers an
-// If-None-Match hit with 304, reporting whether the response is complete.
-// Validators are strong — two entries with the same bytes revalidate
-// interchangeably.
-func (s *Server) notModified(w http.ResponseWriter, r *http.Request, e *bench.Entry) bool {
-	i, ok := s.byID[e.ID]
-	if !ok || i >= len(s.etags) || s.etags[i] == "" {
+// notModified sets the cache-validator headers of the entry at position
+// i and answers an If-None-Match hit with 304, reporting whether the
+// response is complete. Validators are strong — two entries with the same
+// bytes revalidate interchangeably.
+func (s *Server) notModified(w http.ResponseWriter, r *http.Request, i int) bool {
+	if s.etags[i] == "" {
 		return false
 	}
 	return revalidate(w, r, `"`+s.etags[i]+`"`)
@@ -404,70 +403,49 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	var sb strings.Builder
-	sb.WriteString("<!DOCTYPE html><html><head><title>nvbench browser</title></head><body>")
-	fmt.Fprintf(&sb, "<h1>nvbench — %d vis objects, %d (nl, vis) pairs</h1><table border=1 cellpadding=4>",
-		len(s.Bench.Entries), s.Bench.NumPairs())
-	sb.WriteString("<tr><th>id</th><th>chart</th><th>hardness</th><th>database</th><th>first nl</th></tr>")
-	for _, e := range s.Bench.Entries {
-		nl := ""
-		if len(e.NLs) > 0 {
-			nl = e.NLs[0]
-		}
-		fmt.Fprintf(&sb, `<tr><td><a href="/entry/%d">%d</a></td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>`,
-			e.ID, e.ID, html.EscapeString(e.Chart.String()), html.EscapeString(e.Hardness.String()),
-			html.EscapeString(e.DB.Name), html.EscapeString(nl))
-	}
-	sb.WriteString("</table></body></html>")
-	writeBytes(s, w, []byte(sb.String()))
+	writeBytes(s, w, s.index)
 }
 
-// entryByPath resolves an entry from a URL path. The "/vega" suffix is
-// only meaningful under /api/entry/; HTML routes pass allowVega=false and
-// get a 404 for it.
-func (s *Server) entryByPath(path, prefix string, allowVega bool) (*bench.Entry, error) {
+// entryByPath resolves an entry's position in Bench.Entries from a URL
+// path. The "/vega" suffix is only meaningful under /api/entry/; HTML
+// routes pass allowVega=false and get a 404 for it.
+func (s *Server) entryByPath(path, prefix string, allowVega bool) (int, error) {
 	idStr := strings.TrimPrefix(path, prefix)
 	if allowVega {
 		idStr = strings.TrimSuffix(idStr, "/vega")
 	}
 	id, err := strconv.Atoi(idStr)
 	if err != nil {
-		return nil, fmt.Errorf("bad entry id %q", idStr)
+		return 0, fmt.Errorf("bad entry id %q", idStr)
 	}
 	i, ok := s.byID[id]
 	if !ok {
-		return nil, fmt.Errorf("no entry %d", id)
+		return 0, fmt.Errorf("no entry %d", id)
 	}
-	return s.Bench.Entries[i], nil
+	return i, nil
 }
 
 func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByPath(r.URL.Path, "/entry/", false)
+	i, err := s.entryByPath(r.URL.Path, "/entry/", false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if s.notModified(w, r, e) {
+	if s.notModified(w, r, i) {
 		return
 	}
+	e := s.Bench.Entries[i]
 	spec, err := s.renderSpec(r.Context(), e)
 	if err != nil {
 		http.Error(w, "render: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "<h1>entry %d — %s (%s)</h1><p><code>%s</code></p><ul>",
-		e.ID, html.EscapeString(e.Chart.String()), html.EscapeString(e.Hardness.String()),
-		html.EscapeString(e.Vis.String()))
-	for _, nl := range e.NLs {
-		fmt.Fprintf(&sb, "<li>%s</li>", html.EscapeString(nl))
-	}
-	sb.WriteString(`</ul><div id="vis"></div>`)
-	page := string(render.HTMLPage(fmt.Sprintf("entry %d", e.ID), spec))
-	// Inject the entry header before the chart container.
-	page = strings.Replace(page, `<div id="vis"></div>`, sb.String(), 1)
+	header := appendEntryHeader(nil, e)
+	// The page template itself is well under 1 KB.
+	page := make([]byte, 0, len(header)+len(spec)+1024)
+	page = render.AppendHTMLPage(page, "entry "+strconv.Itoa(e.ID), header, spec)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	writeBytes(s, w, []byte(page))
+	writeBytes(s, w, page)
 }
 
 // renderSpec renders one entry's Vega-Lite spec as a render stage
@@ -483,39 +461,11 @@ func (s *Server) renderSpec(ctx context.Context, e *bench.Entry) (json.RawMessag
 	return spec, err
 }
 
-// apiEntry is the JSON shape of one entry.
-type apiEntry struct {
-	ID       int      `json:"id"`
-	Database string   `json:"database"`
-	Domain   string   `json:"domain"`
-	Chart    string   `json:"chart"`
-	Hardness string   `json:"hardness"`
-	VQL      string   `json:"vql"`
-	NLs      []string `json:"nl_queries"`
-	Manual   bool     `json:"manual_nl"`
-}
-
-func toAPI(e *bench.Entry) apiEntry {
-	return apiEntry{
-		ID: e.ID, Database: e.DB.Name, Domain: e.DB.Domain,
-		Chart: e.Chart.String(), Hardness: e.Hardness.String(),
-		VQL: e.Vis.String(), NLs: e.NLs, Manual: e.Manual,
-	}
-}
-
 // Pagination bounds for /api/entries.
 const (
 	defaultPageLimit = 100
 	maxPageLimit     = 1000
 )
-
-// entriesPage is the paginated JSON shape of /api/entries.
-type entriesPage struct {
-	Total   int        `json:"total"`
-	Offset  int        `json:"offset"`
-	Limit   int        `json:"limit"`
-	Entries []apiEntry `json:"entries"`
-}
 
 // pageParam parses one non-negative integer query parameter.
 func pageParam(r *http.Request, name string, def int) (int, error) {
@@ -554,24 +504,23 @@ func (s *Server) handleAPIEntries(w http.ResponseWriter, r *http.Request) {
 	if end > total {
 		end = total
 	}
-	page := entriesPage{Total: total, Offset: offset, Limit: limit, Entries: make([]apiEntry, 0, end-start)}
-	for _, e := range s.Bench.Entries[start:end] {
-		page.Entries = append(page.Entries, toAPI(e))
-	}
-	writeJSON(s, w, page)
+	bodies := s.bodies[start:end]
+	page := appendEntriesPage(make([]byte, 0, entriesPageSize(bodies)), total, offset, limit, bodies)
+	w.Header().Set("Content-Type", "application/json")
+	writeBytes(s, w, page)
 }
 
 func (s *Server) handleAPIEntry(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByPath(r.URL.Path, "/api/entry/", true)
+	i, err := s.entryByPath(r.URL.Path, "/api/entry/", true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if s.notModified(w, r, e) {
+	if s.notModified(w, r, i) {
 		return
 	}
 	if strings.HasSuffix(r.URL.Path, "/vega") {
-		spec, err := s.renderSpec(r.Context(), e)
+		spec, err := s.renderSpec(r.Context(), s.Bench.Entries[i])
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -580,7 +529,8 @@ func (s *Server) handleAPIEntry(w http.ResponseWriter, r *http.Request) {
 		writeBytes(s, w, spec)
 		return
 	}
-	writeJSON(s, w, toAPI(e))
+	w.Header().Set("Content-Type", "application/json")
+	writeBytes(s, w, s.bodies[i])
 }
 
 // writeJSON encodes v and writes it in one shot. Encoding happens before

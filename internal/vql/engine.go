@@ -3,6 +3,7 @@ package vql
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"nvbench/internal/bench"
 )
@@ -108,6 +109,8 @@ func NewEngine(b *bench.Benchmark) *Engine {
 		if len(e.NLs) > 0 {
 			nl = e.NLs[0]
 		}
+		// Vis.String() is its tokens joined by spaces: render the tree once.
+		toks := e.Vis.Tokens()
 		entries.rows = append(entries.rows, []Value{
 			Number(float64(e.ID)),
 			Number(float64(e.PairID)),
@@ -119,8 +122,8 @@ func NewEngine(b *bench.Benchmark) *Engine {
 			StringVal(nl),
 			Number(float64(len(e.NLs))),
 			StringVal(e.SourceNL),
-			StringVal(e.Vis.String()),
-			Number(float64(len(e.Vis.Tokens()))),
+			StringVal(strings.Join(toks, " ")),
+			Number(float64(len(toks))),
 		})
 	}
 	stats := newTable("stats", statsSchema)

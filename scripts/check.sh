@@ -38,6 +38,12 @@ go test -race ./internal/fault ./internal/deepeye ./internal/bench ./internal/se
 echo "== obsguard: metrics registry, wide-event recorder, golden exposition and trace under -race"
 go test -race ./internal/obs
 
+# Go minimizes every new-coverage input before it reports it, up to 60 s
+# by default; with KB-sized seeds that fills a whole 5 s window, so the
+# cap is one minimization exec. A target fails the step unless its last
+# progress line counts more execs than its corpus total: a fuzzer that
+# only ran its seeds did not fuzz. (A large cached corpus can do this
+# too; `go clean -fuzzcache` empties it.)
 echo "== crashguard: fuzzers"
 for target in \
     "FuzzEntryCodec ./internal/store" \
@@ -52,7 +58,18 @@ for target in \
     "FuzzParseString ./internal/ast" \
     "FuzzPairwise ./internal/bleu"; do
     set -- $target
-    go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s "$2"
+    out=$(go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 1x "$2" 2>&1) || {
+        printf '%s\n' "$out"
+        exit 1
+    }
+    printf '%s\n' "$out"
+    last=$(printf '%s\n' "$out" | grep 'execs: [0-9]* .*(total: [0-9]*)' | tail -n 1 || true)
+    execs=$(printf '%s' "$last" | sed -E 's/.*execs: ([0-9]+) .*/\1/')
+    total=$(printf '%s' "$last" | sed -E 's/.*\(total: ([0-9]+)\).*/\1/')
+    if [ -z "$last" ] || [ "$execs" -le "$total" ]; then
+        echo "crashguard: $1 ran ${execs:-no} execs for a corpus of ${total:-unknown}: it did not fuzz" >&2
+        exit 1
+    fi
 done
 
 echo "check: OK"
