@@ -54,7 +54,7 @@ const (
 	SiteExecute    = "execute"    // deepeye.Execute (query execution, before featurization)
 	SiteClassify   = "classify"   // deepeye classifier scoring
 	SiteVariants   = "variants"   // bench NL-variant generation
-	SiteRender     = "render"     // render.VegaLite
+	SiteRender     = "render"     // render.VegaLite and the server's cached-spec hits
 	SiteServer     = "server"     // server per-request middleware
 	SiteStoreLoad  = "store.load" // store artifact reads (Load, Verify, cache Get)
 

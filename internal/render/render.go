@@ -6,6 +6,7 @@
 package render
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -16,7 +17,13 @@ import (
 
 // VegaLite executes the vis query and renders a Vega-Lite v5 specification.
 func VegaLite(db *dataset.Database, q *ast.Query) ([]byte, error) {
-	if err := fault.Inject(fault.SiteRender); err != nil {
+	return VegaLiteContext(context.Background(), db, q)
+}
+
+// VegaLiteContext is VegaLite for a caller that holds an operation's
+// context: a fired render fault's event carries ctx's op ID.
+func VegaLiteContext(ctx context.Context, db *dataset.Database, q *ast.Query) ([]byte, error) {
+	if err := fault.InjectContext(ctx, fault.SiteRender); err != nil {
 		return nil, fmt.Errorf("render: %w", err)
 	}
 	res, err := dataset.Execute(db, q)

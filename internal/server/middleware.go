@@ -166,7 +166,7 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 			if outcome == "" {
 				outcome = classifyStatus(rec.status())
 			}
-			in.Inc(obs.L(obs.HTTPRequests, "outcome", outcome, "route", route))
+			in.Inc(s.requestSeries[requestKey{route, outcome}])
 			t.End(outcome,
 				"method", r.Method,
 				"status", strconv.Itoa(rec.status()),

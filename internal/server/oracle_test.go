@@ -171,14 +171,33 @@ func diffAt(got, want []byte) string {
 func checkRoutesMatchOracle(t *testing.T, s *Server) {
 	b := s.Bench
 	total := len(b.Entries)
-	for _, e := range b.Entries {
+	for i, e := range b.Entries {
 		path := fmt.Sprintf("/api/entry/%d", e.ID)
 		if got, want := body(t, s, path), oracleJSON(t, toAPI(e)); !bytes.Equal(got, want) {
 			t.Errorf("%s: %s", path, diffAt(got, want))
 		}
-		path = fmt.Sprintf("/entry/%d", e.ID)
-		if got, want := body(t, s, path), oracleEntryPage(t, e); !bytes.Equal(got, want) {
-			t.Errorf("%s: %s", path, diffAt(got, want))
+		// The spec is rendered by the entry's first render request and
+		// cached: alternate which route renders it, and check the Vega-Lite
+		// route twice.
+		spec, err := render.VegaLite(e.DB, e.Vis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks := []struct {
+			path string
+			want []byte
+		}{
+			{fmt.Sprintf("/entry/%d", e.ID), oracleEntryPage(t, e)},
+			{fmt.Sprintf("/api/entry/%d/vega", e.ID), spec},
+			{fmt.Sprintf("/api/entry/%d/vega", e.ID), spec},
+		}
+		if i%2 == 1 {
+			checks[0], checks[2] = checks[2], checks[0]
+		}
+		for _, c := range checks {
+			if got := body(t, s, c.path); !bytes.Equal(got, c.want) {
+				t.Errorf("%s: %s", c.path, diffAt(got, c.want))
+			}
 		}
 	}
 	pages := []struct{ offset, limit int }{
@@ -201,7 +220,7 @@ func checkRoutesMatchOracle(t *testing.T, s *Server) {
 }
 
 func TestRoutesMatchOracle(t *testing.T) {
-	checkRoutesMatchOracle(t, testServer)
+	checkRoutesMatchOracle(t, New(testServer.Bench)) // no spec cached yet
 }
 
 func TestHostileRoutesMatchOracle(t *testing.T) {

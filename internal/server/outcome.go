@@ -26,6 +26,10 @@ const (
 	outcomePanic       = "panic"        // handler panicked; recovery answered
 )
 
+// outcomes lists every outcome label, for the request-counter series the
+// server names once at construction.
+var outcomes = []string{outcomeOK, outcomeClientError, outcomeError, outcomeShed, outcomeTimeout, outcomeFault, outcomePanic}
+
 // outcomeHolder is a first-wins outcome slot: the layer closest to the
 // cause records first and later classifications cannot overwrite it.
 type outcomeHolder struct {

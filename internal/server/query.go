@@ -150,25 +150,16 @@ func (s *Server) queryShards(res *vql.Result) ([]string, bool) {
 	if len(s.entryShards) == 0 || res.Table != "entries" {
 		return nil, false
 	}
-	set := map[string]bool{}
-	if res.SourceRows == nil {
-		for _, sh := range s.entryShards {
-			if sh != "" {
-				set[sh] = true
-			}
-		}
-	} else {
+	shards := s.allShards
+	if res.SourceRows != nil {
+		set := map[string]bool{}
 		for _, n := range res.SourceRows {
 			if n >= 0 && n < len(s.entryShards) && s.entryShards[n] != "" {
 				set[s.entryShards[n]] = true
 			}
 		}
+		shards = sortedSet(set)
 	}
-	shards := make([]string, 0, len(set))
-	for sh := range set {
-		shards = append(shards, sh)
-	}
-	sort.Strings(shards)
 	failover := false
 	if d := s.degraded.Load(); d != nil {
 		over := make(map[string]bool, len(d.FailedOver))
@@ -183,4 +174,14 @@ func (s *Server) queryShards(res *vql.Result) ([]string, bool) {
 		}
 	}
 	return shards, failover
+}
+
+// sortedSet returns the members of set in sorted order.
+func sortedSet(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

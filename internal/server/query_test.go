@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -211,5 +212,100 @@ func TestSetQueryIndexesEnablesIndexScan(t *testing.T) {
 	}
 	if res.Scanned >= len(s.Bench.Entries) {
 		t.Fatalf("index scan touched %d of %d rows", res.Scanned, len(s.Bench.Entries))
+	}
+}
+
+// oldQueryShards is queryShards as it was before the full-scan shard list
+// was computed once in SetEntryShards: the reference it must still match.
+func oldQueryShards(s *Server, res *vql.Result) ([]string, bool) {
+	if len(s.entryShards) == 0 || res.Table != "entries" {
+		return nil, false
+	}
+	set := map[string]bool{}
+	if res.SourceRows == nil {
+		for _, sh := range s.entryShards {
+			if sh != "" {
+				set[sh] = true
+			}
+		}
+	} else {
+		for _, n := range res.SourceRows {
+			if n >= 0 && n < len(s.entryShards) && s.entryShards[n] != "" {
+				set[s.entryShards[n]] = true
+			}
+		}
+	}
+	shards := make([]string, 0, len(set))
+	for sh := range set {
+		shards = append(shards, sh)
+	}
+	sort.Strings(shards)
+	failover := false
+	if d := s.degraded.Load(); d != nil {
+		over := make(map[string]bool, len(d.FailedOver))
+		for _, sh := range d.FailedOver {
+			over[sh] = true
+		}
+		for _, sh := range shards {
+			if over[sh] {
+				failover = true
+				break
+			}
+		}
+	}
+	return shards, failover
+}
+
+func TestQueryShardsMatchesPerQueryScan(t *testing.T) {
+	s := New(testServer.Bench)
+	// One shard per database, cycling through unsorted names and an
+	// unrouted "" (which the reference loop skips), so an indexed query
+	// reads fewer shards than a full scan.
+	dbSet := map[string]bool{}
+	for _, e := range s.Bench.Entries {
+		dbSet[e.DB.Name] = true
+	}
+	dbs := sortedSet(dbSet)
+	if len(dbs) < 4 {
+		t.Fatalf("test benchmark has %d databases, want at least 4", len(dbs))
+	}
+	names := []string{"0c", "", "03", "0a", "03"}
+	dbShard := map[string]string{}
+	for i, db := range dbs {
+		dbShard[db] = names[i%len(names)]
+	}
+	shards := make([]string, len(s.Bench.Entries))
+	ix := stubIndex{}
+	for i, e := range s.Bench.Entries {
+		shards[i] = dbShard[e.DB.Name]
+		ix[e.DB.Name] = append(ix[e.DB.Name], s.etags[i])
+	}
+	if err := s.SetEntryShards(shards); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetQueryIndexes(map[string]vql.Index{"db": ix}); err != nil {
+		t.Fatal(err)
+	}
+	scan := "SELECT db, count(*) FROM entries WHERE nl_count >= 2 GROUP BY 1"
+	indexed := fmt.Sprintf("SELECT chart, count(*) FROM entries WHERE db = '%s' GROUP BY 1", dbs[3]) // shard 0a
+	for _, degraded := range []*Degradation{nil, {FailedOver: []string{"0a"}}, {FailedOver: []string{"0c"}}} {
+		s.SetDegraded(degraded)
+		for _, q := range []string{scan, indexed} {
+			res, err := s.engine.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.SourceRows == nil) != (q == scan) {
+				t.Fatalf("%s: SourceRows %v, want a full scan only for the scan query", q, res.SourceRows)
+			}
+			gotShards, gotOver := s.queryShards(res)
+			wantShards, wantOver := oldQueryShards(s, res)
+			if !reflect.DeepEqual(gotShards, wantShards) || gotOver != wantOver {
+				t.Errorf("degraded %v, %s: got %v %v, want %v %v", degraded, q, gotShards, gotOver, wantShards, wantOver)
+			}
+			if want := []string{"0a"}; q == indexed && !reflect.DeepEqual(gotShards, want) {
+				t.Errorf("indexed query read shards %v, want %v", gotShards, want)
+			}
+		}
 	}
 }

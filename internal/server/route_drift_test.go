@@ -42,3 +42,20 @@ func TestRouteLabelsMatchRegisteredSchema(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestSeriesNamesMatchL checks the request-counter names the
+// server builds at construction against obs.L, for every route label and
+// outcome the middleware can pair.
+func TestRequestSeriesNamesMatchL(t *testing.T) {
+	if want := len(obs.HTTPRoutes) * len(outcomes); len(testServer.requestSeries) != want {
+		t.Errorf("%d request series, want %d", len(testServer.requestSeries), want)
+	}
+	for _, route := range obs.HTTPRoutes {
+		for _, outcome := range outcomes {
+			got := testServer.requestSeries[requestKey{route, outcome}]
+			if want := obs.L(obs.HTTPRequests, "outcome", outcome, "route", route); got != want {
+				t.Errorf("series for (%s, %s) = %q, want %q", route, outcome, got, want)
+			}
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"nvbench/internal/bench"
+	"nvbench/internal/fault"
 	"nvbench/internal/obs"
 	"nvbench/internal/render"
 	"nvbench/internal/vql"
@@ -66,6 +67,10 @@ type Server struct {
 	// bodies holds each entry's /api/entry/N response body, encoded once
 	// at construction, positionally aligned with Bench.Entries.
 	bodies [][]byte
+	// specs holds each entry's Vega-Lite spec, positionally aligned with
+	// Bench.Entries, filled by the entry's first render request (see
+	// renderSpec). A nil slot has not been rendered yet.
+	specs []atomic.Pointer[[]byte]
 	// index is the / page, built once at construction.
 	index []byte
 	// etags holds one strong cache validator per entry, positionally
@@ -94,7 +99,17 @@ type Server struct {
 	// store-less server); /api/query's wide event attributes reads to
 	// shards through it. See SetEntryShards.
 	entryShards []string
+	// allShards is the sorted distinct set of entryShards: the shards a
+	// full scan reads.
+	allShards []string
+	// requestSeries holds the request-counter series name of every
+	// (route, outcome) pair, built once so the metrics middleware does not
+	// build one per request.
+	requestSeries map[requestKey]string
 }
+
+// requestKey is one (route label, outcome) pair of the request counter.
+type requestKey struct{ route, outcome string }
 
 // ShardDegradation is the damage report for one store shard the server is
 // serving around: entries that could not be salvaged, entries that were,
@@ -161,6 +176,7 @@ func NewWithConfig(b *bench.Benchmark, cfg Config) *Server {
 		s.ids = obs.NewIDGen(cfg.Obs.Clock)
 	}
 	s.bodies = encodeEntries(b.Entries)
+	s.specs = make([]atomic.Pointer[[]byte], len(b.Entries))
 	s.index = bytes.Clone(appendIndex(nil, b))
 	s.etags = make([]string, len(b.Entries))
 	s.byID = make(map[int]int, len(b.Entries))
@@ -171,6 +187,12 @@ func NewWithConfig(b *bench.Benchmark, cfg Config) *Server {
 	}
 	s.engine = vql.NewEngine(b)
 	s.recomputeQueryTag()
+	s.requestSeries = make(map[requestKey]string, len(obs.HTTPRoutes)*len(outcomes))
+	for _, route := range obs.HTTPRoutes {
+		for _, outcome := range outcomes {
+			s.requestSeries[requestKey{route, outcome}] = obs.L(obs.HTTPRequests, "outcome", outcome, "route", route)
+		}
+	}
 	app := http.NewServeMux()
 	app.HandleFunc("/", s.handleIndex)
 	app.HandleFunc("/entry/", s.handleEntry)
@@ -231,7 +253,13 @@ func (s *Server) SetEntryShards(shards []string) error {
 	if len(shards) != len(s.Bench.Entries) {
 		return fmt.Errorf("server: %d shards for %d entries", len(shards), len(s.Bench.Entries))
 	}
-	s.entryShards = shards
+	set := map[string]bool{}
+	for _, sh := range shards {
+		if sh != "" {
+			set[sh] = true
+		}
+	}
+	s.entryShards, s.allShards = shards, sortedSet(set)
 	return nil
 }
 
@@ -435,7 +463,7 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := s.Bench.Entries[i]
-	spec, err := s.renderSpec(r.Context(), e)
+	spec, err := s.renderSpec(r.Context(), i)
 	if err != nil {
 		http.Error(w, "render: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -448,17 +476,39 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	writeBytes(s, w, page)
 }
 
-// renderSpec renders one entry's Vega-Lite spec as a render stage
-// operation under the request's op ID.
-func (s *Server) renderSpec(ctx context.Context, e *bench.Entry) (json.RawMessage, error) {
+// renderSpec returns the Vega-Lite spec of the entry at position i as a
+// render stage operation under the request's op ID, whose event says
+// whether the spec came from the cache ("hit") or was rendered
+// ("render"). The spec is a pure function of the entry, so the first
+// successful render is kept and served to every later request; two
+// concurrent first requests may both render, and both store the same
+// bytes. Every call passes the render fault site exactly once, hit or
+// miss, so injected errors, panics and delays reach warm entries too.
+func (s *Server) renderSpec(ctx context.Context, i int) ([]byte, error) {
 	t := s.cfg.Obs.Begin(ctx, obs.LayerBench, obs.StageRender)
-	spec, err := render.VegaLite(e.DB, e.Vis)
-	if err != nil {
-		t.End("error", "error", err.Error())
+	cache := "hit"
+	var spec []byte
+	var err error
+	if p := s.specs[i].Load(); p != nil {
+		spec = *p
+		if ferr := fault.InjectContext(ctx, fault.SiteRender); ferr != nil {
+			err = fmt.Errorf("render: %w", ferr) // render.VegaLite's wording
+		}
 	} else {
-		t.End("ok")
+		cache = "render"
+		e := s.Bench.Entries[i]
+		if spec, err = render.VegaLiteContext(ctx, e.DB, e.Vis); err == nil {
+			// Kept at its exact size: MarshalIndent leaves spare capacity.
+			spec = append(make([]byte, 0, len(spec)), spec...)
+			s.specs[i].Store(&spec)
+		}
 	}
-	return spec, err
+	if err != nil {
+		t.End("error", "error", err.Error(), "cache", cache)
+		return nil, err
+	}
+	t.End("ok", "cache", cache)
+	return spec, nil
 }
 
 // Pagination bounds for /api/entries.
@@ -520,7 +570,7 @@ func (s *Server) handleAPIEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.HasSuffix(r.URL.Path, "/vega") {
-		spec, err := s.renderSpec(r.Context(), s.Bench.Entries[i])
+		spec, err := s.renderSpec(r.Context(), i)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"nvbench/internal/bench"
 )
@@ -61,12 +62,18 @@ type Index interface {
 
 // Engine executes VQL queries over a loaded benchmark. It is built
 // once per benchmark and is safe for concurrent Query calls: tables
-// are immutable after construction, and SetIndexes must be called (if
-// at all) before the engine starts serving queries.
+// are immutable once built, and SetIndexes must be called (if at all)
+// before the engine starts serving queries.
 type Engine struct {
-	tables  map[string]*table
-	hashRow map[string]int   // entry content hash → entries row
-	indexes map[string]Index // entries column → index
+	b       *bench.Benchmark // read again only to build stats
+	entries *table
+	// stats is built by the first query that reads it (see table):
+	// Table 3 is the costliest part of an engine, and most engines never
+	// query it.
+	stats     *table
+	statsOnce sync.Once
+	hashRow   map[string]int   // entry content hash → entries row
+	indexes   map[string]Index // entries column → index
 }
 
 // entriesSchema is the entries table: one row per benchmark entry.
@@ -100,7 +107,8 @@ var statsSchema = []column{
 
 // NewEngine builds the query tables from a loaded benchmark. Row order
 // follows b.Entries (entry-ID order), so results are deterministic for
-// a given store.
+// a given store. The stats table is computed from b on its first query,
+// so b must not change after the call.
 func NewEngine(b *bench.Benchmark) *Engine {
 	entries := newTable("entries", entriesSchema)
 	entries.rows = make([][]Value, 0, len(b.Entries))
@@ -126,22 +134,34 @@ func NewEngine(b *bench.Benchmark) *Engine {
 			Number(float64(len(toks))),
 		})
 	}
-	stats := newTable("stats", statsSchema)
-	for _, st := range b.Table3() {
-		stats.rows = append(stats.rows, []Value{
-			StringVal(st.Chart.String()),
-			Number(float64(st.NumVis)),
-			Number(float64(st.NumPairs)),
-			Number(st.PairsPer),
-			Number(st.AvgWords),
-			Number(float64(st.MaxWords)),
-			Number(float64(st.MinWords)),
-			Number(st.AvgBLEU),
+	return &Engine{b: b, entries: entries}
+}
+
+// table resolves a FROM name to its table, building the stats table
+// once, on the first query that names it.
+func (e *Engine) table(name string) (*table, bool) {
+	switch name {
+	case "entries":
+		return e.entries, true
+	case "stats":
+		e.statsOnce.Do(func() {
+			e.stats = newTable("stats", statsSchema)
+			for _, st := range e.b.Table3() {
+				e.stats.rows = append(e.stats.rows, []Value{
+					StringVal(st.Chart.String()),
+					Number(float64(st.NumVis)),
+					Number(float64(st.NumPairs)),
+					Number(st.PairsPer),
+					Number(st.AvgWords),
+					Number(float64(st.MaxWords)),
+					Number(float64(st.MinWords)),
+					Number(st.AvgBLEU),
+				})
+			}
 		})
+		return e.stats, true
 	}
-	return &Engine{
-		tables: map[string]*table{"entries": entries, "stats": stats},
-	}
+	return nil, false
 }
 
 // SetIndexes attaches secondary indexes to the entries table.
@@ -153,7 +173,7 @@ func NewEngine(b *bench.Benchmark) *Engine {
 // benchmark. Call before serving queries; not safe to call
 // concurrently with Query.
 func (e *Engine) SetIndexes(entryHashes []string, indexes map[string]Index) error {
-	entries := e.tables["entries"]
+	entries := e.entries
 	if len(entryHashes) != len(entries.rows) {
 		return fmt.Errorf("vql: %d entry hashes for %d entries", len(entryHashes), len(entries.rows))
 	}

@@ -46,7 +46,7 @@ type Plan struct {
 // chooses the access path. It returns a *Error describing the first
 // problem found.
 func (e *Engine) Plan(q *Query) (*Plan, error) {
-	t, ok := e.tables[q.From]
+	t, ok := e.table(q.From)
 	if !ok {
 		return nil, errf(0, "unknown table %q (have entries, stats)", q.From)
 	}

@@ -273,6 +273,49 @@ func TestStatsTableMatchesTable3(t *testing.T) {
 	}
 }
 
+// TestStatsTableBuiltOnceUnderConcurrentFirstQueries sends a fresh
+// engine's first stats queries from 8 goroutines at once: each must see
+// the whole table, row for row equal to Table 3.
+func TestStatsTableBuiltOnceUnderConcurrentFirstQueries(t *testing.T) {
+	b := loadTestBench(t)
+	var want [][]Value
+	for _, st := range b.Table3() {
+		want = append(want, []Value{
+			StringVal(st.Chart.String()),
+			Number(float64(st.NumVis)),
+			Number(float64(st.NumPairs)),
+			Number(st.PairsPer),
+			Number(st.AvgWords),
+			Number(float64(st.MaxWords)),
+			Number(float64(st.MinWords)),
+			Number(st.AvgBLEU),
+		})
+	}
+	e := NewEngine(b)
+	start := make(chan struct{})
+	results := make([]*Result, 8)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[g], errs[g] = e.Query("SELECT * FROM stats")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(res.Rows, want) {
+			t.Errorf("goroutine %d: stats rows = %v, want %v", g, res.Rows, want)
+		}
+	}
+}
+
 // fakeIndex maps keys to entry hashes, standing in for the store's
 // index in unit tests.
 type fakeIndex map[string][]string
