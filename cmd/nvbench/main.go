@@ -12,8 +12,10 @@
 // pairs that still fail are quarantined and reported instead of aborting
 // the run. A deterministic fault plan (-faults, -fault-seed) injects
 // errors, panics, latency, torn writes and process crashes at registered
-// sites for chaos testing. Store damage heals with -repair; an interrupted
-// incremental build picks up from its checkpoint with -resume.
+// sites for chaos testing. Store damage heals with -repair; -resume
+// repairs -store when it fails verification, then builds and saves, so an
+// interrupted build ends with the store an uninterrupted one would have
+// written.
 package main
 
 import (
@@ -79,10 +81,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		replicas  = fs.Int("replicas", 0, "replica count for a new store: byte-identical copies of every shard under replicas/r0../ (1-8; 0 = single copy; ignored once a store exists)")
 		scrub     = fs.Bool("scrub", false, "anti-entropy pass over -store: re-hash every artifact in every replica, heal divergence from a verified copy, and exit non-zero only if content was unrecoverable")
 		scrubIvl  = fs.Duration("scrub-interval", 0, "with -serve: run a background scrub of -store at this interval (0 disables)")
-		incr      = fs.Bool("incremental", false, "build through -store's pair cache, skipping unchanged pairs")
 		fsck      = fs.Bool("fsck", false, "verify every artifact in -store, report corruption and exit")
 		repair    = fs.Bool("repair", false, "heal -store in place: salvage artifacts, move damage to lost+found/")
-		resume    = fs.Bool("resume", false, "resume an interrupted build: repair -store if needed, then build with -incremental -save")
+		resume    = fs.Bool("resume", false, "resume an interrupted build: repair -store if needed, then build and -save")
 		tracePath = fs.String("trace", "", "write a Chrome trace-event file (chrome://tracing) of the run to this path")
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and /metrics on this separate address (e.g. localhost:6060)")
 	)
@@ -90,7 +91,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	if *resume {
-		*incr, *save = true, true
+		*save = true
 	}
 
 	// Observability: every layer shares one Instruments bundle over a
@@ -137,8 +138,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprintf(w, "fault plan active: %s (seed %d)\n\n", plan, *faultSeed)
 	}
 
-	if (*save || *incr || *fsck || *repair || *scrub || *scrubIvl != 0) && *storeDir == "" {
-		return fmt.Errorf("-save, -incremental, -fsck, -repair, -scrub, -scrub-interval and -resume require -store")
+	if (*save || *fsck || *repair || *scrub || *scrubIvl != 0) && *storeDir == "" {
+		return fmt.Errorf("-save, -fsck, -repair, -scrub, -scrub-interval and -resume require -store")
 	}
 	var st *store.Store
 	if *storeDir != "" {
@@ -166,9 +167,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	// Healing: -repair always repairs; -resume repairs only when the store
-	// fails verification (a clean checkpoint needs no healing). A lossy
-	// repair is fatal unless the run continues into a rebuild (-resume,
-	// which re-synthesizes what was lost) or explicitly serves the salvage.
+	// fails verification (a clean store needs no healing). A lossy repair
+	// is fatal unless the run continues into a full rebuild (-resume) or
+	// explicitly serves the salvage.
 	var degraded *server.Degradation
 	if *repair || *resume {
 		need := *repair
@@ -221,7 +222,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		return errors.Join(err, writeTrace(*tracePath, ins.Events))
 	}
-	if st != nil && !*save && !*incr {
+	if st != nil && !*save {
 		return serveStore(ctx, st, w, *out, *vega, *serve, degraded, ins, *tracePath, *scrubIvl)
 	}
 
@@ -266,10 +267,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	opts.Workers = *workers
 	opts.Retries = *retries
 	opts.Obs = ins
-	fingerprint := store.Fingerprint(opts)
-	if *incr {
-		opts.Cache = st.PairCache(fingerprint)
-	}
 	b, err := bench.Build(corpus, opts)
 	if err != nil {
 		return err
@@ -288,19 +285,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintf(w, "run stats: workers=%d retried_attempts=%d classifier_fallbacks=%d pairs_synthesized=%d",
-		b.Stats.Workers, b.Stats.RetriedAttempts, b.Stats.ClassifierFallbacks, b.Stats.PairsSynthesized)
-	if *incr {
-		fmt.Fprintf(w, " cache_hits=%d cache_misses=%d cache_write_errors=%d",
-			b.Stats.CacheHits, b.Stats.CacheMisses, b.Stats.CacheWriteErrors)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "run stats: workers=%d retried_attempts=%d classifier_fallbacks=%d pairs_synthesized=%d\n",
+		b.Stats.Workers, b.Stats.RetriedAttempts, b.Stats.ClassifierFallbacks, b.Stats.PairsProcessed)
 	writeStageTable(w, reg)
 	bench.WriteQuarantine(w, b)
 
 	var manifest *store.Manifest
 	if *save {
-		manifest, err = st.Save(b, store.BuildInfo{Seed: *seed, Fingerprint: fingerprint})
+		manifest, err = st.Save(b, store.BuildInfo{Seed: *seed, Fingerprint: store.Fingerprint(opts)})
 		if err == nil {
 			fmt.Fprintf(w, "\nsaved %d entries (%d database payloads) to %s\n",
 				len(manifest.Entries), len(manifest.Databases), *storeDir)

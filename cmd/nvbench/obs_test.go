@@ -491,7 +491,7 @@ func TestTracedServeKeepsABoundedRing(t *testing.T) {
 
 // TestServeExposesMetrics starts a store-backed -serve run and scrapes
 // /metrics: the Prometheus text must cover request counters, pipeline stage
-// histograms, fault sites and cache counters — the full schema, zeros
+// histograms, fault sites and build counters — the full schema, zeros
 // included, before any load.
 func TestServeExposesMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -551,7 +551,7 @@ func TestServeExposesMetrics(t *testing.T) {
 		`nvbench_http_requests_total{outcome="ok",route="/api/entries"} 1`,
 		`nvbench_stage_seconds_count{stage="sqlparse"}`,
 		`nvbench_fault_calls_total{site="parse"}`,
-		"nvbench_cache_hits_total",
+		"nvbench_pairs_synthesized_total",
 		`nvbench_store_seconds_count{op="load"} 1`,
 	} {
 		if !strings.Contains(text, want) {

@@ -68,23 +68,21 @@ var sections = []section{
 		pkgs:      []string{"./internal/store"},
 		bench:     "Benchmark(Store|ShardedRebuild|ReplicatedSave|ScrubClean|VerifyClean)",
 		benchtime: "1x",
-		// One iteration per key swings by a third between runs (a warm
-		// rebuild read 18 and 24 ms on the same code), so the section
-		// records and gates the median of five.
+		// One iteration per key swings by a third between runs, so the
+		// section records and gates the median of five.
 		count: 5,
 		out:   "BENCH_store.json",
 		// Save benchmarks are fsync-bound and jittery at small benchtimes.
 		retry: true,
 		gates: []gate{
-			// The incremental headline: a warm rebuild beats a cold one.
-			{"BenchmarkStoreRebuild/warm", 1, "BenchmarkStoreRebuild/cold", 1},
 			// Fanning a cold save across shard workers beats the
 			// single-shard single-worker baseline.
 			{"BenchmarkShardedRebuild/sharded-cold", 1, "BenchmarkShardedRebuild/monolithic-cold", 1},
 			// A 2-replica save writes every shard tree twice but shares
 			// serialization and hashing across copies.
 			{"BenchmarkReplicatedSave/double", 1, "BenchmarkReplicatedSave/single", 2.5},
-			// A clean 2-replica scrub is pure hashing.
+			// A clean 2-replica scrub is pure hashing: it beats a cold
+			// rebuild (build plus save) of the same corpus.
 			{"BenchmarkScrubClean", 1, "BenchmarkStoreRebuild/cold", 1},
 		},
 	},

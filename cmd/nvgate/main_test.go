@@ -17,8 +17,7 @@ const cannedStore = `goos: linux
 goarch: amd64
 pkg: nvbench/internal/store
 cpu: Intel(R) Xeon(R) Processor
-BenchmarkStoreRebuild/cold-2         	       1	  92815480 ns/op
-BenchmarkStoreRebuild/warm-2         	       1	  15390465 ns/op	 1048576 B/op	    2048 allocs/op
+BenchmarkStoreRebuild/cold-2         	       1	  92815480 ns/op	 1048576 B/op	    2048 allocs/op
 BenchmarkShardedRebuild/monolithic-cold-2         	       1	 685812857 ns/op
 BenchmarkShardedRebuild/sharded-cold-2            	       1	 428574561 ns/op
 BenchmarkReplicatedSave/single       	       1	 321227862 ns/op
@@ -34,7 +33,6 @@ ok  	nvbench/internal/store	12.345s
 func TestParseBench(t *testing.T) {
 	want := []metric{
 		{"BenchmarkStoreRebuild/cold", "92815480"},
-		{"BenchmarkStoreRebuild/warm", "15390465"},
 		{"BenchmarkShardedRebuild/monolithic-cold", "685812857"},
 		{"BenchmarkShardedRebuild/sharded-cold", "428574561"},
 		{"BenchmarkReplicatedSave/single", "321227862"},
@@ -66,7 +64,6 @@ func TestGateTable(t *testing.T) {
 	want := map[string][]gate{
 		"root": nil,
 		"store": {
-			{"BenchmarkStoreRebuild/warm", 1, "BenchmarkStoreRebuild/cold", 1},
 			{"BenchmarkShardedRebuild/sharded-cold", 1, "BenchmarkShardedRebuild/monolithic-cold", 1},
 			{"BenchmarkReplicatedSave/double", 1, "BenchmarkReplicatedSave/single", 2.5},
 			{"BenchmarkScrubClean", 1, "BenchmarkStoreRebuild/cold", 1},
@@ -150,7 +147,7 @@ func TestMissingKeyIsError(t *testing.T) {
 func TestRetryRule(t *testing.T) {
 	canned := map[string][2][]metric{
 		"store": {
-			parseBench(strings.Replace(cannedStore, "15390465", "92815480", 1)), // warm == cold
+			parseBench(strings.Replace(cannedStore, "33255951", "92815480", 1)), // scrub == cold rebuild
 			parseBench(cannedStore),
 		},
 		"obs": {

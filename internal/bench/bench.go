@@ -68,9 +68,6 @@ type Options struct {
 	Retries int
 	// RetryBackoff is the wait schedule between attempts.
 	RetryBackoff fault.Backoff
-	// Cache is the incremental-build cache; pairs with a cached outcome
-	// skip synthesis entirely (nil disables caching).
-	Cache PairCache
 	// Obs receives build counters and one timed record per pair and per
 	// pipeline stage: a stage histogram observation plus a wide event
 	// carrying the pair's op ID. Nil disables instrumentation; either way
@@ -121,46 +118,20 @@ func Build(corpus *spider.Corpus, opts Options) (*Benchmark, error) {
 		degraded0 = opts.Synth.Filter.DegradedCount()
 	}
 	results := runPool(context.Background(), opts, pairs)
-	id := 0
-	for pi, p := range pairs {
-		r := results[pi]
+	for _, r := range results {
 		if r.attempts > 0 {
 			b.Stats.RetriedAttempts += r.attempts - 1
-		}
-		if !r.cacheHit {
-			b.Stats.PairsSynthesized++
-		}
-		if opts.Cache != nil {
-			if r.cacheHit {
-				b.Stats.CacheHits++
-			} else {
-				b.Stats.CacheMisses++
-			}
-			if r.cachePutErr != nil {
-				b.Stats.CacheWriteErrors++
-			}
 		}
 		if r.quarantine != nil {
 			b.Quarantine = append(b.Quarantine, *r.quarantine)
 			continue
 		}
-		for reason, n := range r.outcome.Rejections {
+		for reason, n := range r.rejections {
 			b.Rejections[reason] += n
 		}
-		for _, cv := range r.outcome.Kept {
-			b.Entries = append(b.Entries, &Entry{
-				ID:       id,
-				PairID:   p.ID,
-				DB:       p.DB,
-				SourceNL: p.NL,
-				Vis:      cv.Vis,
-				NLs:      cv.NLs,
-				Manual:   cv.Manual,
-				Hardness: cv.Hardness,
-				Chart:    cv.Vis.Visualize,
-				Edit:     cv.Edit,
-			})
-			id++
+		for _, e := range r.entries {
+			e.ID = len(b.Entries)
+			b.Entries = append(b.Entries, e)
 		}
 	}
 	b.Stats.Workers = poolSize(opts.Workers, len(pairs))
@@ -170,10 +141,7 @@ func Build(corpus *spider.Corpus, opts Options) (*Benchmark, error) {
 		b.Stats.ClassifierFallbacks = opts.Synth.Filter.DegradedCount() - degraded0
 	}
 	if in := opts.Obs; in != nil {
-		in.Add(obs.PairsSynthesized, int64(b.Stats.PairsSynthesized))
-		in.Add(obs.CacheHits, int64(b.Stats.CacheHits))
-		in.Add(obs.CacheMisses, int64(b.Stats.CacheMisses))
-		in.Add(obs.CacheWriteErrors, int64(b.Stats.CacheWriteErrors))
+		in.Add(obs.PairsSynthesized, int64(b.Stats.PairsProcessed))
 		in.Add(obs.Quarantined, int64(b.Stats.PairsQuarantined))
 		in.Add(obs.Retries, int64(b.Stats.RetriedAttempts))
 		in.Add(obs.ClassifierFallbacks, b.Stats.ClassifierFallbacks)

@@ -94,8 +94,8 @@ func TestBuildRecordsStageMetricsAndSpans(t *testing.T) {
 			t.Errorf("stage %s recorded no observations", stage)
 		}
 	}
-	if got := snap.Counters[obs.PairsSynthesized]; got != int64(b.Stats.PairsSynthesized) {
-		t.Errorf("pairs counter = %d, stats say %d", got, b.Stats.PairsSynthesized)
+	if got := snap.Counters[obs.PairsSynthesized]; got != int64(b.Stats.PairsProcessed) {
+		t.Errorf("pairs counter = %d, stats say %d processed", got, b.Stats.PairsProcessed)
 	}
 
 	if total := rec.Total(); total > obs.DefaultEventCapacity {

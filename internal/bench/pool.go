@@ -38,25 +38,21 @@ type RunStats struct {
 	PairsQuarantined    int   // pairs skipped after retries
 	RetriedAttempts     int   // attempts beyond each pair's first
 	ClassifierFallbacks int64 // classifier calls degraded to rules-only
-	PairsSynthesized    int   // pairs that ran the synthesis pipeline (not cache-served)
-	CacheHits           int   // pairs served from the incremental cache
-	CacheMisses         int   // pairs synthesized because the cache missed
-	CacheWriteErrors    int   // cache Put failures (build output unaffected)
 }
 
-// pairResult is one worker's output for one source pair.
+// pairResult is one worker's output for one source pair: its entries
+// (IDs unassigned; Build numbers them in source-pair order) and its
+// rejections bucketed into the Section 2.4 failure families, or the
+// quarantine record when the pair failed.
 type pairResult struct {
-	outcome     *PairOutcome
-	quarantine  *Quarantined
-	attempts    int
-	cacheHit    bool
-	cachePutErr error
+	entries    []*Entry
+	rejections map[string]int
+	quarantine *Quarantined
+	attempts   int
 }
 
 // processPair runs the full per-pair pipeline (synthesize, truncate,
-// NL variants) under panic recovery and the retry budget. With a cache
-// configured it is consulted first; a hit skips synthesis entirely and a
-// successful fresh outcome is written back.
+// NL variants) under panic recovery and the retry budget.
 func processPair(ctx context.Context, opts Options, p *spider.Pair) pairResult {
 	// Each pair is one traced operation: every stage event and histogram
 	// exemplar it produces carries this op ID (build-level callers that
@@ -70,14 +66,8 @@ func processPair(ctx context.Context, opts Options, p *spider.Pair) pairResult {
 		if res.quarantine != nil {
 			outcome = "quarantined"
 		}
-		pair.End(outcome, "pair_id", strconv.Itoa(p.ID), "cache_hit", strconv.FormatBool(res.cacheHit))
+		pair.End(outcome, "pair_id", strconv.Itoa(p.ID))
 	}()
-	if opts.Cache != nil {
-		if out, ok := opts.Cache.Get(p); ok {
-			res.outcome, res.cacheHit = out, true
-			return res
-		}
-	}
 	var kept []*core.VisObject
 	var rejected []core.Rejection
 	synth := func() error {
@@ -118,43 +108,35 @@ func processPair(ctx context.Context, opts Options, p *spider.Pair) pairResult {
 		res.quarantine = &Quarantined{PairID: p.ID, Stage: "variants", Err: err.Error(), Attempts: tried}
 		return res
 	}
-	res.outcome = assembleOutcome(kept, variants, rejected)
-	if opts.Cache != nil {
-		res.cachePutErr = opts.Cache.Put(p, res.outcome)
-	}
-	return res
-}
-
-// assembleOutcome normalizes a fresh synthesis result into the cacheable,
-// assembly-ready form: vis objects without variants are dropped (they never
-// become entries) and rejection reasons are bucketed.
-func assembleOutcome(kept []*core.VisObject, variants [][]nledit.Variant, rejected []core.Rejection) *PairOutcome {
-	out := &PairOutcome{Rejections: map[string]int{}}
+	res.rejections = map[string]int{}
 	for _, rej := range rejected {
-		out.Rejections[bucketReason(rej.Reason)]++
+		res.rejections[bucketReason(rej.Reason)]++
 	}
+	// A vis object without variants never becomes an entry; the others
+	// keep only what an entry holds, so execution artifacts (features,
+	// result tables) are not retained until assembly.
 	for i, v := range kept {
 		vs := variants[i]
 		if len(vs) == 0 {
 			continue
 		}
-		nls := make([]string, len(vs))
-		manual := false
-		for j, vr := range vs {
-			nls[j] = vr.Text
-			if vr.Manual {
-				manual = true
-			}
-		}
-		out.Kept = append(out.Kept, CachedVis{
+		e := &Entry{
+			PairID:   p.ID,
+			DB:       p.DB,
+			SourceNL: p.NL,
 			Vis:      v.Query,
-			Edit:     v.Edit,
+			NLs:      make([]string, len(vs)),
 			Hardness: v.Hardness,
-			NLs:      nls,
-			Manual:   manual,
-		})
+			Chart:    v.Query.Visualize,
+			Edit:     v.Edit,
+		}
+		for j, vr := range vs {
+			e.NLs[j] = vr.Text
+			e.Manual = e.Manual || vr.Manual
+		}
+		res.entries = append(res.entries, e)
 	}
-	return out
+	return res
 }
 
 // poolSize resolves the configured worker count against the work size.

@@ -194,3 +194,37 @@ func TestWriteQuarantineReport(t *testing.T) {
 		t.Errorf("empty report = %q", empty.String())
 	}
 }
+
+func TestWriteQuarantineCapsDetailLines(t *testing.T) {
+	mk := func(n int) *Benchmark {
+		b := &Benchmark{Stats: RunStats{PairsProcessed: 2 * n}}
+		for i := 0; i < n; i++ {
+			b.Quarantine = append(b.Quarantine, Quarantined{PairID: i, Stage: "synthesize", Err: "injected", Attempts: 1})
+		}
+		return b
+	}
+	// Exactly at the cap: every line prints, no trailer.
+	var sb strings.Builder
+	WriteQuarantine(&sb, mk(quarantineMaxListed))
+	out := sb.String()
+	if strings.Contains(out, "more") {
+		t.Fatalf("report at the cap must not have a trailer:\n%s", out)
+	}
+	if got := strings.Count(out, "  pair "); got != quarantineMaxListed {
+		t.Fatalf("report at the cap lists %d pairs, want %d", got, quarantineMaxListed)
+	}
+	// One past the cap: the list stops at the cap and the trailer accounts
+	// for the rest; the header still carries the full count.
+	sb.Reset()
+	WriteQuarantine(&sb, mk(quarantineMaxListed+1))
+	out = sb.String()
+	if !strings.Contains(out, "… and 1 more") {
+		t.Fatalf("report past the cap is missing the trailer:\n%s", out)
+	}
+	if got := strings.Count(out, "  pair "); got != quarantineMaxListed {
+		t.Fatalf("report past the cap lists %d pairs, want %d", got, quarantineMaxListed)
+	}
+	if !strings.Contains(out, "quarantine: 21 of 42 pairs skipped") {
+		t.Fatalf("header lost the full count:\n%s", out)
+	}
+}

@@ -56,10 +56,10 @@ const (
 	SiteVariants   = "variants"   // bench NL-variant generation
 	SiteRender     = "render"     // render.VegaLite and the server's cached-spec hits
 	SiteServer     = "server"     // server per-request middleware
-	SiteStoreLoad  = "store.load" // store artifact reads (Load, Verify, cache Get)
+	SiteStoreLoad  = "store.load" // store artifact reads (Load, Verify)
 
 	// Sharded-store sites: every write inside one shard (journal, entries,
-	// dbs, cache, shard manifest), every root-level write of the merge
+	// dbs, shard manifest), every root-level write of the merge
 	// (root journal, merged manifest and its sum), and the per-shard
 	// repair entry points.
 	SiteShardSave   = "store.shard.save"   // shard-scoped artifact writes

@@ -15,9 +15,6 @@ const (
 
 	// Bench pipeline counters.
 	PairsSynthesized    = "nvbench_pairs_synthesized_total"
-	CacheHits           = "nvbench_cache_hits_total"
-	CacheMisses         = "nvbench_cache_misses_total"
-	CacheWriteErrors    = "nvbench_cache_write_errors_total"
 	Quarantined         = "nvbench_quarantined_total"
 	Retries             = "nvbench_retries_total"
 	ClassifierFallbacks = "nvbench_classifier_fallbacks_total"
@@ -102,7 +99,7 @@ func labeled(base, key string, values []string) map[string]string {
 	return m
 }
 
-// RegisterBase pre-creates the canonical pipeline, cache, and server
+// RegisterBase pre-creates the canonical pipeline, store and server
 // series in a registry at zero, so a /metrics scrape shows the full schema
 // even before the first build or request touches a series.
 func RegisterBase(r *Registry) {
@@ -119,8 +116,7 @@ func RegisterBase(r *Registry) {
 		r.Histogram(L(HTTPSeconds, "route", route))
 	}
 	for _, name := range []string{
-		PairsSynthesized, CacheHits, CacheMisses, CacheWriteErrors,
-		Quarantined, Retries, ClassifierFallbacks,
+		PairsSynthesized, Quarantined, Retries, ClassifierFallbacks,
 		StoreScrubCycles, StoreScrubRepaired, StoreFailovers,
 		HTTPShed, HTTPTimeouts,
 	} {

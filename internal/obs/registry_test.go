@@ -134,7 +134,7 @@ func TestGatherHookRepublishesOnScrape(t *testing.T) {
 
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(L("nvbench_cache_hits_total", "mode", "warm")).Add(3)
+	r.Counter(L("nvbench_fault_calls_total", "site", "render")).Add(3)
 	r.Counter("nvbench_pairs_synthesized_total").Add(12)
 	r.Gauge("nvbench_http_in_flight").Set(2)
 	// Exact binary fractions keep the shortest-float rendering stable.
@@ -148,8 +148,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# TYPE nvbench_cache_hits_total counter
-nvbench_cache_hits_total{mode="warm"} 3
+	want := `# TYPE nvbench_fault_calls_total counter
+nvbench_fault_calls_total{site="render"} 3
 # TYPE nvbench_pairs_synthesized_total counter
 nvbench_pairs_synthesized_total 12
 # TYPE nvbench_http_in_flight gauge
@@ -177,7 +177,7 @@ func TestRegisterBaseExposesSchemaBeforeTraffic(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		"nvbench_pairs_synthesized_total 0",
-		"nvbench_cache_hits_total 0",
+		"nvbench_quarantined_total 0",
 		"nvbench_http_in_flight 0",
 		`nvbench_stage_seconds_count{stage="sqlparse"} 0`,
 		`nvbench_stage_seconds_count{stage="render"} 0`,

@@ -465,7 +465,7 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	e := s.Bench.Entries[i]
 	spec, err := s.renderSpec(r.Context(), i)
 	if err != nil {
-		http.Error(w, "render: "+err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	header := appendEntryHeader(nil, e)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -103,11 +104,19 @@ func TestRenderFaultReachesCachedSpecs(t *testing.T) {
 		defer fault.Activate(plan)()
 		return doGet(s, path)
 	}
+	// Both routes write a render error the same way, warm and cold: one
+	// 500 body carrying the error's own single "render: " prefix.
+	want := underError(cold, vega).Body.String()
+	if !strings.HasPrefix(want, "render: ") || strings.Count(want, "render: ") != 1 {
+		t.Fatalf("%s under a render error: body %q, want one render: prefix", vega, want)
+	}
 	for _, path := range []string{vega, fmt.Sprintf("/entry/%d", id)} {
 		hit, miss := underError(warm, path), underError(cold, path)
-		if hit.Code != http.StatusInternalServerError || !bytes.Equal(hit.Body.Bytes(), miss.Body.Bytes()) {
-			t.Errorf("%s under a render error: warm %d %q, cold %d %q; want the same 500",
-				path, hit.Code, hit.Body.String(), miss.Code, miss.Body.String())
+		for _, rec := range []*httptest.ResponseRecorder{hit, miss} {
+			if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+				t.Errorf("%s under a render error: warm %d %q, cold %d %q; want 500 %q",
+					path, hit.Code, hit.Body.String(), miss.Code, miss.Body.String(), want)
+			}
 		}
 	}
 

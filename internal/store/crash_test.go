@@ -1,13 +1,13 @@
 // The crash harness: these tests re-exec the test binary as a child that
-// runs a save (or a full cached build) under a deterministic crash plan,
-// aborting the whole process at injected crash point K. The parent sweeps
-// K upward until the child survives, so every write call at the swept site
-// (the shard saves, the root merge, the root stats write) gets killed
-// exactly once — and after every kill the store
-// must either verify cleanly or repair to a state that verifies and
-// loads. The build sweep goes further: it resumes the interrupted build
-// through the pair cache and requires byte-identical output to an
-// uninterrupted build, with zero re-synthesis for checkpointed pairs.
+// runs a save (or a full build followed by a save) under a deterministic
+// crash plan, aborting the whole process at injected crash point K. The
+// parent sweeps K upward until the child survives, so every write call at
+// the swept site (the shard saves, the root merge) gets killed exactly
+// once — and after every kill the store must either verify cleanly or
+// repair to a state that verifies and loads. The build sweep goes
+// further: it resumes the interrupted build the way -resume does (repair
+// if needed, build, save) and requires a store byte-identical to an
+// uninterrupted build's.
 
 package store
 
@@ -49,8 +49,8 @@ const crashSweepLimit = 400
 var crashBuildCfg = spider.Config{Seed: 3, NumDatabases: 1, PairsPerDB: 4, MaxRows: 60}
 
 // crashBuildOpts is the matching build configuration: classifier-free (no
-// per-process training), single-variant, one worker so resumed runs have
-// a deterministic synthesis count.
+// per-process training), single-variant, one worker, so each child builds
+// it cheaply.
 func crashBuildOpts() bench.Options {
 	return bench.Options{
 		Synth: &core.Synthesizer{
@@ -70,7 +70,7 @@ var (
 	tinyBench *bench.Benchmark
 )
 
-// tinyBuild builds the crash corpus and its uncached benchmark once.
+// tinyBuild builds the crash corpus and its benchmark once.
 func tinyBuild(t testing.TB) (*spider.Corpus, *bench.Benchmark) {
 	t.Helper()
 	tinyOnce.Do(func() {
@@ -286,9 +286,8 @@ func TestCrashSweepSave(t *testing.T) {
 }
 
 // TestCrashChildBuild is the re-exec'd child for the resumable-build
-// sweep: a full incremental build (checkpointing each pair in the store's
-// cache) followed by a save, dying at the planned crash point — possibly
-// in the middle of pair synthesis.
+// sweep: a full build followed by a save, dying at the planned crash
+// point inside the save.
 func TestCrashChildBuild(t *testing.T) {
 	dir := os.Getenv(crashEnvDir)
 	if dir == "" {
@@ -306,12 +305,10 @@ func TestCrashChildBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := crashBuildOpts()
-	opts.Cache = st.PairCache(Fingerprint(crashBuildOpts()))
 	defer fault.Activate(plan)()
-	b, err := bench.Build(corpus, opts)
+	b, err := bench.Build(corpus, crashBuildOpts())
 	if err != nil {
-		t.Fatal(err) // Build tolerates cache faults; an error is organic
+		t.Fatal(err)
 	}
 	if _, err := st.Save(b, tinyInfo()); err != nil && !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("save failed organically: %v", err)
@@ -319,9 +316,8 @@ func TestCrashChildBuild(t *testing.T) {
 }
 
 // resumeAndCheck does what cmd/nvbench -resume does to an interrupted
-// build — repair if dirty, rebuild through the pair cache, re-save — then
-// requires byte-identical output to the uninterrupted reference and zero
-// re-synthesis for pairs whose checkpoint survived the crash.
+// build — repair if dirty, build, re-save — then requires byte-identical
+// output to the uninterrupted reference.
 func resumeAndCheck(t *testing.T, dir string, corpus *spider.Corpus, refTree map[string][]byte, k int) {
 	t.Helper()
 	st, err := Open(dir)
@@ -333,37 +329,9 @@ func resumeAndCheck(t *testing.T, dir string, corpus *spider.Corpus, refTree map
 			t.Fatalf("crash point %d: repair: %v", k, err)
 		}
 	}
-	opts := crashBuildOpts()
-	cache := st.PairCache(Fingerprint(crashBuildOpts()))
-	opts.Cache = cache
-	// Predict the resume cost: one synthesis per distinct pair whose
-	// checkpoint did not survive, none for the rest.
-	wantSynth := 0
-	seen := map[string]bool{}
-	for _, p := range corpus.Pairs {
-		key, err := cache.key(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := cache.Get(p); !ok {
-			wantSynth++
-		}
-	}
-	b, err := bench.Build(corpus, opts)
+	b, err := bench.Build(corpus, crashBuildOpts())
 	if err != nil {
 		t.Fatalf("crash point %d: resumed build: %v", k, err)
-	}
-	if b.Stats.PairsSynthesized != wantSynth {
-		t.Fatalf("crash point %d: resumed build synthesized %d pairs, want exactly the %d uncheckpointed",
-			k, b.Stats.PairsSynthesized, wantSynth)
-	}
-	if b.Stats.CacheHits+b.Stats.CacheMisses != len(corpus.Pairs) {
-		t.Fatalf("crash point %d: hits=%d misses=%d over %d pairs",
-			k, b.Stats.CacheHits, b.Stats.CacheMisses, len(corpus.Pairs))
 	}
 	if _, err := st.Save(b, tinyInfo()); err != nil {
 		t.Fatalf("crash point %d: resumed save: %v", k, err)
@@ -380,20 +348,11 @@ func resumeAndCheck(t *testing.T, dir string, corpus *spider.Corpus, refTree map
 }
 
 func TestCrashSweepBuildResume(t *testing.T) {
-	corpus, _ := tinyBuild(t)
+	corpus, ref := tinyBuild(t)
 	refDir := t.TempDir()
 	refSt, err := Open(refDir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	opts := crashBuildOpts()
-	opts.Cache = refSt.PairCache(Fingerprint(crashBuildOpts()))
-	ref, err := bench.Build(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stats.PairsSynthesized != ref.Stats.CacheMisses {
-		t.Fatalf("cold build synthesized %d pairs with %d misses", ref.Stats.PairsSynthesized, ref.Stats.CacheMisses)
 	}
 	if _, err := refSt.Save(ref, tinyInfo()); err != nil {
 		t.Fatal(err)
@@ -406,8 +365,6 @@ func TestCrashSweepBuildResume(t *testing.T) {
 			t.Fatalf("crash sweep did not terminate after %d points", crashSweepLimit)
 		}
 		dir := filepath.Join(t.TempDir(), "store")
-		// store.shard.save covers both the per-pair cache checkpoints the
-		// build writes and the shard save that follows it.
 		code, out := runCrashChild(t, "TestCrashChildBuild", map[string]string{
 			crashEnvDir:  dir,
 			crashEnvPlan: fmt.Sprintf("store.shard.save:crash:%d", k),

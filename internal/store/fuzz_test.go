@@ -140,33 +140,6 @@ func FuzzJournalRecover(f *testing.F) {
 	})
 }
 
-// FuzzSelfHashed checks the cache-artifact framing: verifySelfHashed must
-// accept exactly what selfHashed produced and reject any mutation, without
-// panicking on arbitrary input.
-func FuzzSelfHashed(f *testing.F) {
-	f.Add([]byte(`{"kept":[]}`), true)
-	f.Add([]byte{}, true)
-	f.Add([]byte("no newline anywhere"), false)
-	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
-		if frame {
-			payload, err := verifySelfHashed(selfHashed(data))
-			if err != nil {
-				t.Fatalf("freshly framed payload rejected: %v", err)
-			}
-			if !bytes.Equal(payload, data) {
-				t.Fatal("framing round trip altered the payload")
-			}
-			return
-		}
-		// Arbitrary bytes: any outcome but a panic is acceptable, and an
-		// accepted payload must re-frame to the identical input.
-		payload, err := verifySelfHashed(data)
-		if err == nil && !bytes.Equal(selfHashed(payload), data) {
-			t.Fatal("accepted frame does not re-frame identically")
-		}
-	})
-}
-
 // decodeSeed is one fuzz seed and whether the one-pass scan must take it
 // (fast) rather than leave it to the strict decoder.
 type decodeSeed struct {

@@ -193,10 +193,7 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 	plant := []string{
 		filepath.Join(dir, ".MANIFEST.json.tmp123"),
 		filepath.Join(dir, shardsDir, shard, entriesDir, ".deadbeef.json.tmp42"),
-		filepath.Join(dir, shardsDir, shard, cacheDir, ".k.json.tmp7"),
-	}
-	if err := os.MkdirAll(filepath.Join(dir, shardsDir, shard, cacheDir), 0o755); err != nil {
-		t.Fatal(err)
+		filepath.Join(dir, shardsDir, shard, dbsDir, ".cafef00d.json.tmp7"),
 	}
 	for _, p := range plant {
 		if err := os.WriteFile(p, []byte("partial write"), 0o644); err != nil {

@@ -6,6 +6,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -15,14 +17,37 @@ import (
 )
 
 // BuildInfo records how the stored benchmark was built — enough for a
-// reader (or a future incremental rebuild) to reproduce it.
+// reader to reproduce it with the same code.
 type BuildInfo struct {
 	// Seed is the corpus generation seed (0 when the corpus came from
 	// external data, e.g. a CSV import).
 	Seed int64 `json:"seed,omitempty"`
 	// Fingerprint is the synthesizer+editor configuration hash (see
-	// Fingerprint); it is also the namespace of the pair cache.
+	// Fingerprint).
 	Fingerprint string `json:"fingerprint,omitempty"`
+}
+
+// Fingerprint hashes the outcome-relevant configuration of a build: the
+// synthesizer knobs (bin count, candidate bound, aggregate menu, whether
+// the DeepEye filter is on), the NL editor knobs (variant count, smoothing,
+// seed) and the per-pair truncation bound. Worker count, retry budget and
+// backoff are deliberately excluded — they change how a build runs, not
+// what it produces. It covers no code version: two binaries with the same
+// configuration share a fingerprint even when their output differs.
+func Fingerprint(opts bench.Options) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "store-v%d", FormatVersion)
+	if opts.Synth != nil {
+		fmt.Fprintf(h, "|synth:bins=%d,max=%d,filter=%t,aggs=", opts.Synth.NumBins, opts.Synth.MaxCandidates, opts.Synth.Filter != nil)
+		for _, a := range opts.Synth.Aggregates {
+			fmt.Fprintf(h, "%s ", a)
+		}
+	}
+	if opts.Edit != nil {
+		fmt.Fprintf(h, "|edit:n=%d,smooth=%t,seed=%d", opts.Edit.NumVariants, opts.Edit.Smooth, opts.Edit.Seed)
+	}
+	fmt.Fprintf(h, "|maxvis=%d", opts.MaxVisPerPair)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // EntryRef is one manifest line: where an entry lives and what it must
@@ -161,11 +186,11 @@ func (r *FsckReport) SickShards() []string {
 // recorded sum, every shard manifest against the root's ShardRef hash,
 // every entry and database artifact against its content address
 // (manifest-referenced or not — an orphan with a lying filename is
-// corruption too), every cache artifact against its embedded payload
-// hash, and checks that every journal — root and per shard — records a
-// committed save. When all shard manifests are intact it additionally
-// recomputes the root merge and byte-compares it, so a root manifest that
-// is internally consistent but disagrees with its shards is caught. It
+// corruption too), and checks that every journal — root and per shard —
+// records a committed save. When all shard manifests are intact it
+// additionally recomputes the root merge and byte-compares it, so a root
+// manifest that is internally consistent but disagrees with its shards is
+// caught. It
 // returns a report rather than failing on the first hit, so one flipped
 // byte and fifty flipped bytes both come back as a complete picture;
 // sick shards are also recorded into Status. The error return is reserved
@@ -228,7 +253,7 @@ func (s *Store) Verify() (*FsckReport, error) {
 	}
 	if shardsIntact {
 		// Only manifests of listed shards participate in the merge; a
-		// healthy unreferenced shard directory (e.g. cache-only) does not.
+		// healthy unreferenced shard directory does not.
 		merged := parts[:0:0]
 		for _, p := range parts {
 			if _, listed := refs[p.name]; listed {
@@ -288,10 +313,10 @@ func verifyJournal(rep *FsckReport, bx box, path string) {
 }
 
 // verifyShard walks one copy of one shard: manifest linkage to the root,
-// the shard's content-addressed artifacts, its journal, its cache
-// partition. The box selects which replica's copy is walked (findings
-// carry that replica's path). Returns the decoded shard manifest (nil when
-// unusable) and its content hash, for the root-merge recomputation.
+// the shard's content-addressed artifacts and its journal. The box
+// selects which replica's copy is walked (findings carry that replica's
+// path). Returns the decoded shard manifest (nil when unusable) and its
+// content hash, for the root-merge recomputation.
 func (s *Store) verifyShard(rep *FsckReport, bx box, name, wantHash string, listed bool, count int, rootRefs []EntryRef) (*ShardManifest, string) {
 	var sm *ShardManifest
 	smHash := ""
@@ -387,28 +412,7 @@ func (s *Store) verifyShard(rep *FsckReport, bx box, name, wantHash string, list
 		rep.Checked++
 		verifyJournal(rep, bx, journalName)
 	}
-	verifyCacheDir(rep, bx)
 	return sm, smHash
-}
-
-// verifyCacheDir self-hash-checks every cache record in one box.
-func verifyCacheDir(rep *FsckReport, bx box) {
-	names, err := bx.listJSON(cacheDir)
-	if err != nil {
-		rep.Corrupt = append(rep.Corrupt, Corruption{Path: bx.key(cacheDir), Detail: err.Error()})
-	}
-	for _, name := range names {
-		rel := cacheDir + "/" + name
-		rep.Checked++
-		data, err := bx.readArtifact(rel)
-		if err != nil {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: bx.key(rel), Detail: err.Error()})
-			continue
-		}
-		if _, err := verifySelfHashed(data); err != nil {
-			rep.Corrupt = append(rep.Corrupt, Corruption{Path: bx.key(rel), Detail: err.Error()})
-		}
-	}
 }
 
 // sortedKeysAny returns a map's keys in sorted order regardless of value

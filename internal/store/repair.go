@@ -57,7 +57,6 @@ type RepairReport struct {
 	TempsSwept      int           `json:"temps_swept"`              // stray temp files removed
 	CorruptMoved    []string      `json:"corrupt_moved,omitempty"`  // hash- or decode-invalid artifacts moved to lost+found
 	OrphansMoved    []string      `json:"orphans_moved,omitempty"`  // valid but unreferenced artifacts moved to lost+found
-	CacheDropped    int           `json:"cache_dropped"`            // corrupt cache records moved to lost+found
 	EntriesKept     int           `json:"entries_kept"`             // entries in the repaired root manifest
 	EntriesLost     int           `json:"entries_lost"`             // intended entries that could not be salvaged
 	DatabasesKept   int           `json:"databases_kept"`           // databases in the repaired root manifest
@@ -76,7 +75,7 @@ func (r *RepairReport) Lossy() bool { return r.EntriesLost > 0 || r.DatabasesLos
 // Clean reports whether there was nothing to heal.
 func (r *RepairReport) Clean() bool {
 	return r.TempsSwept == 0 && len(r.CorruptMoved) == 0 && len(r.OrphansMoved) == 0 &&
-		r.CacheDropped == 0 && !r.ManifestRebuilt &&
+		!r.ManifestRebuilt &&
 		!r.RolledForward && !r.RolledBack && !r.JournalReset && len(r.Shards) == 0
 }
 
@@ -219,8 +218,8 @@ func (s *Store) repair(ctx context.Context) (*RepairReport, error) {
 }
 
 // repairShard heals one shard directory using nothing outside it: hash
-// sweep, cache check, shard-manifest trim or rebuild, orphan moves, then a
-// journaled write-back when anything changed. Returns the shard's merge
+// sweep, shard-manifest trim or rebuild, orphan moves, then a journaled
+// write-back when anything changed. Returns the shard's merge
 // contribution (nil when the shard ends up empty) and appends a
 // ShardRepair to the report when the shard needed healing.
 func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPart, error) {
@@ -228,7 +227,7 @@ func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPa
 	sjs := bx.readJournal()
 	touched := false
 
-	// Pass 1: hash-sweep the content-addressed directories. What survives
+	// Hash-sweep the content-addressed directories. What survives
 	// is trustworthy; what doesn't goes to lost+found.
 	surviving := map[string]map[string]bool{entriesDir: {}, dbsDir: {}}
 	for _, dir := range []string{entriesDir, dbsDir} {
@@ -255,26 +254,6 @@ func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPa
 		}
 	}
 
-	// Pass 2: cache records are disposable checkpoints — corrupt ones are
-	// moved, costing a future re-synthesis, nothing else.
-	cacheNames, err := bx.listJSON(cacheDir)
-	if err != nil {
-		return nil, fmt.Errorf("store: repair: %w", err)
-	}
-	for _, fname := range cacheNames {
-		data, err := os.ReadFile(bx.path(cacheDir + "/" + fname))
-		if err != nil {
-			return nil, fmt.Errorf("store: repair: %w", err)
-		}
-		if _, err := verifySelfHashed(data); err != nil {
-			if err := bx.moveAside(cacheDir + "/" + fname); err != nil {
-				return nil, err
-			}
-			rep.CacheDropped++
-			touched = true
-		}
-	}
-
 	// The shard manifest: a decodable, self-consistent on-disk copy is
 	// trimmed to what survived; otherwise it is rebuilt from the surviving
 	// entry records, scoped by the shard journal when one survives.
@@ -292,6 +271,7 @@ func (s *Store) repairShard(name string, count int, rep *RepairReport) (*shardPa
 			intents = sjs.intentHashes()
 		}
 		var rebuilt bool
+		var err error
 		sm, lost, rebuilt, err = rebuildShardManifest(bx, name, count, surviving, sjs, intents, rep)
 		if err != nil {
 			return nil, err
@@ -525,8 +505,8 @@ func WriteRepair(w io.Writer, rep *RepairReport) {
 		fmt.Fprintln(w, "repair: clean store, nothing to do")
 		return
 	}
-	fmt.Fprintf(w, "repair: swept %d temp files, moved %d corrupt and %d orphan artifacts, dropped %d cache records\n",
-		rep.TempsSwept, len(rep.CorruptMoved), len(rep.OrphansMoved), rep.CacheDropped)
+	fmt.Fprintf(w, "repair: swept %d temp files, moved %d corrupt and %d orphan artifacts\n",
+		rep.TempsSwept, len(rep.CorruptMoved), len(rep.OrphansMoved))
 	fmt.Fprintf(w, "  kept %d entries / %d databases; lost %d entries / %d databases\n",
 		rep.EntriesKept, rep.DatabasesKept, rep.EntriesLost, rep.DatabasesLost)
 	for _, sr := range rep.Shards {

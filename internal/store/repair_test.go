@@ -6,6 +6,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -388,27 +389,75 @@ func TestLegacyStatsFileIsInert(t *testing.T) {
 	}
 }
 
-func TestRepairDropsCorruptCache(t *testing.T) {
-	corpus, _ := testBench(t)
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := bench.DefaultOptions()
-	fp := Fingerprint(opts)
-	opts.Cache = st.PairCache(fp)
-	built, err := bench.Build(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Save(built, BuildInfo{Fingerprint: fp}); err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, anyArtifact(t, dir, cacheDir))
-	rep := mustRepair(t, st)
-	if rep.CacheDropped != 1 || rep.Lossy() {
-		t.Fatalf("report = %+v, want one cache record dropped, no loss", rep)
+// TestLegacyCacheDirIsInert plants what the per-pair cache of older
+// builds left in a shard: a record under cache/ and a stray temp file
+// beside it, in every copy of a single-copy and of a 2-replica store. The
+// store no longer reads, verifies, sweeps or moves that directory, so
+// nothing may notice it: Open reports clean, Verify, Scrub and Load
+// agree, Load returns the saved benchmark, Repair has nothing to do, and
+// the planted bytes stay where they are.
+func TestLegacyCacheDirIsInert(t *testing.T) {
+	_, b := testBench(t)
+	want := bench.Digest(b)
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			dir := t.TempDir()
+			_, m := mustSaveReplicated(t, dir, b, replicas)
+			shard := shardName(shardIndex(m.Entries[0].Hash, m.ShardCount))
+			copies := []string{filepath.Join(dir, shardsDir, shard)}
+			if replicas > 1 {
+				copies = nil
+				for r := 0; r < replicas; r++ {
+					copies = append(copies, filepath.Join(dir, replicasDir, replicaName(r), shardsDir, shard))
+				}
+			}
+			planted := map[string][]byte{}
+			for _, c := range copies {
+				cache := filepath.Join(c, "cache")
+				if err := os.MkdirAll(cache, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				planted[filepath.Join(cache, hashBytes([]byte("pair key"))+".json")] = []byte("0000\n{\"kept\":[]}")
+				planted[filepath.Join(cache, ".k.json.tmp1")] = []byte("partial write")
+			}
+			for path, data := range planted {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := st.Status(); rep.Dirty() || rep.TempsSwept != 0 || rep.String() != "clean" {
+				t.Fatalf("Open status = %+v (%s), want clean", rep, rep)
+			}
+			frep, err := st.Verify()
+			if err != nil || !frep.OK() {
+				t.Fatalf("Verify = %+v, %v; want OK", frep, err)
+			}
+			srep, err := st.Scrub(context.Background())
+			if err != nil || !srep.Clean() {
+				t.Fatalf("Scrub = %+v, %v; want clean", srep, err)
+			}
+			loaded, _, err := st.Load()
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if got := bench.Digest(loaded); got != want {
+				t.Fatalf("Load digest = %s, want the saved %s", got, want)
+			}
+			rrep, err := st.Repair()
+			if err != nil || !rrep.Clean() {
+				t.Fatalf("Repair = %+v, %v; want a clean no-op", rrep, err)
+			}
+			for path, data := range planted {
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("%s after Repair = %q, %v; want its bytes untouched", path, got, err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,9 +8,7 @@
 //
 // Root-level artifacts (the root manifest, its sum and the root journal)
 // stay single-copy: each is a pure function of the shard manifests, so
-// Repair re-derives them from any surviving replica. The pair cache is
-// primary-only too — losing it to a failover costs a re-synthesis, never
-// correctness.
+// Repair re-derives them from any surviving replica.
 //
 // Replicas are byte-identical by construction: Save computes each shard's
 // artifact plan once and writes the identical bytes to every replica,

@@ -120,7 +120,7 @@ func TestReplicatedSaveLayoutAndByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if benchFingerprint(loaded) != benchFingerprint(b) {
+	if bench.Digest(loaded) != bench.Digest(b) {
 		t.Fatal("replicated load diverged from the saved benchmark")
 	}
 }
@@ -225,7 +225,7 @@ func TestOpenReplicatedFailsOverBadPrimaryManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load with failed-over shard: %v", err)
 	}
-	if benchFingerprint(loaded) != benchFingerprint(b) {
+	if bench.Digest(loaded) != bench.Digest(b) {
 		t.Fatal("failed-over load diverged from the saved benchmark")
 	}
 
@@ -270,7 +270,7 @@ func TestLoadFailsOverCorruptPrimaryEntry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load with corrupt primary entry: %v", err)
 	}
-	if benchFingerprint(loaded) != benchFingerprint(b) {
+	if bench.Digest(loaded) != bench.Digest(b) {
 		t.Fatal("failed-over load diverged from the saved benchmark")
 	}
 	fo := st.FailedOver()
@@ -292,7 +292,7 @@ func TestReplicaChaosReadFailover(t *testing.T) {
 	_, b := testBench(t)
 	dir := t.TempDir()
 	mustSaveReplicated(t, dir, b, 2)
-	want := benchFingerprint(b)
+	want := bench.Digest(b)
 
 	cases := []struct {
 		name string
@@ -318,7 +318,7 @@ func TestReplicaChaosReadFailover(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load under primary read faults: %v", err)
 			}
-			if benchFingerprint(loaded) != want {
+			if bench.Digest(loaded) != want {
 				t.Fatal("chaos load diverged from the unfaulted benchmark")
 			}
 			if tc.rate == 1 {
@@ -397,7 +397,7 @@ func TestChaosReplicaSaveSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if benchFingerprint(loaded) != benchFingerprint(b) {
+	if bench.Digest(loaded) != bench.Digest(b) {
 		t.Fatal("benchmark diverged after replica save chaos")
 	}
 }
@@ -428,7 +428,7 @@ func TestRepairHealsFromSecondaryBeforeSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if benchFingerprint(loaded) != benchFingerprint(b) {
+	if bench.Digest(loaded) != bench.Digest(b) {
 		t.Fatal("benchmark diverged after cross-replica repair")
 	}
 }

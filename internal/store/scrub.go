@@ -351,10 +351,9 @@ func (s *Store) RunScrubber(ctx context.Context, ticks <-chan time.Time, onCycle
 // syncSecondaries makes every secondary replica byte-identical to the
 // healed primary, shard by shard — the final step of Repair on a
 // replicated store. For every file in the shard's integrity-bearing set
-// (manifest, sum, journal, entries, databases; the cache is primary-only)
-// the primary's copy is authoritative: secondaries gain what they lack,
-// divergent copies are rewritten, and files the primary no longer has
-// move aside. After this, Verify over every replica sees one state.
+// (manifest, sum, journal, entries, databases) the primary's copy is
+// authoritative: secondaries gain what they lack, divergent copies are
+// rewritten, and files the primary no longer has move aside. After this, Verify over every replica sees one state.
 func (s *Store) syncSecondaries(names []string, rep *RepairReport) error {
 	if s.replicas <= 1 {
 		return nil

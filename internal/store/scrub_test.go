@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"nvbench/internal/bench"
 	"nvbench/internal/fault"
 )
 
@@ -235,7 +236,7 @@ func TestChaosScrubSite(t *testing.T) {
 	_, b := testBench(t)
 	dir := t.TempDir()
 	st, _ := mustSaveReplicated(t, dir, b, 2)
-	want := benchFingerprint(b)
+	want := bench.Digest(b)
 
 	for _, rate := range []float64{0.3, 1} {
 		restore := fault.Activate(fault.NewPlan(13).Add(
@@ -255,7 +256,7 @@ func TestChaosScrubSite(t *testing.T) {
 		if lerr != nil {
 			t.Fatalf("rate %v: load after chaos scrub: %v", rate, lerr)
 		}
-		if benchFingerprint(loaded) != want {
+		if bench.Digest(loaded) != want {
 			t.Fatalf("rate %v: benchmark diverged under chaos scrub", rate)
 		}
 	}

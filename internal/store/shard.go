@@ -1,5 +1,5 @@
 // Sharding: the store is hash-partitioned into shards/00..ff/, each a
-// self-contained box (own journal, manifest, entries, dbs, cache). An
+// self-contained box (own journal, manifest, entries, dbs). An
 // entry lives in the shard named by the first byte of its content hash
 // modulo the shard count, so placement is stable (a re-save routes every
 // entry to the same shard), uniform (the first hash byte is uniform), and

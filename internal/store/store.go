@@ -1,13 +1,13 @@
 // Package store persists a synthesized benchmark to a directory as
 // deterministic, content-addressed artifacts — the serialization-and-release
 // step the paper performs on nvBench itself (the published dataset), grown
-// into a serving substrate: build once, rebuild incrementally, serve from
-// disk with cache-validator hashes.
+// into a serving substrate: build, save once, serve from disk with
+// cache-validator hashes.
 //
 // The store is hash-partitioned: entries live in shards, each shard a
-// self-contained directory with its own journal, manifest, database
-// copies and cache partition, and the root manifest is a deterministic
-// merge of the shard manifests. Layout of a store directory:
+// self-contained directory with its own journal, manifest and database
+// copies, and the root manifest is a deterministic merge of the shard
+// manifests. Layout of a store directory:
 //
 //	MANIFEST.json        root index: format version, shard count, shard
 //	                     refs (name + shard-manifest hash), merged entry
@@ -24,8 +24,6 @@
 //	  dbs/<h>.json       database payloads referenced by this shard's
 //	                     entries (duplicated per shard on purpose: a
 //	                     shard is loadable with no reads outside itself)
-//	  cache/<k>.json     incremental per-pair cache; <k> hashes the
-//	                     pair's inputs, the payload is self-hashed
 //
 // Every artifact is canonical JSON (sorted keys, fixed indentation), so the
 // same benchmark always serializes to the same bytes: Save is idempotent,
@@ -35,14 +33,14 @@
 // flipped byte dirties exactly one shard — Open still succeeds, Status
 // names the sick shard, LoadPartial serves the healthy ones, and Repair
 // heals shard by shard. All reads pass through the store.load fault site;
-// writes pass through store.shard.save (inside a shard, pair-cache records
-// included) or store.shard.merge (the root merge), and every artifact a
-// Save writes is journaled. Load degrades with a wrapped error — never a
-// panic — and cache corruption degrades to a cache miss.
+// writes pass through store.shard.save (inside a shard) or
+// store.shard.merge (the root merge), and every artifact a Save writes is
+// journaled. Load degrades with a wrapped error — never a panic.
 //
 // The store holds what a build produced, not how it ran: a loaded
-// benchmark has no Corpus and zero Stats. A stats.json left by an older
-// build is never read, verified, swept or moved.
+// benchmark has no Corpus and zero Stats. A stats.json or a shard's
+// cache/ directory (the per-pair cache of older builds) is never read,
+// verified, swept or moved.
 //
 // Format 2 is the only layout. Open refuses a directory whose root
 // manifest says format 1 (the flat pre-shard layout) and leaves it
@@ -78,7 +76,6 @@ const (
 	manifestSumName = "MANIFEST.sha256"
 	entriesDir      = "entries"
 	dbsDir          = "dbs"
-	cacheDir        = "cache"
 )
 
 // Store is a benchmark store rooted at one directory.
@@ -373,7 +370,7 @@ func (s *Store) sweepAllTemps() (int, error) {
 			return swept, err
 		}
 		for _, name := range names {
-			n, err := s.replicaShardBox(r, name).sweepTemps([]string{"", entriesDir, dbsDir, cacheDir})
+			n, err := s.replicaShardBox(r, name).sweepTemps([]string{"", entriesDir, dbsDir})
 			swept += n
 			if err != nil {
 				return swept, err

@@ -206,8 +206,8 @@ func flipByte(t *testing.T, path string) {
 	}
 }
 
-// anyArtifact returns one artifact path of the given kind (entriesDir,
-// dbsDir or cacheDir), searching the shard directories of the store
+// anyArtifact returns one artifact path of the given kind (entriesDir or
+// dbsDir), searching the shard directories of the store
 // (the primary replica's on a replicated one).
 func anyArtifact(t *testing.T, dir, sub string) string {
 	t.Helper()
@@ -340,106 +340,6 @@ func TestVerifyDetectsMissingArtifact(t *testing.T) {
 	}
 }
 
-// benchFingerprint summarizes everything entry-order-sensitive about a
-// build, for cheap equality checks between cold and warm rebuilds.
-func benchFingerprint(b *bench.Benchmark) string {
-	var sb bytes.Buffer
-	for _, e := range b.Entries {
-		sb.WriteString(e.Vis.String())
-		sb.WriteByte('|')
-		for _, nl := range e.NLs {
-			sb.WriteString(nl)
-			sb.WriteByte('~')
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-func TestIncrementalWarmRebuildSkipsSynthesis(t *testing.T) {
-	corpus, plain := testBench(t)
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := bench.DefaultOptions()
-	fp := Fingerprint(opts)
-	opts.Cache = st.PairCache(fp)
-	cold, err := bench.Build(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate pairs (same NL, SQL and database) share a cache key, so a
-	// cold build may see a few hits; it must do real synthesis for the rest.
-	if cold.Stats.CacheMisses == 0 || cold.Stats.CacheHits+cold.Stats.CacheMisses != len(corpus.Pairs) {
-		t.Fatalf("cold build: hits=%d misses=%d over %d pairs",
-			cold.Stats.CacheHits, cold.Stats.CacheMisses, len(corpus.Pairs))
-	}
-	if cold.Stats.CacheWriteErrors != 0 {
-		t.Fatalf("cold build: %d cache write errors", cold.Stats.CacheWriteErrors)
-	}
-	warmOpts := bench.DefaultOptions()
-	warmOpts.Cache = st.PairCache(fp)
-	warm, err := bench.Build(corpus, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The acceptance gate: a warm rebuild of an unchanged corpus does zero
-	// synthesis — every pair is a cache hit.
-	if warm.Stats.CacheHits != len(corpus.Pairs) || warm.Stats.CacheMisses != 0 {
-		t.Fatalf("warm build: hits=%d misses=%d, want %d/0",
-			warm.Stats.CacheHits, warm.Stats.CacheMisses, len(corpus.Pairs))
-	}
-	// And the output is byte-identical to both the cold cached build and
-	// the plain uncached build.
-	if benchFingerprint(warm) != benchFingerprint(cold) || benchFingerprint(warm) != benchFingerprint(plain) {
-		t.Fatal("warm rebuild diverged from cold/uncached build")
-	}
-	if !reflect.DeepEqual(warm.Rejections, plain.Rejections) {
-		t.Fatalf("warm rejections diverged: %v vs %v", warm.Rejections, plain.Rejections)
-	}
-}
-
-func TestCorruptCacheDegradesToMiss(t *testing.T) {
-	corpus, _ := testBench(t)
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := bench.DefaultOptions()
-	fp := Fingerprint(opts)
-	opts.Cache = st.PairCache(fp)
-	cold, err := bench.Build(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Save(cold, BuildInfo{Fingerprint: fp}); err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, anyArtifact(t, dir, cacheDir))
-	rep, err := st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() {
-		t.Fatal("fsck missed the corrupted cache artifact")
-	}
-	warmOpts := bench.DefaultOptions()
-	warmOpts.Cache = st.PairCache(fp)
-	warm, err := bench.Build(corpus, warmOpts)
-	if err != nil {
-		t.Fatalf("corrupt cache must degrade, not fail: %v", err)
-	}
-	if warm.Stats.CacheMisses == 0 {
-		t.Fatal("corrupted artifact should have produced at least one miss")
-	}
-	if warm.Stats.CacheHits+warm.Stats.CacheMisses != len(corpus.Pairs) {
-		t.Fatalf("hits+misses = %d, want %d",
-			warm.Stats.CacheHits+warm.Stats.CacheMisses, len(corpus.Pairs))
-	}
-}
-
 func TestFingerprintSeparatesConfigs(t *testing.T) {
 	a := bench.DefaultOptions()
 	b := bench.DefaultOptions()
@@ -514,35 +414,12 @@ func TestOpenRefusesFormat1(t *testing.T) {
 
 // TestUnterminatedVisEscapeDegrades pins a tokenizer bound: a vis line
 // that ends inside a quoted value right after a backslash once sliced
-// past the end of the line and panicked. Both decoders that parse a
-// stored vis line must degrade instead — the entry decoder with an error,
-// the pair cache with a miss.
+// past the end of the line and panicked. The entry decoder must degrade
+// with an error instead.
 func TestUnterminatedVisEscapeDegrades(t *testing.T) {
 	const vis = "\"\\"
 	rec := &entryRecord{Vis: vis, Chart: "none", Hardness: "easy", NLs: []string{"q"}}
 	if _, err := rec.toEntry(&dataset.Database{Name: "x"}); err == nil {
 		t.Fatal("toEntry accepted an unterminated escape")
-	}
-
-	corpus, _ := testBench(t)
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := st.PairCache("fingerprint")
-	p := corpus.Pairs[0]
-	key, err := cache.key(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := canonicalJSON(outcomeRecord{Kept: []cachedVisRecord{{Vis: vis, Hardness: "easy", NLs: []string{"q"}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.cacheBox(key).writeArtifact(cacheDir+"/"+key+".json", selfHashed(payload)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.Get(p); ok {
-		t.Fatal("PairCache.Get served a record whose vis line does not parse")
 	}
 }

@@ -49,7 +49,6 @@ for target in \
     "FuzzEntryCodec ./internal/store" \
     "FuzzDecodeDatabase ./internal/store" \
     "FuzzDecodeEntry ./internal/store" \
-    "FuzzSelfHashed ./internal/store" \
     "FuzzJournalRecover ./internal/store" \
     "FuzzShardRoute ./internal/store" \
     "FuzzScrubResolve ./internal/store" \
