@@ -391,11 +391,49 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 			t.Logf("mismatch:\n  in  %q\n  out %q", q.String(), got.String())
 			return false
 		}
+		if s, j := q.String(), strings.Join(q.Tokens(), " "); s != j {
+			t.Logf("String %q, joined Tokens %q", s, j)
+			return false
+		}
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: r}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allocQuery is a vis query with a grouping, an order and a filter, the
+// shape the synthesizer renders most.
+const allocQuery = "visualize bar select emp.dept avg emp.salary from emp group grouping emp.dept order desc avg emp.salary filter > emp.age 30"
+
+// TestStringAllocs pins the allocations of one render of allocQuery: the
+// token slice, the joined line, one qualified key for each of the five
+// attributes and two for formatting the number. A render that gave each
+// tree node a slice of its own took 26.
+func TestStringAllocs(t *testing.T) {
+	q, err := ParseString(allocQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = q.String() }); got > 9 {
+		t.Errorf("String allocates %v times per render, want at most 9", got)
+	}
+}
+
+// BenchmarkQueryString renders the hand-written canonical lines.
+func BenchmarkQueryString(b *testing.B) {
+	qs := make([]*Query, len(canonicalLines))
+	for i, line := range canonicalLines {
+		q, err := ParseString(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs[i] = q
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = qs[i%len(qs)].String()
 	}
 }
 

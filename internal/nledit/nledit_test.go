@@ -3,9 +3,13 @@ package nledit
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"nvbench/internal/ast"
@@ -312,27 +316,58 @@ func TestIndexFold(t *testing.T) {
 	}
 }
 
+// pooledMatchesFresh draws from a pooled RNG reseeded with seed and from a
+// fresh math/rand one, through every method the editor uses and Uint64,
+// and reports the first draw at which they differ.
+func pooledMatchesFresh(seed int64, draws int) error {
+	r := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(r)
+	r.Seed(seed)
+	fresh := rand.New(rand.NewSource(seed))
+	for i := 0; i < draws; i++ {
+		var a, b any
+		switch i % 4 {
+		case 0:
+			a, b = r.Uint64(), fresh.Uint64()
+		case 1:
+			a, b = r.Int63(), fresh.Int63()
+		case 2:
+			a, b = r.Float64(), fresh.Float64()
+		default:
+			a, b = r.Intn(i+1), fresh.Intn(i+1)
+		}
+		if a != b {
+			return fmt.Errorf("seed %d draw %d: pooled %v, fresh %v", seed, i, a, b)
+		}
+	}
+	var buf [3]byte
+	r.Read(buf[:]) // leave a partial read behind for the next Seed to reset
+	return nil
+}
+
 // The pooled, reseeded RNG draws what a fresh one does, and rngFor seeds it
 // with the FNV-1a hash of "<Seed>|<vis>".
 func TestPooledRNGMatchesFresh(t *testing.T) {
-	for seed := int64(-500); seed < 500; seed++ {
-		r := rngPool.Get().(*rand.Rand)
-		r.Seed(seed)
-		fresh := rand.New(rand.NewSource(seed))
-		for i := 0; i < 64; i++ {
-			if a, b := r.Int63(), fresh.Int63(); a != b {
-				t.Fatalf("seed %d draw %d: Int63 %d, fresh %d", seed, i, a, b)
-			}
-			if a, b := r.Float64(), fresh.Float64(); a != b {
-				t.Fatalf("seed %d draw %d: Float64 %v, fresh %v", seed, i, a, b)
-			}
-			if a, b := r.Intn(i+1), fresh.Intn(i+1); a != b {
-				t.Fatalf("seed %d draw %d: Intn %d, fresh %d", seed, i, a, b)
-			}
+	// 1,500 draws read every register word at least twice: past the
+	// 607-word lag, each draw reads a word an earlier draw wrote.
+	const draws = 1500
+	edges := []int64{0, 1, -1, int32max - 1, int32max, int32max + 1, 2 * int32max,
+		89482311, math.MinInt64, math.MaxInt64, 1 << 40}
+	for _, seed := range edges {
+		if err := pooledMatchesFresh(seed, draws); err != nil {
+			t.Fatal(err)
 		}
-		var buf [3]byte
-		r.Read(buf[:]) // leave a partial read behind for the next Seed to reset
-		rngPool.Put(r)
+	}
+	for seed := int64(-300); seed < 300; seed++ {
+		if err := pooledMatchesFresh(seed, draws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(99))
+	for i := 0; i < 300; i++ {
+		if err := pooledMatchesFresh(int64(r.Uint64()), draws); err != nil {
+			t.Fatal(err)
+		}
 	}
 	vis := pieVis(t)
 	for _, seed := range []int64{0, 1, -7, 1 << 40} {
@@ -344,6 +379,99 @@ func TestPooledRNGMatchesFresh(t *testing.T) {
 			t.Errorf("rngFor with seed %d: first draw %d, want %d", seed, got, want)
 		}
 		rngPool.Put(r)
+	}
+}
+
+// TestVariantsConcurrent: editors on several goroutines share the RNG pool
+// and the source's tables, and each still gets the serial result.
+func TestVariantsConcurrent(t *testing.T) {
+	vis := pieVis(t)
+	const nl = "how many male and female faculties do we have?"
+	want := make([][]Variant, 8)
+	for i := range want {
+		want[i] = New(int64(i)).Variants(nl, vis, pieEdit())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				for i := range want {
+					if got := New(int64(i)).Variants(nl, vis, pieEdit()); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("seed %d: concurrent variants %v, serial %v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzLazySource checks lazySource against rand.NewSource for any seed and
+// draw count, the draws past the register length included.
+func FuzzLazySource(f *testing.F) {
+	for _, seed := range []int64{0, 1, -1, int32max, 2 * int32max, math.MinInt64, math.MaxInt64} {
+		f.Add(seed, uint16(1500))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		var s lazySource
+		s.Seed(seed)
+		fresh := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < int(draws); i++ {
+			if a, b := s.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: lazy %d, fresh %d", seed, i, a, b)
+			}
+		}
+	})
+}
+
+// TestVariantsReturnOnSmallPhrasingSpace: with no edits and no smoothing
+// every draw yields the same text, so the editor must give up after its
+// duplicate budget instead of looping for distinct variants forever.
+func TestVariantsReturnOnSmallPhrasingSpace(t *testing.T) {
+	e := &Editor{NumVariants: 4, Smooth: false, Seed: 1}
+	vis := pieVis(t)
+	done := make(chan []Variant, 1)
+	go func() { done <- e.Variants("How many pets?", vis, core.Edit{}) }()
+	select {
+	case vars := <-done:
+		if len(vars) != 1 || vars[0].Text != "How many pets." {
+			t.Errorf("variants %+v, want the one text %q", vars, "How many pets.")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Variants did not return within 10s")
+	}
+}
+
+// BenchmarkVariants synthesizes the variants of an insertion-only vis and
+// of a manually revised one, with the paper's defaults.
+func BenchmarkVariants(b *testing.B) {
+	bar, err := ast.ParseString("visualize bar select emp.dept avg emp.salary from emp group grouping emp.dept order desc avg emp.salary")
+	if err != nil {
+		b.Fatal(err)
+	}
+	salary := ast.Attr{Agg: ast.AggAvg, Column: "salary", Table: "emp"}
+	insert := core.Edit{Ops: []core.EditOp{
+		{Kind: core.InsertVisualize, Chart: ast.Bar},
+		{Kind: core.InsertGroup, Attr: ast.Attr{Column: "dept", Table: "emp"}},
+		{Kind: core.InsertAgg, Attr: salary},
+		{Kind: core.InsertOrder, Order: &ast.Order{Dir: ast.Desc, Attr: salary}},
+	}}
+	manual := core.Edit{Ops: []core.EditOp{
+		{Kind: core.DeleteSelect, Attr: ast.Attr{Column: "name", Table: "emp"}},
+		{Kind: core.InsertVisualize, Chart: ast.Bar},
+	}}
+	e := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Seed = int64(i)
+		if i%2 == 0 {
+			e.Variants("What is the salary of the employees in each department?", bar, insert)
+		} else {
+			e.Variants("List the names and salaries of the employees.", bar, manual)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ echo "== nvlint ./... (cached)"
 go run ./cmd/nvlint -cache-dir .nvlint-cache ./...
 
 echo "== go test -race (fast packages)"
-go test -race ./internal/ast ./internal/sqlparser ./internal/spider ./internal/core
+go test -race ./internal/ast ./internal/sqlparser ./internal/spider ./internal/core ./internal/nledit
 
 echo "== store round trip (determinism gate)"
 go test -run 'TestSaveLoadRoundTrip|TestGoldenManifestDeterminism|TestVerifyDetectsFlippedByte|TestShardedSaveWorkerCountsByteIdentical' ./internal/store
@@ -55,6 +55,7 @@ for target in \
     "FuzzVQLParse ./internal/vql" \
     "FuzzTryParse ./internal/sqlparser" \
     "FuzzParseString ./internal/ast" \
+    "FuzzLazySource ./internal/nledit" \
     "FuzzPairwise ./internal/bleu"; do
     set -- $target
     out=$(go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 1x "$2" 2>&1) || {
