@@ -146,33 +146,169 @@ func Execute(db *Database, q *ast.Query) (*Result, error) {
 	return out, nil
 }
 
-// relation is a working set of rows over qualified column names.
+// relation is a working set of rows over the columns of one or more
+// tables laid side by side. A column is named "table.column" after its
+// table, as ast.Attr.Key names it.
 type relation struct {
-	cols  []string // qualified "table.column"
-	types []ColType
-	index map[string]int
-	rows  [][]Cell
+	segs []segment
+	rows [][]Cell
 }
 
-func newRelation() *relation {
-	return &relation{index: map[string]int{}}
+// segment places one table's columns in a relation's rows, starting at
+// column off.
+type segment struct {
+	t   *Table
+	off int
 }
 
 func relationFromTable(t *Table) *relation {
-	r := newRelation()
-	for _, c := range t.Columns {
-		key := t.Name + "." + c.Name
-		r.index[key] = len(r.cols)
-		r.cols = append(r.cols, key)
-		r.types = append(r.types, c.Type)
-	}
-	r.rows = t.Rows
-	return r
+	return &relation{segs: []segment{{t: t}}, rows: t.Rows}
 }
 
-func (r *relation) col(key string) (int, bool) {
-	i, ok := r.index[key]
-	return i, ok
+// width is the number of columns of the relation.
+func (r *relation) width() int {
+	last := r.segs[len(r.segs)-1]
+	return last.off + len(last.t.Columns)
+}
+
+// withTable returns r's segments followed by one for t's columns.
+func (r *relation) withTable(t *Table) []segment {
+	segs := make([]segment, len(r.segs), len(r.segs)+1)
+	copy(segs, r.segs)
+	return append(segs, segment{t: t, off: r.width()})
+}
+
+// col resolves the column that ast.Attr.Key names for (table, column):
+// "table.column", or column alone when table is empty. A '.' inside a
+// table or column name can make two columns spell one name; the scan
+// runs from the last column to the first, so the last one wins.
+func (r *relation) col(table, column string) (int, ColType, bool) {
+	for s := len(r.segs) - 1; s >= 0; s-- {
+		seg := r.segs[s]
+		for i := len(seg.t.Columns) - 1; i >= 0; i-- {
+			c := seg.t.Columns[i]
+			if spells(seg.t.Name, c.Name, table, column) {
+				return seg.off + i, c.Type, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// spells reports whether table+"."+column is the text of the key
+// kt+"."+kc (kc alone when kt is empty), without building either string.
+func spells(table, column, kt, kc string) bool {
+	if kt == "" {
+		n := len(table)
+		return len(kc) == n+1+len(column) && kc[n] == '.' && kc[:n] == table && kc[n+1:] == column
+	}
+	if table == kt {
+		return column == kc
+	}
+	if len(table)+len(column) != len(kt)+len(kc) {
+		return false
+	}
+	// Two different splits of one text: with table the shorter name, the
+	// text is table.head.kc, where kt is table.head and column is head.kc.
+	switch {
+	case len(table) == len(kt):
+		return false
+	case len(table) > len(kt):
+		table, column, kt, kc = kt, kc, table, column
+	}
+	n := len(table)
+	head := kt[n+1:]
+	return kt[n] == '.' && kt[:n] == table && column[len(head)] == '.' && column[:len(head)] == head && column[len(head)+1:] == kc
+}
+
+// sameKey reports whether a.Key() == b.Key().
+func sameKey(a, b ast.Attr) bool {
+	switch {
+	case a.Table == "" && b.Table == "":
+		return a.Column == b.Column
+	case a.Table == "":
+		return spells(b.Table, b.Column, "", a.Column)
+	default:
+		return spells(a.Table, a.Column, b.Table, b.Column)
+	}
+}
+
+// attrPlan is an attribute resolved against a relation once per
+// execution: the grouping it reads, COUNT(*), or its column. A column
+// that does not resolve keeps its error, raised only when a row or group
+// reaches the attribute.
+type attrPlan struct {
+	attr  ast.Attr
+	group int  // index of the GROUP BY attribute with the same key, or -1
+	star  bool // COUNT(*), which reads no column
+	col   int
+	typ   ColType
+	err   error
+}
+
+// planColumn resolves a's column; what names its role in the error.
+func planColumn(rel *relation, a ast.Attr, what string) attrPlan {
+	p := attrPlan{attr: a, group: -1}
+	var ok bool
+	if p.col, p.typ, ok = rel.col(a.Table, a.Column); !ok {
+		p.err = fmt.Errorf("dataset: unknown %s %s", what, a.Key())
+	}
+	return p
+}
+
+// planAggregate resolves the column an aggregate attribute reads.
+func planAggregate(rel *relation, a ast.Attr) attrPlan {
+	if a.Agg == ast.AggCount && a.Column == "*" {
+		return attrPlan{attr: a, group: -1, star: true}
+	}
+	return planColumn(rel, a, "column")
+}
+
+// planSelect resolves one select attribute of a grouped core: an
+// aggregate, a grouping attribute (which reads the group's key), or a
+// bare column (which reads the group's first row).
+func planSelect(rel *relation, c *ast.Core, a ast.Attr) attrPlan {
+	if a.Agg != ast.AggNone {
+		return planAggregate(rel, a)
+	}
+	for gi, g := range c.Groups {
+		if sameKey(g.Attr, a) {
+			return attrPlan{attr: a, group: gi}
+		}
+	}
+	return planColumn(rel, a, "column")
+}
+
+// filterPlan is a core's filter tree, root first, with each leaf's
+// attribute resolved once per execution: a WHERE leaf's column, or a
+// HAVING leaf's aggregate.
+type filterPlan []filterNode
+
+type filterNode struct {
+	f           *ast.Filter
+	left, right int // a connective's children, -1 for none
+	attr        attrPlan
+}
+
+// add appends f's subtree and returns the index of f's node, or -1 for
+// a nil f.
+func (p *filterPlan) add(rel *relation, f *ast.Filter) int {
+	if f == nil {
+		return -1
+	}
+	i := len(*p)
+	*p = append(*p, filterNode{f: f, left: -1, right: -1})
+	switch {
+	case f.Op.IsConnective():
+		l := p.add(rel, f.Left)
+		r := p.add(rel, f.Right)
+		(*p)[i].left, (*p)[i].right = l, r
+	case f.Having:
+		(*p)[i].attr = planAggregate(rel, f.Attr)
+	default:
+		(*p)[i].attr = planColumn(rel, f.Attr, "filter column")
+	}
+	return i
 }
 
 // subqueries holds the values of each subquery leaf of one core's filter
@@ -188,11 +324,13 @@ func execCore(db *Database, c *ast.Core) (*Result, error) {
 		return nil, err
 	}
 	subs := subqueries{}
+	var filter filterPlan
 	// WHERE: evaluate the filter tree with having-leaves treated as true.
 	if c.Filter != nil {
-		kept := rel.rows[:0:0]
+		filter.add(rel, c.Filter)
+		kept := make([][]Cell, 0, len(rel.rows))
 		for _, row := range rel.rows {
-			ok, err := evalFilter(db, subs, rel, row, c.Filter, false)
+			ok, err := filter.eval(db, subs, 0, row, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -200,7 +338,7 @@ func execCore(db *Database, c *ast.Core) (*Result, error) {
 				kept = append(kept, row)
 			}
 		}
-		rel = &relation{cols: rel.cols, types: rel.types, index: rel.index, rows: kept}
+		rel = &relation{segs: rel.segs, rows: kept}
 	}
 
 	hasAgg := false
@@ -210,73 +348,80 @@ func execCore(db *Database, c *ast.Core) (*Result, error) {
 		}
 	}
 	if len(c.Groups) > 0 || hasAgg {
-		return execGrouped(db, subs, rel, c)
+		return execGrouped(db, subs, filter, rel, c)
 	}
-	return execPlain(db, rel, c)
+	return execPlain(rel, c)
 }
 
-// execPlain projects, orders and limits without grouping.
-func execPlain(db *Database, rel *relation, c *ast.Core) (*Result, error) {
-	out := &Result{}
+// execPlain projects, orders and limits without grouping. The projected
+// rows are carved from one slice of cells.
+func execPlain(rel *relation, c *ast.Core) (*Result, error) {
+	out := &Result{Columns: make([]string, len(c.Select))}
 	idxs := make([]int, len(c.Select))
+	distinct := false
 	for i, a := range c.Select {
-		out.Columns = append(out.Columns, a.String())
-		j, ok := rel.col(a.Key())
+		out.Columns[i] = a.String()
+		j, _, ok := rel.col(a.Table, a.Column)
 		if !ok {
 			return nil, fmt.Errorf("dataset: unknown column %s", a.Key())
 		}
 		idxs[i] = j
+		distinct = distinct || a.Distinct
 	}
-	seen := map[string]bool{}
-	distinct := false
-	for _, a := range c.Select {
-		if a.Distinct {
-			distinct = true
-		}
+	n := len(idxs)
+	cells := make([]Cell, len(rel.rows)*n)
+	rows := make([][]Cell, 0, len(rel.rows))
+	var seen *textSet
+	if distinct {
+		seen = newTextSet(0)
 	}
+	var buf []byte
 	for _, row := range rel.rows {
-		proj := make([]Cell, len(idxs))
+		off := len(rows) * n
+		proj := cells[off : off+n : off+n]
 		for i, j := range idxs {
 			proj[i] = row[j]
 		}
 		if distinct {
-			k := out.Key(proj)
-			if seen[k] {
+			buf = appendKey(buf[:0], proj)
+			if _, added := seen.add(buf); !added {
 				continue
 			}
-			seen[k] = true
 		}
-		out.Rows = append(out.Rows, proj)
+		rows = append(rows, proj)
 	}
-	if err := orderAndLimit(db, rel, c, out); err != nil {
+	if len(rows) > 0 {
+		out.Rows = rows
+	}
+	if err := orderAndLimit(c, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// groupState accumulates rows for one group key.
-type groupState struct {
-	key  []Cell
-	text string // key's Key text, which orders the groups
-	rows [][]Cell
-}
-
 // execGrouped evaluates grouping/binning, aggregates, having, order and
-// superlative over a filtered relation.
-func execGrouped(db *Database, subs subqueries, rel *relation, c *ast.Core) (*Result, error) {
+// superlative over a filtered relation. The result rows are carved from
+// one slice of cells.
+func execGrouped(db *Database, subs subqueries, filter filterPlan, rel *relation, c *ast.Core) (*Result, error) {
 	groups, err := groupRows(rel, c)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{}
-	for _, a := range c.Select {
-		out.Columns = append(out.Columns, a.String())
+	out := &Result{Columns: make([]string, len(c.Select))}
+	plans := make([]attrPlan, len(c.Select))
+	for i, a := range c.Select {
+		out.Columns[i] = a.String()
+		plans[i] = planSelect(rel, c, a)
 	}
-	for _, g := range groups {
+	n := len(plans)
+	cells := make([]Cell, len(groups)*n)
+	rows := make([][]Cell, 0, len(groups))
+	for gi := range groups {
+		g := &groups[gi]
 		// HAVING: evaluate the filter tree with where-leaves treated as
 		// true, over the group's aggregates.
-		if c.Filter != nil {
-			ok, err := evalHaving(db, subs, rel, g, c.Filter)
+		if len(filter) > 0 {
+			ok, err := filter.eval(db, subs, 0, nil, g)
 			if err != nil {
 				return nil, err
 			}
@@ -284,20 +429,58 @@ func execGrouped(db *Database, subs subqueries, rel *relation, c *ast.Core) (*Re
 				continue
 			}
 		}
-		row := make([]Cell, len(c.Select))
-		for i, a := range c.Select {
-			cell, err := evalSelectAttr(rel, g, c, a)
+		off := len(rows) * n
+		row := cells[off : off+n : off+n]
+		for i := range plans {
+			cell, err := evalSelectAttr(g, &plans[i])
 			if err != nil {
 				return nil, err
 			}
 			row[i] = cell
 		}
-		out.Rows = append(out.Rows, row)
+		rows = append(rows, row)
 	}
-	if err := orderAndLimit(db, rel, c, out); err != nil {
+	if len(rows) > 0 {
+		out.Rows = rows
+	}
+	if err := orderAndLimit(c, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// group is one group of a grouped core's rows.
+type group struct {
+	key  []Cell   // the group's first row's (binned) grouping cells
+	rows [][]Cell // the group's rows, in relation order
+}
+
+// textSet numbers distinct texts in order of first appearance. Each new
+// text is appended to all, and its map key is the substring of all that
+// holds it: a strings.Builder only ever appends, so the substring stays
+// valid as all grows. Adding a text thus allocates only as the map and
+// all grow, and a lookup with string(b) allocates nothing.
+type textSet struct {
+	ids map[string]int32
+	all strings.Builder
+}
+
+// newTextSet returns a set sized for about n texts.
+func newTextSet(n int) *textSet {
+	return &textSet{ids: make(map[string]int32, n)}
+}
+
+// add returns b's id, numbering b if it is new; added reports whether it
+// was. A new text ends at s.all.Len().
+func (s *textSet) add(b []byte) (id int32, added bool) {
+	if id, ok := s.ids[string(b)]; ok {
+		return id, false
+	}
+	s.all.Write(b)
+	all := s.all.String()
+	id = int32(len(s.ids))
+	s.ids[all[len(all)-len(b):]] = id
+	return id, true
 }
 
 // groupRows partitions the relation's rows by the core's (possibly binned)
@@ -305,21 +488,30 @@ func execGrouped(db *Database, subs subqueries, rel *relation, c *ast.Core) (*Re
 // group's rows keep their relation order. With no GROUP BY, every row
 // falls in one group — even over an empty relation, so that an
 // aggregate-only query still yields its row (COUNT(*) of nothing is 0).
-func groupRows(rel *relation, c *ast.Core) ([]*groupState, error) {
+//
+// One pass writes each row's key text into a reused buffer and numbers
+// the distinct texts; only the group ids are sorted. The group states,
+// their key cells and their row lists are then carved from slices
+// allocated once per call, and a binned key cell's label is a substring
+// of its group's text.
+func groupRows(rel *relation, c *ast.Core) ([]group, error) {
 	if len(c.Groups) == 0 {
-		return []*groupState{{key: []Cell{S("")}, rows: rel.rows}}, nil
+		return []group{{key: []Cell{S("")}, rows: rel.rows}}, nil
 	}
-	type binInfo struct {
-		min, max, size float64
+	// Each grouping's column and, for numeric bins, the bins' origin and
+	// width.
+	type grouping struct {
+		g         ast.Group
+		col       int
+		min, size float64
 	}
-	binInfos := make([]binInfo, len(c.Groups))
-	groupIdx := make([]int, len(c.Groups))
+	gs := make([]grouping, len(c.Groups))
 	for gi, g := range c.Groups {
-		j, ok := rel.col(g.Attr.Key())
+		j, _, ok := rel.col(g.Attr.Table, g.Attr.Column)
 		if !ok {
 			return nil, fmt.Errorf("dataset: unknown group column %s", g.Attr.Key())
 		}
-		groupIdx[gi] = j
+		gs[gi] = grouping{g: g, col: j}
 		if g.Kind == ast.Binning && g.Bin == ast.BinNumeric {
 			mn, mx := math.Inf(1), math.Inf(-1)
 			for _, row := range rel.rows {
@@ -336,97 +528,125 @@ func groupRows(rel *relation, c *ast.Core) ([]*groupState, error) {
 			if size <= 0 || math.IsInf(size, 0) || math.IsNaN(size) {
 				size = 1
 			}
-			binInfos[gi] = binInfo{min: mn, max: mx, size: size}
+			gs[gi].min, gs[gi].size = mn, size
 		}
+	}
+	// appendCell appends grouping gi's key text for row's cell.
+	appendCell := func(b []byte, gi int, row []Cell) []byte {
+		g := &gs[gi]
+		if g.g.Kind == ast.Binning {
+			return appendBinText(b, row[g.col], g.g.Bin, g.min, g.size)
+		}
+		return row[g.col].appendText(b)
 	}
 
-	// One pass assigns each row its group. The key text is written into
-	// one reused buffer; a group's key cells and text are allocated only
-	// when the group first appears.
-	var groups []*groupState
-	var sizes []int
-	byText := map[string]int{}
-	ids := make([]int, len(rel.rows))
-	key := make([]Cell, len(c.Groups))
+	// Number the rows' key texts. A group's text is texts.all[end of the
+	// previous group's:end].
+	type info struct{ first, count, end int32 }
+	texts := newTextSet(0)
+	infos := make([]info, 0, 8)
+	ids := make([]int32, len(rel.rows))
 	var buf []byte
 	for ri, row := range rel.rows {
-		for gi, g := range c.Groups {
-			cell := row[groupIdx[gi]]
-			if g.Kind == ast.Binning {
-				cell = binCell(cell, g, binInfos[gi].min, binInfos[gi].size)
+		buf = buf[:0]
+		for gi := range gs {
+			if gi > 0 {
+				buf = append(buf, '\x1f')
 			}
-			key[gi] = cell
+			buf = appendCell(buf, gi, row)
 		}
-		buf = appendKey(buf[:0], key)
-		id, ok := byText[string(buf)]
-		if !ok {
-			id = len(groups)
-			text := string(buf)
-			byText[text] = id
-			groups = append(groups, &groupState{key: append([]Cell(nil), key...), text: text})
-			sizes = append(sizes, 0)
+		id, added := texts.add(buf)
+		if added {
+			infos = append(infos, info{first: int32(ri), end: int32(texts.all.Len())})
 		}
 		ids[ri] = id
-		sizes[id]++
+		infos[id].count++
 	}
-	// The groups' row lists share one backing slice.
+	all := texts.all.String()
+	text := func(id int32) string {
+		start := int32(0)
+		if id > 0 {
+			start = infos[id-1].end
+		}
+		return all[start:infos[id].end]
+	}
+	order := make([]int32, len(infos))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(text(a), text(b)) })
+
+	// Carve the groups in key order. A binned key cell's label is found
+	// by printing the first row's key again, cell by cell.
+	k := len(gs)
+	groups := make([]group, len(order))
+	keys := make([]Cell, len(order)*k)
 	backing := make([][]Cell, len(rel.rows))
-	off := 0
-	for id, g := range groups {
-		g.rows = backing[off : off : off+sizes[id]]
-		off += sizes[id]
+	off := int32(0)
+	for p, id := range order {
+		key := keys[p*k : (p+1)*k : (p+1)*k]
+		row, keyText := rel.rows[infos[id].first], text(id)
+		start := 0
+		for gi := range gs {
+			end := len(appendCell(buf[:0], gi, row)) + start
+			key[gi] = row[gs[gi].col]
+			if gs[gi].g.Kind == ast.Binning {
+				key[gi] = binKey(key[gi], gs[gi].g.Bin, keyText[start:end])
+			}
+			start = end + 1
+		}
+		n := infos[id].count
+		groups[p] = group{key: key, rows: backing[off : off+n : off+n]}
+		infos[id].count = off // from here on: the group's next free slot in backing
+		off += n
 	}
 	for ri, row := range rel.rows {
-		g := groups[ids[ri]]
-		g.rows = append(g.rows, row)
+		id := ids[ri]
+		backing[infos[id].count] = row
+		infos[id].count++
 	}
-	slices.SortFunc(groups, func(a, b *groupState) int { return strings.Compare(a.text, b.text) })
 	return groups, nil
 }
 
 // evalSelectAttr computes one select attribute for a group: either an
 // aggregate over the group's rows, or the group-key / first value for a bare
 // column.
-func evalSelectAttr(rel *relation, g *groupState, c *ast.Core, a ast.Attr) (Cell, error) {
-	if a.Agg == ast.AggNone {
-		// A bare column under grouping: if it is a group attribute, use the
-		// (possibly binned) key; otherwise take the first row's value.
-		for gi, grp := range c.Groups {
-			if grp.Attr.Key() == a.Key() {
-				return g.key[gi], nil
-			}
-		}
-		j, ok := rel.col(a.Key())
-		if !ok {
-			return Cell{}, fmt.Errorf("dataset: unknown column %s", a.Key())
-		}
-		if len(g.rows) == 0 {
-			return Null(rel.types[j]), nil
-		}
-		return g.rows[0][j], nil
+func evalSelectAttr(g *group, p *attrPlan) (Cell, error) {
+	switch {
+	case p.attr.Agg != ast.AggNone:
+		return aggregate(g.rows, p)
+	case p.group >= 0:
+		return g.key[p.group], nil
+	case p.err != nil:
+		return Cell{}, p.err
+	case len(g.rows) == 0:
+		return Null(p.typ), nil
+	default:
+		return g.rows[0][p.col], nil
 	}
-	return aggregate(rel, g.rows, a)
 }
 
 // aggregate computes an aggregate attribute over a set of rows.
-func aggregate(rel *relation, rows [][]Cell, a ast.Attr) (Cell, error) {
-	if a.Agg == ast.AggCount && a.Column == "*" {
+func aggregate(rows [][]Cell, p *attrPlan) (Cell, error) {
+	if p.star {
 		return N(float64(len(rows))), nil
 	}
-	j, ok := rel.col(a.Key())
-	if !ok {
-		return Cell{}, fmt.Errorf("dataset: unknown column %s", a.Key())
+	if p.err != nil {
+		return Cell{}, p.err
 	}
-	switch a.Agg {
+	j := p.col
+	switch p.attr.Agg {
 	case ast.AggCount:
-		if a.Distinct {
-			seen := map[string]bool{}
+		if p.attr.Distinct {
+			seen := newTextSet(0)
+			var buf []byte
 			for _, row := range rows {
 				if !row[j].Null {
-					seen[row[j].String()] = true
+					buf = row[j].appendText(buf[:0])
+					seen.add(buf)
 				}
 			}
-			return N(float64(len(seen))), nil
+			return N(float64(len(seen.ids))), nil
 		}
 		n := 0
 		for _, row := range rows {
@@ -447,12 +667,12 @@ func aggregate(rel *relation, rows [][]Cell, a ast.Attr) (Cell, error) {
 				continue
 			}
 			cmp := row[j].Compare(best)
-			if (a.Agg == ast.AggMax && cmp > 0) || (a.Agg == ast.AggMin && cmp < 0) {
+			if (p.attr.Agg == ast.AggMax && cmp > 0) || (p.attr.Agg == ast.AggMin && cmp < 0) {
 				best = row[j]
 			}
 		}
 		if !has {
-			return Null(rel.types[j]), nil
+			return Null(p.typ), nil
 		}
 		return best, nil
 	case ast.AggSum, ast.AggAvg:
@@ -463,7 +683,7 @@ func aggregate(rel *relation, rows [][]Cell, a ast.Attr) (Cell, error) {
 				n++
 			}
 		}
-		if a.Agg == ast.AggAvg {
+		if p.attr.Agg == ast.AggAvg {
 			if n == 0 {
 				return Null(Quantitative), nil
 			}
@@ -471,32 +691,54 @@ func aggregate(rel *relation, rows [][]Cell, a ast.Attr) (Cell, error) {
 		}
 		return N(sum), nil
 	default:
-		return Cell{}, fmt.Errorf("dataset: unsupported aggregate %v", a.Agg)
+		return Cell{}, fmt.Errorf("dataset: unsupported aggregate %v", p.attr.Agg)
 	}
 }
 
 // binCell maps a cell into its bin label.
 func binCell(c Cell, g ast.Group, min, size float64) Cell {
-	if c.Null {
-		return S("NULL")
+	return binKey(c, g.Bin, string(appendBinText(nil, c, g.Bin, min, size)))
+}
+
+// binKey is the key cell of c binned by unit u, given its label text:
+// a categorical cell of the label, or c itself when u maps no labels
+// and c is not null.
+func binKey(c Cell, u ast.BinUnit, label string) Cell {
+	switch u {
+	case ast.BinMinute, ast.BinHour, ast.BinWeekday, ast.BinMonth, ast.BinQuarter, ast.BinYear, ast.BinNumeric:
+		return S(label)
+	default:
+		if c.Null {
+			return S(label)
+		}
+		// BinNone: the cell passes through unbinned.
+		return c
 	}
-	switch g.Bin {
+}
+
+// appendBinText appends the label of c's bin under unit u to b: the text
+// of binCell's cell.
+func appendBinText(b []byte, c Cell, u ast.BinUnit, min, size float64) []byte {
+	if c.Null {
+		return append(b, "NULL"...)
+	}
+	switch u {
 	case ast.BinMinute:
-		return S(c.Time.Format("15:04"))
+		return c.Time.AppendFormat(b, "15:04")
 	case ast.BinHour:
-		return S(c.Time.Format("15:00"))
+		return c.Time.AppendFormat(b, "15:00")
 	case ast.BinWeekday:
-		return S(c.Time.Weekday().String())
+		return append(b, c.Time.Weekday().String()...)
 	case ast.BinMonth:
-		return S(c.Time.Month().String())
+		return append(b, c.Time.Month().String()...)
 	case ast.BinQuarter:
-		return S("Q" + strconv.Itoa((int(c.Time.Month())-1)/3+1))
+		return strconv.AppendInt(append(b, 'Q'), int64((int(c.Time.Month())-1)/3+1), 10)
 	case ast.BinYear:
-		return S(strconv.Itoa(c.Time.Year()))
+		return strconv.AppendInt(b, int64(c.Time.Year()), 10)
 	case ast.BinNumeric:
 		v, ok := c.Number()
 		if !ok {
-			return S("NULL")
+			return append(b, "NULL"...)
 		}
 		idx := 0
 		if size > 0 {
@@ -504,17 +746,18 @@ func binCell(c Cell, g ast.Group, min, size float64) Cell {
 		}
 		lo := min + float64(idx)*size
 		// The bounds print as %g does.
-		return S("[" + strconv.FormatFloat(lo, 'g', -1, 64) + "," + strconv.FormatFloat(lo+size, 'g', -1, 64) + ")")
+		b = strconv.AppendFloat(append(b, '['), lo, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, ','), lo+size, 'g', -1, 64)
+		return append(b, ')')
 	default:
-		// BinNone: the cell passes through unbinned.
-		return c
+		return c.appendText(b)
 	}
 }
 
 // orderAndLimit applies the Order or Superlative subtree to a materialized
 // result. The sorted attribute must be one of the select attributes (the
 // synthesizer guarantees this invariant).
-func orderAndLimit(db *Database, rel *relation, c *ast.Core, out *Result) error {
+func orderAndLimit(c *ast.Core, out *Result) error {
 	sortBy := func(a ast.Attr, desc bool) error {
 		col := -1
 		want := a.String()
@@ -637,8 +880,17 @@ func findFK(db *Database, joined map[string]bool, next string) (ForeignKey, bool
 	return ForeignKey{}, false
 }
 
+// hashJoin joins t's rows to rel's on fk. Rows match when their key cells
+// print the same text. It counts the matches first, then carves the joined
+// rows from one slice of cells.
 func hashJoin(rel *relation, t *Table, fk ForeignKey) (*relation, error) {
-	leftIdx, ok := rel.col(fk.FromTable + "." + fk.FromColumn)
+	table, column := fk.FromTable, fk.FromColumn
+	if table == "" {
+		// The join column is named "table.column" even for an empty table
+		// name, where col would read the bare column.
+		column = "." + column
+	}
+	leftIdx, _, ok := rel.col(table, column)
 	if !ok {
 		return nil, fmt.Errorf("dataset: join column %s.%s missing", fk.FromTable, fk.FromColumn)
 	}
@@ -646,128 +898,113 @@ func hashJoin(rel *relation, t *Table, fk ForeignKey) (*relation, error) {
 	if rightIdx < 0 {
 		return nil, fmt.Errorf("dataset: join column %s.%s missing", t.Name, fk.ToColumn)
 	}
-	out := newRelation()
-	out.cols = append(out.cols, rel.cols...)
-	out.types = append(out.types, rel.types...)
-	for _, c := range t.Columns {
-		out.cols = append(out.cols, t.Name+"."+c.Name)
-		out.types = append(out.types, c.Type)
+	// Chain t's rows by key text: bucket b starts at row head[b], row ri
+	// is followed by next[ri] in table order (-1 ends a chain), and size[b]
+	// counts the chain.
+	keys := newTextSet(len(t.Rows))
+	next := make([]int32, len(t.Rows))
+	var head, size []int32
+	var buf []byte
+	for ri := len(t.Rows) - 1; ri >= 0; ri-- {
+		buf = t.Rows[ri][rightIdx].appendText(buf[:0])
+		b, added := keys.add(buf)
+		if added {
+			head, size = append(head, -1), append(size, 0)
+		}
+		next[ri], head[b] = head[b], int32(ri)
+		size[b]++
 	}
-	for i, c := range out.cols {
-		out.index[c] = i
+
+	matches := make([]int32, len(rel.rows))
+	total := 0
+	for li, lrow := range rel.rows {
+		buf = lrow[leftIdx].appendText(buf[:0])
+		b, ok := keys.ids[string(buf)]
+		if !ok {
+			matches[li] = -1
+			continue
+		}
+		matches[li] = b
+		if total += int(size[b]); total > maxJoinRows {
+			return nil, fmt.Errorf("dataset: join exceeds %d rows", maxJoinRows)
+		}
 	}
-	buckets := map[string][][]Cell{}
-	for _, row := range t.Rows {
-		k := row[rightIdx].String()
-		buckets[k] = append(buckets[k], row)
-	}
-	for _, lrow := range rel.rows {
-		for _, rrow := range buckets[lrow[leftIdx].String()] {
-			combined := make([]Cell, 0, len(lrow)+len(rrow))
-			combined = append(combined, lrow...)
-			combined = append(combined, rrow...)
-			out.rows = append(out.rows, combined)
-			if len(out.rows) > maxJoinRows {
-				return nil, fmt.Errorf("dataset: join exceeds %d rows", maxJoinRows)
+	out := &relation{segs: rel.withTable(t), rows: make([][]Cell, 0, total)}
+	cells := make([]Cell, 0, total*out.width())
+	for li, lrow := range rel.rows {
+		if b := matches[li]; b >= 0 {
+			for ri := head[b]; ri >= 0; ri = next[ri] {
+				out.rows, cells = appendJoined(out.rows, cells, lrow, t.Rows[ri])
 			}
 		}
 	}
 	return out, nil
 }
 
+// appendJoined appends the row lrow+rrow to rows, its cells to cells.
+// Rows carved before cells grows keep the cells they were carved from.
+func appendJoined(rows [][]Cell, cells, lrow, rrow []Cell) ([][]Cell, []Cell) {
+	start := len(cells)
+	cells = append(append(cells, lrow...), rrow...)
+	return append(rows, cells[start:len(cells):len(cells)]), cells
+}
+
 func crossJoin(rel *relation, t *Table) (*relation, error) {
-	if len(rel.rows)*len(t.Rows) > maxJoinRows {
+	total := len(rel.rows) * len(t.Rows)
+	if total > maxJoinRows {
 		return nil, fmt.Errorf("dataset: cross join exceeds %d rows", maxJoinRows)
 	}
-	out := newRelation()
-	out.cols = append(out.cols, rel.cols...)
-	out.types = append(out.types, rel.types...)
-	for _, c := range t.Columns {
-		out.cols = append(out.cols, t.Name+"."+c.Name)
-		out.types = append(out.types, c.Type)
-	}
-	for i, c := range out.cols {
-		out.index[c] = i
-	}
+	out := &relation{segs: rel.withTable(t), rows: make([][]Cell, 0, total)}
+	cells := make([]Cell, 0, total*out.width())
 	for _, lrow := range rel.rows {
 		for _, rrow := range t.Rows {
-			combined := make([]Cell, 0, len(lrow)+len(rrow))
-			combined = append(combined, lrow...)
-			combined = append(combined, rrow...)
-			out.rows = append(out.rows, combined)
+			out.rows, cells = appendJoined(out.rows, cells, lrow, rrow)
 		}
 	}
 	return out, nil
 }
 
-// evalFilter evaluates a filter tree on one row. Leaves whose Having flag
-// differs from the having parameter evaluate to true (they are checked in
-// the other phase).
-func evalFilter(db *Database, subs subqueries, rel *relation, row []Cell, f *ast.Filter, having bool) (bool, error) {
-	if f == nil {
+// eval evaluates the filter subtree at node i. Over a row (g nil) it is
+// the WHERE phase, with having-leaves treated as true; over a group it is
+// the HAVING phase, with where-leaves treated as true.
+func (p filterPlan) eval(db *Database, subs subqueries, i int, row []Cell, g *group) (bool, error) {
+	if i < 0 {
 		return true, nil
 	}
-	switch f.Op {
+	n := &p[i]
+	switch n.f.Op {
 	case ast.FilterAnd:
-		l, err := evalFilter(db, subs, rel, row, f.Left, having)
+		l, err := p.eval(db, subs, n.left, row, g)
 		if err != nil || !l {
 			return false, err
 		}
-		return evalFilter(db, subs, rel, row, f.Right, having)
+		return p.eval(db, subs, n.right, row, g)
 	case ast.FilterOr:
-		l, err := evalFilter(db, subs, rel, row, f.Left, having)
+		l, err := p.eval(db, subs, n.left, row, g)
 		if err != nil {
 			return false, err
 		}
 		if l {
 			return true, nil
 		}
-		return evalFilter(db, subs, rel, row, f.Right, having)
+		return p.eval(db, subs, n.right, row, g)
 	default:
 		// Every other operator is a leaf predicate, evaluated below.
 	}
-	if f.Having != having {
+	if n.f.Having != (g != nil) {
 		return true, nil
 	}
-	j, ok := rel.col(f.Attr.Key())
-	if !ok {
-		return false, fmt.Errorf("dataset: unknown filter column %s", f.Attr.Key())
-	}
-	return evalPredicate(db, subs, row[j], f)
-}
-
-// evalHaving evaluates having-leaves over a group's aggregates.
-func evalHaving(db *Database, subs subqueries, rel *relation, g *groupState, f *ast.Filter) (bool, error) {
-	if f == nil {
-		return true, nil
-	}
-	switch f.Op {
-	case ast.FilterAnd:
-		l, err := evalHaving(db, subs, rel, g, f.Left)
-		if err != nil || !l {
-			return false, err
-		}
-		return evalHaving(db, subs, rel, g, f.Right)
-	case ast.FilterOr:
-		l, err := evalHaving(db, subs, rel, g, f.Left)
+	if g != nil {
+		cell, err := aggregate(g.rows, &n.attr)
 		if err != nil {
 			return false, err
 		}
-		if l {
-			return true, nil
-		}
-		return evalHaving(db, subs, rel, g, f.Right)
-	default:
-		// Every other operator is a leaf predicate, evaluated below.
+		return evalPredicate(db, subs, cell, n.f)
 	}
-	if !f.Having {
-		return true, nil
+	if n.attr.err != nil {
+		return false, n.attr.err
 	}
-	cell, err := aggregate(rel, g.rows, f.Attr)
-	if err != nil {
-		return false, err
-	}
-	return evalPredicate(db, subs, cell, f)
+	return evalPredicate(db, subs, row[n.attr.col], n.f)
 }
 
 // evalPredicate compares a cell against the filter's literal values or

@@ -24,7 +24,7 @@ echo "== nvlint ./... (cached)"
 go run ./cmd/nvlint -cache-dir .nvlint-cache ./...
 
 echo "== go test -race (fast packages)"
-go test -race ./internal/ast ./internal/sqlparser ./internal/spider ./internal/core ./internal/nledit
+go test -race ./internal/ast ./internal/sqlparser ./internal/spider ./internal/core ./internal/nledit ./internal/dataset
 
 echo "== store round trip (determinism gate)"
 go test -run 'TestSaveLoadRoundTrip|TestGoldenManifestDeterminism|TestVerifyDetectsFlippedByte|TestShardedSaveWorkerCountsByteIdentical' ./internal/store
@@ -56,6 +56,7 @@ for target in \
     "FuzzTryParse ./internal/sqlparser" \
     "FuzzParseString ./internal/ast" \
     "FuzzLazySource ./internal/nledit" \
+    "FuzzGroupRows ./internal/dataset" \
     "FuzzPairwise ./internal/bleu"; do
     set -- $target
     out=$(go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 1x "$2" 2>&1) || {
