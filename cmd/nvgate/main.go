@@ -2,10 +2,10 @@
 // them as BENCH_*.json files for comparison across commits. It first runs
 // the root reproduction benchmarks (the paper's tables and figures,
 // ungated), then every section of one table: the store's rebuild, shard,
-// replica and scrub costs, the observability layer's costs, the nvlint
-// result cache, and the VQL indexes. Each section writes its BENCH file
-// and checks its gates; all gates print as one table at the end, and the
-// command exits non-zero when any gate fails. Offline, Go toolchain only.
+// replica and scrub costs, the observability layer's costs, and the VQL
+// indexes. Each section writes its BENCH file and checks its gates; all
+// gates print as one table at the end, and the command exits non-zero
+// when any gate fails. Offline, Go toolchain only.
 //
 // A section run with -count records each key's median across the runs
 // and checks its gates against those medians.
@@ -17,7 +17,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -28,8 +27,6 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
-
-	"nvbench/internal/obs"
 )
 
 // metric is one BENCH key with its value as the measurement printed it.
@@ -44,13 +41,12 @@ type gate struct {
 	bound float64
 }
 
-// section is one row of the gate table: a `go test -bench` run (or, with
-// no bench regex, the nvlint cold/warm timing of its package) recorded to
-// out and checked against gates.
+// section is one row of the gate table: a `go test -bench` run recorded
+// to out and checked against gates.
 type section struct {
 	name      string
 	pkgs      []string // packages to benchmark, output in this order
-	bench     string   // -bench regex; "" times the nvlint build in pkgs[0]
+	bench     string   // -bench regex
 	benchtime string
 	count     int    // -count: runs per benchmark, recorded as per-key medians (0 = 1)
 	out       string // BENCH file written from the parsed keys; "" records nothing
@@ -104,13 +100,6 @@ var sections = []section{
 		// Full instrumentation — metrics, wide events, op IDs — costs
 		// under 5% over a bare build.
 		gates: []gate{{"build_overhead_pct", 1, "", 5}},
-	},
-	{
-		name: "lint",
-		pkgs: []string{"./cmd/nvlint"},
-		out:  "BENCH_lint.json",
-		// A warm, fully cached lint never re-type-checks.
-		gates: []gate{{"lint_warm_ms", 3, "lint_cold_ms", 1}},
 	},
 	{
 		name:      "vql",
@@ -200,12 +189,8 @@ func (s section) once(w io.Writer, dir string, measure func(section) ([]metric, 
 	return vs, nil
 }
 
-// measure runs one section for real: `go test -bench`, or for the lint
-// section the cold and warm nvlint timing.
+// measure runs one section's `go test -bench` for real.
 func measure(s section) ([]metric, error) {
-	if s.bench == "" {
-		return lintTimes(s.pkgs[0])
-	}
 	args := []string{"test", "-run", "^$", "-bench", s.bench, "-benchtime", s.benchtime}
 	if s.count > 1 {
 		args = append(args, "-count", strconv.Itoa(s.count))
@@ -294,48 +279,6 @@ func buildOverhead(ms []metric) ([]metric, error) {
 	}
 	pct := strconv.FormatFloat((events-bare)/bare*100, 'f', 2, 64)
 	return append(ms, metric{"build_overhead_pct", pct}), nil
-}
-
-// lintTimes builds nvlint once, so both timings measure analysis rather
-// than compilation, then times a cold and a warm `nvlint ./...` over one
-// fresh cache directory, in wall milliseconds.
-func lintTimes(pkg string) ([]metric, error) {
-	fmt.Println("\n== lint: cold vs warm nvlint ./...")
-	tmp, err := os.MkdirTemp("", "nvgate-lint-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	bin := filepath.Join(tmp, "nvlint")
-	build := exec.Command("go", "build", "-o", bin, pkg)
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		return nil, fmt.Errorf("go build %s: %w", pkg, err)
-	}
-	cache := filepath.Join(tmp, "cache")
-	cold, err := lintMS(bin, cache)
-	if err != nil {
-		return nil, err
-	}
-	warm, err := lintMS(bin, cache)
-	if err != nil {
-		return nil, err
-	}
-	return []metric{{"lint_cold_ms", strconv.FormatInt(cold, 10)}, {"lint_warm_ms", strconv.FormatInt(warm, 10)}}, nil
-}
-
-// lintMS runs the cached driver over the module and returns its wall time.
-// Exit 1 (findings) is still a valid timing; anything else is a failure.
-func lintMS(bin, cache string) (int64, error) {
-	clock := obs.RealClock{}
-	start := clock.Now()
-	err := exec.Command(bin, "-cache-dir", cache, "./...").Run()
-	elapsed := clock.Now().Sub(start)
-	var exit *exec.ExitError
-	if err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 1) {
-		return 0, fmt.Errorf("nvlint: %w", err)
-	}
-	return elapsed.Milliseconds(), nil
 }
 
 // writeBench writes ms as a flat JSON object, in measurement order.

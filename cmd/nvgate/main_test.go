@@ -68,9 +68,8 @@ func TestGateTable(t *testing.T) {
 			{"BenchmarkReplicatedSave/double", 1, "BenchmarkReplicatedSave/single", 2.5},
 			{"BenchmarkScrubClean", 1, "BenchmarkStoreRebuild/cold", 1},
 		},
-		"obs":  {{"build_overhead_pct", 1, "", 5}},
-		"lint": {{"lint_warm_ms", 3, "lint_cold_ms", 1}},
-		"vql":  {{"BenchmarkVQLIndexed", 1, "BenchmarkVQLScan", 1}},
+		"obs": {{"build_overhead_pct", 1, "", 5}},
+		"vql": {{"BenchmarkVQLIndexed", 1, "BenchmarkVQLScan", 1}},
 	}
 	got := map[string][]gate{}
 	for _, s := range sections {
@@ -143,7 +142,7 @@ func TestMissingKeyIsError(t *testing.T) {
 
 // TestRetryRule runs every recorded section on canned measurements that
 // fail its gates first and pass them second: store, obs and vql retry
-// once and pass; lint never retries.
+// once and pass, and a section without retry stops at the first failure.
 func TestRetryRule(t *testing.T) {
 	canned := map[string][2][]metric{
 		"store": {
@@ -154,23 +153,14 @@ func TestRetryRule(t *testing.T) {
 			{{"BenchmarkBuildInstrumentation bare-ns/build", "100"}, {"BenchmarkBuildInstrumentation events-ns/build", "105"}},
 			{{"BenchmarkBuildInstrumentation bare-ns/build", "100"}, {"BenchmarkBuildInstrumentation events-ns/build", "104.99"}},
 		},
-		"lint": {
-			{{"lint_cold_ms", "90"}, {"lint_warm_ms", "30"}},
-			{{"lint_cold_ms", "4219"}, {"lint_warm_ms", "30"}},
-		},
 		"vql": {
 			{{"BenchmarkVQLScan", "12349"}, {"BenchmarkVQLIndexed", "12349"}},
 			{{"BenchmarkVQLScan", "81325"}, {"BenchmarkVQLIndexed", "12349"}},
 		},
 	}
 	wantRetry := map[string]bool{"store": true, "obs": true, "vql": true}
-	for _, s := range sections {
-		if s.retry != wantRetry[s.name] {
-			t.Errorf("%s: retry = %v, want %v", s.name, s.retry, wantRetry[s.name])
-		}
-		if s.out == "" {
-			continue
-		}
+	check := func(s section) {
+		t.Helper()
 		runs, ok := canned[s.name]
 		if !ok {
 			t.Fatalf("no canned measurements for section %s", s.name)
@@ -182,17 +172,28 @@ func TestRetryRule(t *testing.T) {
 		}
 		dir := t.TempDir()
 		_, err := s.run(io.Discard, dir, fake)
-		if wantRetry[s.name] {
+		if s.retry {
 			if err != nil || calls != 2 {
 				t.Errorf("%s: err = %v after %d runs, want a pass on the retry", s.name, err, calls)
 			}
 		} else if err == nil || calls != 1 {
-			t.Errorf("%s: err = %v after %d runs, want one failing run", s.name, err, calls)
+			t.Errorf("%s: err = %v after %d runs without retry, want one failing run", s.name, err, calls)
 		}
 		if _, err := os.Stat(filepath.Join(dir, s.out)); err != nil {
 			t.Errorf("%s: %v", s.name, err)
 		}
 	}
+	for _, s := range sections {
+		if s.retry != wantRetry[s.name] {
+			t.Errorf("%s: retry = %v, want %v", s.name, s.retry, wantRetry[s.name])
+		}
+		if s.out != "" {
+			check(s)
+		}
+	}
+	once := sectionNamed(t, "vql")
+	once.retry = false
+	check(once)
 }
 
 func TestBenchFileFormat(t *testing.T) {

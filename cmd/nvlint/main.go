@@ -13,15 +13,13 @@
 //	nvlint -json ./internal/...       # machine-readable findings
 //	nvlint -errdrop=false ./...       # disable one analyzer
 //	nvlint -fix ./...                 # apply suggested fixes in place
-//	nvlint -cache-dir .nvlint-cache ./...  # reuse results across runs
 //
 // Patterns resolve relative to the module root (found via go.mod, starting
-// at -C). Packages are analyzed concurrently in dependency order (bounded
-// by -parallel) and, with -cache-dir, results are reused content-addressed:
-// a package whose sources, analyzer versions and dependency results are
-// unchanged is not even type-checked again. nvlint exits 0 when no analyzer
-// reports a finding, 1 when at least one does, and 2 on usage or load
-// errors.
+// at -C). The matched packages and the module packages they import are
+// analyzed one at a time in dependency order, so package facts reach every
+// importer; findings are reported for the matched packages only. nvlint
+// exits 0 when no analyzer reports a finding, 1 when at least one does,
+// and 2 on usage or load errors.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"nvbench/internal/analysis"
@@ -75,12 +72,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nvlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit findings as a JSON array")
-		chdir    = fs.String("C", ".", "locate the module starting from this directory")
-		tests    = fs.Bool("tests", false, "also analyze in-package _test.go files")
-		fix      = fs.Bool("fix", false, "apply suggested fixes to the source files")
-		cacheDir = fs.String("cache-dir", "", "reuse analysis results stored in this directory (empty: no cache)")
-		parallel = fs.Int("parallel", runtime.NumCPU(), "number of packages analyzed concurrently")
+		jsonOut = fs.Bool("json", false, "emit findings as a JSON array")
+		chdir   = fs.String("C", ".", "locate the module starting from this directory")
+		fix     = fs.Bool("fix", false, "apply suggested fixes to the source files")
 	)
 	enabled := make(map[string]*bool, len(all))
 	for _, a := range all {
@@ -100,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nvlint:", err)
 		return 2
 	}
-	loader.IncludeTests = *tests
 
 	var active []*analysis.Analyzer
 	for _, a := range all {
@@ -108,20 +101,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			active = append(active, a)
 		}
 	}
-	eng := &analysis.Engine{Loader: loader, Analyzers: active, Workers: *parallel}
-	if *cacheDir != "" {
-		cache, err := analysis.NewCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "nvlint:", err)
-			return 2
-		}
-		eng.Cache = cache
-	}
-	diags, stats, err := eng.Run(patterns...)
+	roots, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "nvlint:", err)
 		return 2
 	}
+	diags := analysis.Run(active, roots, loader.Deps(roots))
 
 	if *fix {
 		// Apply while positions are still absolute; the edits carry
@@ -163,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, d.String())
 		}
 		if len(diags) > 0 {
-			fmt.Fprintf(stderr, "nvlint: %d finding(s) in %d package(s)\n", len(diags), stats.Roots)
+			fmt.Fprintf(stderr, "nvlint: %d finding(s) in %d package(s)\n", len(diags), len(roots))
 		}
 	}
 	if len(diags) > 0 {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nvbench/internal/analysis"
 )
 
 // The mini-module under testdata/srcmod seeds at least one violation per
@@ -103,17 +105,67 @@ func TestDriverDisableFlags(t *testing.T) {
 }
 
 func TestDriverSelectsPackages(t *testing.T) {
-	// Restricting the pattern to cmd/... must only surface the errdrop
-	// finding; the dependency closure is analyzed for facts but not
-	// reported.
+	// A pattern reports findings for the packages it matches only; the
+	// module packages they import are analyzed for their facts but not
+	// reported. ./internal/pipeline's known-site list names each value of
+	// internal/fault's registry once, although the registry declares
+	// store.save twice.
+	for _, c := range []struct{ pattern, want string }{
+		{"./cmd/...", "cmd/tool/main.go:16:2: unhandled error returned by save (errdrop)\n"},
+		{"./internal/pipeline", `internal/pipeline/pipeline.go:9:9: fault.Inject site "render.table" is not registered in fixture/internal/fault (known sites: store.load, store.save) (faultsite)` + "\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-C", "testdata/srcmod", c.pattern}, &stdout, &stderr)
+		if code != 1 {
+			t.Fatalf("%s: exit code = %d, want 1; stderr: %s", c.pattern, code, stderr.String())
+		}
+		if got := stdout.String(); got != c.want {
+			t.Errorf("%s: findings =\n%s\nwant\n%s", c.pattern, got, c.want)
+		}
+		if got, want := stderr.String(), "nvlint: 1 finding(s) in 1 package(s)\n"; got != want {
+			t.Errorf("%s: stderr = %q, want %q", c.pattern, got, want)
+		}
+	}
+}
+
+// probeFact is the empty fact factProbe exports on every package.
+type probeFact struct{}
+
+func (*probeFact) AFact() {}
+
+// factProbe reports, once per package, which of its imports exported a
+// probeFact before it ran.
+var factProbe = &analysis.Analyzer{
+	Name:      "factprobe",
+	Doc:       "test analyzer: lists the imports whose facts are visible",
+	FactTypes: []analysis.Fact{(*probeFact)(nil)},
+	Run: func(pass *analysis.Pass) []analysis.Diagnostic {
+		var from []string
+		for _, imp := range pass.Pkg.Imports() {
+			if pass.ImportPackageFact(imp.Path(), &probeFact{}) {
+				from = append(from, imp.Path())
+			}
+		}
+		pass.Reportf(pass.Files[0].Package, "facts from [%s]", strings.Join(from, " "))
+		if err := pass.ExportPackageFact(&probeFact{}); err != nil {
+			pass.Reportf(pass.Files[0].Package, "export: %v", err)
+		}
+		return pass.Diagnostics()
+	},
+}
+
+func TestDriverAnalyzesImportsForFacts(t *testing.T) {
+	// The matched package sees the fact of the module package it
+	// imports, which reports nothing itself.
+	saved := all
+	t.Cleanup(func() { all = saved })
+	all = []*analysis.Analyzer{factProbe}
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", "testdata/srcmod", "./cmd/..."}, &stdout, &stderr)
-	if code != 1 {
+	if code := run([]string{"-C", "testdata/srcmod", "./internal/pipeline"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr.String())
 	}
-	out := stdout.String()
-	if !strings.Contains(out, "errdrop") || strings.Contains(out, "exhaustive") {
-		t.Errorf("unexpected findings for ./cmd/...:\n%s", out)
+	if got, want := stdout.String(), "internal/pipeline/pipeline.go:3:1: facts from [fixture/internal/fault] (factprobe)\n"; got != want {
+		t.Errorf("findings =\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -187,31 +239,5 @@ func TestDriverFixRewritesAndConverges(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "10 finding(s)") {
 		t.Errorf("expected 10 findings after fix, got: %s", stderr.String())
-	}
-}
-
-func TestDriverCachedRunIsIdentical(t *testing.T) {
-	cache := t.TempDir()
-	var cold, warm, uncached, stderr bytes.Buffer
-	if code := run([]string{"-C", "testdata/srcmod", "-cache-dir", cache, "./..."}, &cold, &stderr); code != 1 {
-		t.Fatalf("cold exit code = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	stderr.Reset()
-	if code := run([]string{"-C", "testdata/srcmod", "-cache-dir", cache, "./..."}, &warm, &stderr); code != 1 {
-		t.Fatalf("warm exit code = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	stderr.Reset()
-	if code := run([]string{"-C", "testdata/srcmod", "./..."}, &uncached, &stderr); code != 1 {
-		t.Fatalf("uncached exit code = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	if cold.String() != warm.String() || warm.String() != uncached.String() {
-		t.Errorf("cached output drifted:\ncold:\n%s\nwarm:\n%s\nuncached:\n%s", cold.String(), warm.String(), uncached.String())
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Error("cache directory is empty after a cached run")
 	}
 }

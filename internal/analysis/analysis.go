@@ -11,13 +11,11 @@
 //     deterministic packages must not call time.Now, use the global math/rand
 //     state, or let map-iteration order leak into output.
 //
-// The framework has five parts: a Loader that parses and type-checks module
-// packages from source (see loader.go), the Analyzer/Pass/Diagnostic API in
-// this file, a dependency-ordered parallel scheduler (sched.go) with a
-// package-fact channel for cross-package checks (facts.go), a
-// content-addressed result cache that makes warm runs skip re-analysis
-// entirely (cache.go, engine.go), and a suggested-fix applier behind
-// nvlint -fix (fix.go). An analysistest-style harness driven by
+// The framework has four parts: a Loader that parses and type-checks module
+// packages from source (see loader.go), the Analyzer/Pass/Diagnostic API
+// and the serial, dependency-ordered Run in this file, a package-fact
+// channel for cross-package checks (facts.go), and a suggested-fix applier
+// behind nvlint -fix (fix.go). An analysistest-style harness driven by
 // // want "regexp" comments lives in the analysistest subpackage.
 // Repo-specific analyzers live under internal/analysis/passes and the
 // command-line driver is cmd/nvlint.
@@ -38,10 +36,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, JSON output and
 	// driver flags. It must be a valid flag name (lowercase, no spaces).
 	Name string
-
-	// Version participates in the result-cache key: bump it whenever the
-	// analyzer's behavior changes so stale cached findings are invalidated.
-	Version string
 
 	// Doc is a one-paragraph description of what the analyzer reports and
 	// which invariant it guards. The first line is used as flag usage.
@@ -108,13 +102,12 @@ func (p *Pass) Diagnostics() []Diagnostic { return p.diags }
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // Diagnostic is one finding: an analyzer name, a resolved source position,
-// a human-readable message, and optionally machine-applicable fixes. The
-// JSON form is the result-cache wire format (cmd/nvlint -json has its own).
+// a human-readable message, and optionally machine-applicable fixes.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
-	Fixes    []SuggestedFix `json:"fixes,omitempty"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
+	Fixes    []SuggestedFix
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -122,19 +115,58 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// Run applies every analyzer to every package — dependency-ordered, so
-// package facts flow from imported packages to importers — and returns all
-// findings sorted by file, line, column, then analyzer name, so output is
-// stable across runs regardless of scheduling or map order. Run is the
-// serial reference semantics; Engine.Run must produce byte-identical
-// output.
-func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
+// Run applies every analyzer to the packages in roots and deps and returns
+// the findings in roots, sorted by file, line, column, then analyzer name,
+// so output is stable across runs. Packages run in dependency order, so
+// package facts flow from imported packages to importers; deps are
+// analyzed only for the facts they export, and their findings are
+// dropped. nvlint passes Loader.Deps(roots), so a run over some packages
+// sees the facts a whole-module run would. A package in both sets is
+// analyzed once, as a root.
+func Run(analyzers []*Analyzer, roots, deps []*Package) []Diagnostic {
+	report := make(map[string]bool, len(roots))
+	for _, p := range roots {
+		report[p.ImportPath] = true
+	}
 	facts := newFactStore()
 	var out []Diagnostic
-	for _, pkg := range topoOrder(pkgs) {
-		out = append(out, runPackage(analyzers, pkg, facts)...)
+	all := append(append([]*Package(nil), roots...), deps...)
+	for _, pkg := range topoOrder(all) {
+		diags := runPackage(analyzers, pkg, facts)
+		if report[pkg.ImportPath] {
+			out = append(out, diags...)
+		}
 	}
 	SortDiagnostics(out)
+	return out
+}
+
+// topoOrder returns pkgs in dependency order (imported before importer),
+// restricted to edges within the given set. Type-checked packages cannot
+// form import cycles, so every import path appears exactly once.
+func topoOrder(pkgs []*Package) []*Package {
+	byPath := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.ImportPath] = p
+	}
+	seen := make(map[string]bool, len(pkgs))
+	out := make([]*Package, 0, len(pkgs))
+	var visit func(p *Package)
+	visit = func(p *Package) {
+		if seen[p.ImportPath] {
+			return
+		}
+		seen[p.ImportPath] = true
+		for _, imp := range p.Types.Imports() {
+			if dep, ok := byPath[imp.Path()]; ok {
+				visit(dep)
+			}
+		}
+		out = append(out, p)
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
 	return out
 }
 

@@ -160,11 +160,12 @@ func checkFixed(t *testing.T, pkgDir string, diags []analysis.Diagnostic) {
 	}
 }
 
-// checkPackage applies the analyzer and reconciles its diagnostics with the
-// package's // want expectations.
+// checkPackage applies the analyzer to pkg alone, so no dependency exports
+// a fact, and reconciles its diagnostics with the package's // want
+// expectations.
 func checkPackage(t *testing.T, a *analysis.Analyzer, pkg *analysis.Package) []analysis.Diagnostic {
 	t.Helper()
-	diags := analysis.Run([]*analysis.Analyzer{a}, []*analysis.Package{pkg})
+	diags := analysis.Run([]*analysis.Analyzer{a}, []*analysis.Package{pkg}, nil)
 
 	wants := collectWants(t, pkg)
 	for _, d := range diags {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Fact is a package-level, JSON-serializable datum an analyzer exports on
@@ -11,10 +10,10 @@ import (
 // consume it — the cross-package channel that makes checks like faultsite
 // (is this site string registered in internal/fault?) possible without
 // whole-program analysis. Facts mirror x/tools' analysis facts but are
-// package-granular only and must round-trip through encoding/json, because
-// they flow through the content-addressed result cache alongside
-// diagnostics. Concrete fact types implement the marker method AFact and
-// are declared in the owning analyzer's FactTypes.
+// package-granular only and must round-trip through encoding/json: the
+// store keeps the encoded form, so every importer decodes its own copy and
+// cannot alias the exporter's value. Concrete fact types implement the
+// marker method AFact and are declared in the owning analyzer's FactTypes.
 type Fact interface{ AFact() }
 
 // factKey scopes a fact to the (analyzer, package) pair that produced it;
@@ -24,13 +23,11 @@ type factKey struct {
 	pkgPath  string
 }
 
-// factStore is the per-run fact table shared by every Pass. It is
-// mutex-guarded because the parallel scheduler exports and imports facts
-// from worker goroutines; the dependency-ordered schedule guarantees a
-// dependency's fact is set before any importer reads it.
+// factStore is the per-run fact table shared by every Pass. Run analyzes
+// packages in dependency order, so a dependency's fact is set before any
+// importer reads it.
 type factStore struct {
-	mu sync.Mutex
-	m  map[factKey]json.RawMessage
+	m map[factKey]json.RawMessage
 }
 
 func newFactStore() *factStore {
@@ -38,22 +35,18 @@ func newFactStore() *factStore {
 }
 
 func (s *factStore) set(analyzer, pkgPath string, data json.RawMessage) {
-	s.mu.Lock()
 	s.m[factKey{analyzer, pkgPath}] = data
-	s.mu.Unlock()
 }
 
 func (s *factStore) get(analyzer, pkgPath string) (json.RawMessage, bool) {
-	s.mu.Lock()
 	data, ok := s.m[factKey{analyzer, pkgPath}]
-	s.mu.Unlock()
 	return data, ok
 }
 
 // ExportPackageFact records f as the current analyzer's fact for the
 // package under analysis, replacing any previous export. The fact is
 // serialized immediately so a non-encodable fact fails at the export site,
-// not when a cache write later tries to persist it.
+// not when an importer later decodes it.
 func (p *Pass) ExportPackageFact(f Fact) error {
 	if p.facts == nil {
 		return fmt.Errorf("analysis: pass for %s has no fact store", p.Analyzer.Name)
@@ -68,8 +61,8 @@ func (p *Pass) ExportPackageFact(f Fact) error {
 
 // ImportPackageFact decodes the current analyzer's fact for the package
 // with the given import path into f, reporting whether one was available.
-// Facts are only visible for packages that were analyzed (or cache-restored)
-// earlier in the dependency order.
+// Facts are only visible for packages that were analyzed earlier in the
+// dependency order.
 func (p *Pass) ImportPackageFact(path string, f Fact) bool {
 	if p.facts == nil {
 		return false

@@ -19,18 +19,18 @@ import (
 // Edit replaces the byte range [Start, End) of File with NewText. Start ==
 // End is an insertion.
 type Edit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
+	File    string
+	Start   int
+	End     int
+	NewText string
 }
 
 // SuggestedFix is one self-contained change a driver may apply for a
 // diagnostic: a short imperative message and the edits that implement it.
 // All edits of one fix are applied atomically or not at all.
 type SuggestedFix struct {
-	Message string `json:"message"`
-	Edits   []Edit `json:"edits"`
+	Message string
+	Edits   []Edit
 }
 
 // FixResult summarizes an ApplyFixes run.

@@ -38,9 +38,6 @@ type Loader struct {
 	// ModPath and ModDir identify the module whose packages are loaded.
 	ModPath string
 	ModDir  string
-	// IncludeTests selects in-package _test.go files of loaded root
-	// packages. Dependencies are always loaded without test files.
-	IncludeTests bool
 
 	ctxt    build.Context
 	pkgs    map[string]*Package
@@ -121,7 +118,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	out := make([]*Package, 0, len(paths))
 	for _, path := range paths {
-		pkg, err := l.load(path, l.IncludeTests)
+		pkg, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
@@ -130,9 +127,37 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// Deps returns the module packages that pkgs import, directly or
+// transitively, and that pkgs do not hold themselves, sorted by import
+// path. Loading pkgs type-checked all of them already, so Deps parses
+// nothing; it only walks the import graph.
+func (l *Loader) Deps(pkgs []*Package) []*Package {
+	seen := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		seen[p.ImportPath] = true
+	}
+	var out []*Package
+	var visit func(p *Package)
+	visit = func(p *Package) {
+		for _, imp := range p.Types.Imports() {
+			dep, ok := l.pkgs[imp.Path()]
+			if !ok || seen[imp.Path()] || !l.inModule(imp.Path()) {
+				continue
+			}
+			seen[imp.Path()] = true
+			out = append(out, dep)
+			visit(dep)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
+	return out
+}
+
 // expandPatterns resolves package patterns to the sorted import paths they
-// match, without parsing anything. Shared by Load and Scan so both agree on
-// what a pattern means.
+// match, without parsing anything.
 func (l *Loader) expandPatterns(patterns []string) ([]string, error) {
 	dirs := map[string]bool{}
 	for _, pat := range patterns {
@@ -185,10 +210,10 @@ func (l *Loader) expandPatterns(patterns []string) ([]string, error) {
 }
 
 // LoadDir type-checks the single package in dir under the given import
-// path, including in-package test files when IncludeTests is set. Unlike
-// Load, dir need not be inside the module directory. Repeat calls for an
-// already-loaded import path return the cached package, so harnesses can
-// share one loader (and its type-checked stdlib) across many runs.
+// path. Unlike Load, dir need not be inside the module directory. Repeat
+// calls for an already-loaded import path return the cached package, so
+// harnesses can share one loader (and its type-checked stdlib) across
+// many runs.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if pkg, ok := l.pkgs[importPath]; ok {
 		return pkg, nil
@@ -197,7 +222,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := l.loadDir(abs, importPath, l.IncludeTests)
+	pkg, err := l.loadDir(abs, importPath)
 	if err != nil {
 		return nil, err
 	}
@@ -213,18 +238,15 @@ func importPathJoin(mod, rel string) string {
 }
 
 // hasGoFiles reports whether dir contains at least one buildable,
-// non-test Go file (or a test file, when IncludeTests is set).
+// non-test Go file.
 func (l *Loader) hasGoFiles(dir string) bool {
 	bp, err := l.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return false
-	}
-	return len(bp.GoFiles) > 0 || (l.IncludeTests && len(bp.TestGoFiles) > 0)
+	return err == nil && len(bp.GoFiles) > 0
 }
 
 // load returns the type-checked package for an import path, using the cache
 // and detecting cycles.
-func (l *Loader) load(path string, tests bool) (*Package, error) {
+func (l *Loader) load(path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
@@ -237,12 +259,17 @@ func (l *Loader) load(path string, tests bool) (*Package, error) {
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
-	pkg, err := l.loadDir(dir, path, tests)
+	pkg, err := l.loadDir(dir, path)
 	if err != nil {
 		return nil, err
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil
+}
+
+// inModule reports whether an import path names a package of the module.
+func (l *Loader) inModule(path string) bool {
+	return path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/")
 }
 
 // resolveDir maps an import path to a source directory: module packages into
@@ -268,15 +295,12 @@ func (l *Loader) resolveDir(path string) (string, error) {
 }
 
 // loadDir parses and type-checks the package in dir.
-func (l *Loader) loadDir(dir, path string, tests bool) (*Package, error) {
+func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	bp, err := l.ctxt.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %v", dir, err)
 	}
 	names := append([]string(nil), bp.GoFiles...)
-	if tests {
-		names = append(names, bp.TestGoFiles...)
-	}
 	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
@@ -300,7 +324,7 @@ func (l *Loader) loadDir(dir, path string, tests bool) (*Package, error) {
 	var typeErrs []error
 	conf := types.Config{
 		Importer: importerFunc(func(p string) (*types.Package, error) {
-			pkg, err := l.load(p, false)
+			pkg, err := l.load(p)
 			if err != nil {
 				return nil, err
 			}

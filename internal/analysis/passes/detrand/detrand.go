@@ -44,8 +44,7 @@ const ObsPackageSuffix = "internal/obs"
 
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "detrand",
-	Version: "2", // v2: internal/vql joined the deterministic set
+	Name: "detrand",
 	Doc: "deterministic packages must not use time.Now, global math/rand, or ordered map iteration\n\n" +
 		"Benchmark synthesis regenerates byte-for-byte; wall clocks, the\n" +
 		"process-global RNG and map-iteration order leaking into slices or\n" +

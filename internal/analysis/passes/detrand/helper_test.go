@@ -16,5 +16,5 @@ func runQuiet(t *testing.T, dir, importPath string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	return analysis.Run([]*analysis.Analyzer{detrand.Analyzer}, []*analysis.Package{pkg})
+	return analysis.Run([]*analysis.Analyzer{detrand.Analyzer}, []*analysis.Package{pkg}, nil)
 }

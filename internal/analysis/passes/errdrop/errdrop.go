@@ -22,8 +22,7 @@ import (
 
 // Analyzer is the dropped-error check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "errdrop",
-	Version: "1",
+	Name: "errdrop",
 	Doc: "calls must not discard a returned error\n\n" +
 		"An expression statement whose call returns an error (alone or as\n" +
 		"the last result) silently drops it; assign and handle it instead.",

@@ -24,8 +24,7 @@ var EnumPackageSuffixes = []string{"internal/ast"}
 
 // Analyzer is the exhaustive enum-switch check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "exhaustive",
-	Version: "1",
+	Name: "exhaustive",
 	Doc: "switches over internal/ast enums must cover every constant or have a default\n\n" +
 		"A named integer type with two or more package-level constants in a\n" +
 		"matching package is treated as an enum. A switch over such a type\n" +

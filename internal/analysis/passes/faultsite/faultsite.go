@@ -5,20 +5,20 @@
 // unregistered or runtime-built site string is a fault point the sweeps
 // silently never exercise.
 //
-// The check is cross-package and uses the engine's facts: analyzing the
-// fault package itself exports a SitesFact listing the declared Site*
-// constants (and flags duplicate site values in place); analyzing any
-// other package imports that fact to validate Inject arguments. When the
-// fact is unavailable — a pattern-scoped run that never visited the fault
-// package — the analyzer falls back to reading the Site* constants out of
-// the imported package's type information, so the check never degrades to
-// silence.
+// The check is cross-package and uses package facts: analyzing the fault
+// package itself exports a SitesFact listing the declared Site* constants
+// (and flags duplicate site values in place); analyzing any other package
+// imports that fact to validate Inject arguments. When the fact is
+// unavailable — a run that never visited the fault package — the analyzer
+// falls back to reading the Site* constants out of the imported package's
+// type information, so the check never degrades to silence.
 package faultsite
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,8 +43,7 @@ func (*SitesFact) AFact() {}
 
 // Analyzer is the registered-fault-site check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "faultsite",
-	Version: "2",
+	Name: "faultsite",
 	Doc: "fault.Inject and fault.InjectContext sites must be registered compile-time constants\n\n" +
 		"The crash harness sweeps fault.Sites(); an Inject call whose site\n" +
 		"is computed at runtime or not declared as a Site* constant in\n" +
@@ -159,10 +158,10 @@ func checkInjectCalls(pass *analysis.Pass, files []*ast.File) {
 }
 
 // registeredSites resolves the site registry for the fault package that
-// declares fn: preferably from the exported fact (which flows through the
-// schedule and the result cache), otherwise from the Site* constants
-// visible in the imported package's scope — pattern-scoped runs may never
-// analyze the fault package itself.
+// declares fn: preferably from the exported fact, otherwise from the Site*
+// constants visible in the imported package's scope — a run that never
+// analyzes the fault package itself (analysistest's single-package runs)
+// has no fact. Either way each site value is listed once, sorted.
 func registeredSites(pass *analysis.Pass, fn *types.Func) ([]string, bool) {
 	var fact SitesFact
 	if pass.ImportPackageFact(fn.Pkg().Path(), &fact) {
@@ -184,7 +183,7 @@ func registeredSites(pass *analysis.Pass, fn *types.Func) ([]string, bool) {
 		return nil, false
 	}
 	sort.Strings(sites)
-	return sites, true
+	return slices.Compact(sites), true
 }
 
 // calleeFunc resolves the called function object, or nil for indirect

@@ -28,7 +28,7 @@ func TestFaultsiteConsumersViaFact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.Run([]*analysis.Analyzer{faultsite.Analyzer}, pkgs)
+	diags := analysis.Run([]*analysis.Analyzer{faultsite.Analyzer}, pkgs, nil)
 	var msgs []string
 	for _, d := range diags {
 		msgs = append(msgs, d.Message)

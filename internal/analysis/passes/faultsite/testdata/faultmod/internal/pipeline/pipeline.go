@@ -20,7 +20,7 @@ func viaLiteral() error {
 
 // unregistered names a site no sweep will ever reach.
 func unregistered() error {
-	return fault.Inject("renderx") // want `fault\.Inject site "renderx" is not registered`
+	return fault.Inject("renderx") // want `^fault\.Inject site "renderx" is not registered in example\.com/internal/fault \(known sites: parse, render, store\.save\)$`
 }
 
 // runtimeSite cannot be validated or enumerated at all.

@@ -51,10 +51,6 @@ var DirSyncFuncs = []string{"syncDir"}
 // Analyzer is the crash-consistency write-order check.
 var Analyzer = &analysis.Analyzer{
 	Name: "fsyncorder",
-	// Version 2: replica-aware. Adds the os.Link/os.Symlink rules (linked
-	// replica copies share an inode or target and are not independent
-	// durability), invalidating every cached version-1 result.
-	Version: "2",
 	Doc: "store writes must follow temp→fsync→rename→fsync-dir\n\n" +
 		"In internal/store, raw os.WriteFile/os.Create bypass the durable\n" +
 		"write protocol, an os.OpenFile writer must fsync before returning,\n" +

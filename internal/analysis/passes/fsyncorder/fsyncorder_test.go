@@ -20,7 +20,7 @@ func TestFsyncorderScopedToStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.Run([]*analysis.Analyzer{fsyncorder.Analyzer}, []*analysis.Package{pkg})
+	diags := analysis.Run([]*analysis.Analyzer{fsyncorder.Analyzer}, []*analysis.Package{pkg}, nil)
 	if len(diags) != 0 {
 		t.Fatalf("fsyncorder must be scoped to the store packages, got %v", diags)
 	}

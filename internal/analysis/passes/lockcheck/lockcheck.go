@@ -32,8 +32,7 @@ var HotPathSuffixes = []string{"internal/server", "internal/store"}
 
 // Analyzer is the mutex-discipline check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "lockcheck",
-	Version: "1",
+	Name: "lockcheck",
 	Doc: "mutexes must not be copied, unlocked unpaired, or held across blocking calls\n\n" +
 		"Flags sync.Mutex/RWMutex passed by value in signatures, Unlock\n" +
 		"without a matching Lock in the same function, and (in the\n" +

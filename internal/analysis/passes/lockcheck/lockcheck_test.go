@@ -21,7 +21,7 @@ func TestLockcheckBlockingScopedToHotPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.Run([]*analysis.Analyzer{lockcheck.Analyzer}, []*analysis.Package{pkg})
+	diags := analysis.Run([]*analysis.Analyzer{lockcheck.Analyzer}, []*analysis.Package{pkg}, nil)
 	if len(diags) != 5 {
 		t.Fatalf("expected the 3 signature + 2 pairing diagnostics outside hot paths, got %d: %v", len(diags), diags)
 	}

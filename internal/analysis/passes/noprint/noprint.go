@@ -19,8 +19,7 @@ var PathContains = "internal/"
 
 // Analyzer is the stdout-printing check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "noprint",
-	Version: "1",
+	Name: "noprint",
 	Doc: "internal packages must not print to os.Stdout\n\n" +
 		"Flags fmt.Print, fmt.Printf and fmt.Println, and fmt.Fprint* calls\n" +
 		"whose writer is os.Stdout, inside internal/... packages; pass an\n" +

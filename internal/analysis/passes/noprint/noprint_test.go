@@ -20,7 +20,7 @@ func TestNoprintSkipsCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.Run([]*analysis.Analyzer{noprint.Analyzer}, []*analysis.Package{pkg})
+	diags := analysis.Run([]*analysis.Analyzer{noprint.Analyzer}, []*analysis.Package{pkg}, nil)
 	if len(diags) != 0 {
 		t.Fatalf("expected no diagnostics for a cmd package, got %v", diags)
 	}

@@ -38,8 +38,7 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // Analyzer is the metric/label naming check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "obslabel",
-	Version: "6", // v6: Timing.End is the only wide-event call
+	Name: "obslabel",
 	Doc: "metric names, label keys and wide-event field keys must be\n" +
 		"canonical lowercase_underscore\n\n" +
 		"Counters end _total, histograms end _seconds, gauges end in\n" +

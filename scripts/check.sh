@@ -20,8 +20,8 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== nvlint ./... (cached)"
-go run ./cmd/nvlint -cache-dir .nvlint-cache ./...
+echo "== nvlint ./..."
+go run ./cmd/nvlint ./...
 
 echo "== go test -race (fast packages)"
 go test -race ./internal/ast ./internal/sqlparser ./internal/spider ./internal/core ./internal/nledit ./internal/dataset
