@@ -60,11 +60,6 @@ func run(pass *analysis.Pass) []analysis.Diagnostic {
 	}
 	det := analysis.PathMatchesAny(pass.Pkg.Path(), DetPackageSuffixes)
 	for _, file := range pass.Files {
-		if !det && isTestFile(pass, file) {
-			// Outside the deterministic set, tests may time real servers
-			// and real I/O with the real clock.
-			continue
-		}
 		analysis.WithStack([]*ast.File{file}, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -82,11 +77,6 @@ func run(pass *analysis.Pass) []analysis.Diagnostic {
 		})
 	}
 	return pass.Diagnostics()
-}
-
-// isTestFile reports whether the file is an in-package _test.go file.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go")
 }
 
 // checkClockCall flags time.Now in packages outside both the deterministic

@@ -53,36 +53,21 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) []analysis.Diagnostic {
-	// Test files are exempt: fault tests exercise unregistered sites and
-	// runtime-built plans on purpose, and the fact must reflect only the
-	// constants production code can import.
-	files := nonTestFiles(pass)
 	if analysis.PathMatchesAny(pass.Pkg.Path(), FaultPackageSuffixes) {
-		exportSites(pass, files)
+		exportSites(pass)
 		return pass.Diagnostics()
 	}
-	checkInjectCalls(pass, files)
+	checkInjectCalls(pass)
 	return pass.Diagnostics()
-}
-
-// nonTestFiles filters out in-package _test.go files.
-func nonTestFiles(pass *analysis.Pass) []*ast.File {
-	var out []*ast.File
-	for _, file := range pass.Files {
-		if !strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			out = append(out, file)
-		}
-	}
-	return out
 }
 
 // exportSites collects the package's Site* string constants into a
 // SitesFact and flags duplicate site values — two constants with the same
 // string would make plan specs ambiguous.
-func exportSites(pass *analysis.Pass, files []*ast.File) {
+func exportSites(pass *analysis.Pass) {
 	seen := map[string]string{} // value -> first constant name
 	var sites []string
-	for _, file := range files {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
@@ -124,8 +109,8 @@ var injectArity = map[string]int{"Inject": 1, "InjectContext": 2}
 
 // checkInjectCalls validates every call to a fault package's Inject or
 // InjectContext.
-func checkInjectCalls(pass *analysis.Pass, files []*ast.File) {
-	analysis.Preorder(files, func(n ast.Node) {
+func checkInjectCalls(pass *analysis.Pass) {
+	analysis.Preorder(pass.Files, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return

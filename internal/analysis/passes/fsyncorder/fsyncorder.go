@@ -25,8 +25,9 @@
 // destroying replica independence.
 //
 // os.CreateTemp is always allowed: temp files are the protocol's first
-// step and are swept on recovery. Test files are exempt — tests routinely
-// fabricate corrupt stores with raw writes.
+// step and are swept on recovery. Test files are out of scope: the loader
+// parses only a package's non-test files, so tests may fabricate corrupt
+// stores with raw writes.
 package fsyncorder
 
 import (
@@ -35,7 +36,6 @@ import (
 	"go/token"
 	"go/types"
 	"os"
-	"strings"
 
 	"nvbench/internal/analysis"
 )
@@ -72,9 +72,6 @@ func run(pass *analysis.Pass) []analysis.Diagnostic {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {

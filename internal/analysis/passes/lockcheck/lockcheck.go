@@ -13,14 +13,14 @@
 //     requests, (*sync.WaitGroup).Wait — made while a lock is held, which
 //     turns one slow peer into a pile-up behind the mutex.
 //
-// Test files are exempt: tests hold locks across arbitrary scaffolding.
+// Test files are out of scope: the loader parses only a package's non-test
+// files, so tests may hold locks across arbitrary scaffolding.
 package lockcheck
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"nvbench/internal/analysis"
 )
@@ -44,9 +44,6 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) []analysis.Diagnostic {
 	hot := analysis.PathMatchesAny(pass.Pkg.Path(), HotPathSuffixes)
 	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {

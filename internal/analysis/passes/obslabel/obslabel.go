@@ -64,15 +64,7 @@ var metricKinds = map[string]string{
 }
 
 func run(pass *analysis.Pass) []analysis.Diagnostic {
-	// Test files are exempt: registry tests mint throwaway series names
-	// that deliberately ignore the production conventions.
-	var files []*ast.File
-	for _, file := range pass.Files {
-		if !strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			files = append(files, file)
-		}
-	}
-	analysis.Preorder(files, func(n ast.Node) {
+	analysis.Preorder(pass.Files, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -211,5 +212,41 @@ func TestInstrumentedBuildLeavesSynthesizerBare(t *testing.T) {
 	}
 	if n := rec.Total(); n != traced {
 		t.Fatalf("bare build recorded %d events into the first build's ring", n-traced)
+	}
+}
+
+// TestExecuteEventsCountSharedExecutions reads the per-pair execute
+// events of a reference-corpus build: their candidates fields sum to the
+// reference candidate count, and their executions fields to the distinct
+// queries among them once the chart type is ignored — the executor runs
+// each such query once per pair.
+func TestExecuteEventsCountSharedExecutions(t *testing.T) {
+	corpus, err := spider.Generate(spider.Config{Seed: 1, NumDatabases: 40, PairsPerDB: 16, MaxRows: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewEventRecorder(1<<13, nil)
+	opts := DefaultOptions()
+	opts.Obs = &obs.Instruments{Events: rec}
+	if _, err := Build(corpus, opts); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Total() > 1<<13 {
+		t.Fatalf("build recorded %d events, more than the ring holds", rec.Total())
+	}
+	events := rec.Events(obs.EventFilter{Layer: obs.LayerBench, Site: obs.StageExecute})
+	candidates, executions := 0, 0
+	for _, e := range events {
+		c, err1 := strconv.Atoi(e.Field("candidates"))
+		x, err2 := strconv.Atoi(e.Field("executions"))
+		if err1 != nil || err2 != nil || x > c {
+			t.Fatalf("execute event fields %q: want executions ≤ candidates", e.Fields)
+		}
+		candidates += c
+		executions += x
+	}
+	if len(events) != len(corpus.Pairs) || candidates != 3681 || executions != 2333 {
+		t.Errorf("%d execute events summing to %d candidates and %d executions, want %d events, 3681 and 2333",
+			len(events), candidates, executions, len(corpus.Pairs))
 	}
 }

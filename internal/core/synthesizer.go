@@ -10,6 +10,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"nvbench/internal/ast"
 	"nvbench/internal/dataset"
@@ -69,41 +71,33 @@ type Edit struct {
 	Ops []EditOp
 }
 
-// Deletions returns Δ⁻.
-func (e Edit) Deletions() []EditOp {
-	var out []EditOp
-	for _, op := range e.Ops {
-		if op.IsDeletion() {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// Insertions returns Δ⁺.
-func (e Edit) Insertions() []EditOp {
-	var out []EditOp
-	for _, op := range e.Ops {
-		if !op.IsDeletion() {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // HasDeletions reports whether the script deletes anything — the cases the
 // paper routes to manual NL revision (Section 2.5).
-func (e Edit) HasDeletions() bool { return len(e.Deletions()) > 0 }
+func (e Edit) HasDeletions() bool {
+	for _, op := range e.Ops {
+		if op.IsDeletion() {
+			return true
+		}
+	}
+	return false
+}
 
 // Candidate is one synthesized vis tree with its edit script.
 type Candidate struct {
 	Query  *ast.Query
 	Edit   Edit
 	Source *ast.Query
+	// text is Query's canonical token line, rendered once by Candidates
+	// for its dedupe key; synthesize takes the execution key from it.
+	text string
 }
 
 // VisObject is a candidate that survived filtering, with its execution
-// artifacts attached.
+// artifacts attached. Result may be shared with other candidates of the
+// same pair whose trees differ only in their chart type, so it is
+// read-only. Nothing writes it: deepeye.FromResult and the render
+// package's *FromResult functions only read a result, and bench's
+// diverseTruncate reads only each object's chart type.
 type VisObject struct {
 	Candidate
 	Features deepeye.Features
@@ -180,45 +174,115 @@ func (s *Synthesizer) synthesize(ctx context.Context, db *dataset.Database, sql 
 	te := s.Obs.Begin(ctx, obs.LayerBench, obs.StageTreeEdit)
 	cands := s.Candidates(db, sql)
 	te.End("ok")
-	// Execute every candidate, then judge the ones that ran, so each pair
-	// records one execute and one deepeye stage.
+	// Execute every distinct query, then judge every candidate, so each
+	// pair records one execute and one deepeye stage.
 	ex := s.Obs.Begin(ctx, obs.LayerBench, obs.StageExecute)
-	results := make([]*dataset.Result, len(cands))
-	errs := make([]error, len(cands))
-	for i, c := range cands {
-		results[i], errs[i] = deepeye.Execute(db, c.Query)
-	}
-	ex.End("ok")
-	var kept []*VisObject
-	var rejected []Rejection
+	runs, executions := execute(db, cands)
+	ex.End("ok", "candidates", strconv.Itoa(len(cands)), "executions", strconv.Itoa(executions))
 	de := s.Obs.Begin(ctx, obs.LayerBench, obs.StageDeepEye)
 	defer de.End("ok")
+	featurize(db, cands, runs)
+	var kept []*VisObject
+	var rejected []Rejection
 	for i, c := range cands {
-		if err := errs[i]; err != nil {
+		r := &runs[i]
+		if r.err != nil {
 			// Transient (injected/flaky) execution failures are recorded in
 			// their own bucket: they are infrastructure losses, not
 			// chart-quality verdicts, and must not skew the Section 2.4
 			// rejection statistics.
-			reason := "execution: " + err.Error()
-			if fault.IsTransient(err) {
-				reason = "transient: " + err.Error()
+			reason := "execution: " + r.err.Error()
+			if fault.IsTransient(r.err) {
+				reason = "transient: " + r.err.Error()
 			}
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
 		}
-		feats := deepeye.FromResult(db, c.Query, results[i])
-		if ok, reason := s.Filter.Judge(feats); !ok {
+		if ok, reason := s.Filter.Judge(r.feats); !ok {
 			rejected = append(rejected, Rejection{Query: c.Query, Reason: reason})
 			continue
 		}
 		kept = append(kept, &VisObject{
 			Candidate: c,
-			Features:  feats,
-			Result:    results[i],
+			Features:  r.feats,
+			Result:    r.res,
 			Hardness:  ast.Classify(c.Query),
 		})
 	}
 	return kept, rejected, nil
+}
+
+// run is one candidate's execution and features as the pair loop judges
+// them. src is the index of the candidate whose execution it shares (its
+// own index when it ran the query, -1 after an injected fault).
+type run struct {
+	res   *dataset.Result
+	err   error
+	feats deepeye.Features
+	src   int
+}
+
+// execute runs each distinct query among one pair's candidates once. The
+// executor never reads the Visualize node, so candidates whose trees
+// differ only in their chart type share one execution, keyed by their
+// canonical text without its leading "visualize <chart>" tokens. The
+// execute fault site still fires once per candidate, before the lookup;
+// an injected error is that candidate's alone and is never stored, so a
+// later sibling runs or shares as if no fault had fired. It returns how
+// many queries reached the executor.
+func execute(db *dataset.Database, cands []Candidate) ([]run, int) {
+	runs := make([]run, len(cands))
+	first := make(map[string]int, len(cands))
+	executions := 0
+	for i, c := range cands {
+		if err := fault.Inject(fault.SiteExecute); err != nil {
+			// Wrapped as deepeye.Execute wraps it, so a transient
+			// rejection reads the same on either path.
+			runs[i] = run{err: fmt.Errorf("deepeye: %w", err), src: -1}
+			continue
+		}
+		key := execKey(c.text)
+		if j, ok := first[key]; ok {
+			runs[i] = run{res: runs[j].res, err: runs[j].err, src: j}
+			continue
+		}
+		first[key] = i
+		executions++
+		res, err := dataset.Execute(db, c.Query)
+		runs[i] = run{res: res, err: err, src: i}
+	}
+	return runs, executions
+}
+
+// execKey drops the leading "visualize <chart>" tokens from a candidate's
+// canonical text; chart tokens hold no spaces.
+func execKey(text string) string {
+	rest, ok := strings.CutPrefix(text, "visualize ")
+	if !ok {
+		return text
+	}
+	_, body, _ := strings.Cut(rest, " ")
+	return body
+}
+
+// featurize fills in the features of every candidate that executed.
+// deepeye.FromResult reads the query only through its chart type and the
+// first core's select attributes, and a candidate sharing an execution
+// has the same select list, so it takes the features of the candidate
+// that ran the query with its own chart type.
+func featurize(db *dataset.Database, cands []Candidate, runs []run) {
+	for i := range runs {
+		r := &runs[i]
+		if r.err != nil {
+			continue
+		}
+		if r.src == i {
+			r.feats = deepeye.FromResult(db, cands[i].Query, r.res)
+			continue
+		}
+		r.feats = runs[r.src].feats
+		r.feats.VisType = cands[i].Query.Visualize
+	}
 }
 
 // Candidates enumerates the candidate vis set T_V for one SQL tree
@@ -231,14 +295,14 @@ func (s *Synthesizer) Candidates(db *dataset.Database, sql *ast.Query) []Candida
 	var out []Candidate
 	seen := map[string]bool{}
 	add := func(c Candidate) bool {
-		key := c.Query.String()
-		if seen[key] {
+		c.text = c.Query.String()
+		if seen[c.text] {
 			return true
 		}
 		if c.Query.Validate() != nil {
 			return true
 		}
-		seen[key] = true
+		seen[c.text] = true
 		out = append(out, c)
 		return len(out) < maxC
 	}

@@ -51,7 +51,7 @@ import (
 const (
 	SiteParse      = "parse"      // sqlparser.TryParse entry
 	SiteSynthesize = "synthesize" // core.Synthesizer.Synthesize entry
-	SiteExecute    = "execute"    // deepeye.Execute (query execution, before featurization)
+	SiteExecute    = "execute"    // core's per-pair execute loop, once per candidate, and deepeye.Execute
 	SiteClassify   = "classify"   // deepeye classifier scoring
 	SiteVariants   = "variants"   // bench NL-variant generation
 	SiteRender     = "render"     // render.VegaLite and the server's cached-spec hits

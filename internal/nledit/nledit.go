@@ -153,7 +153,8 @@ func (e *Editor) applyInsertions(nl string, vis *ast.Query, edit core.Edit, r *r
 	base := strings.TrimRight(strings.TrimSpace(nl), ".!?")
 	var suffixes []string
 	visInserted := false
-	for _, op := range edit.Insertions() {
+	// Deletions (Δ⁻) match no case: only Δ⁺ rewrites the question here.
+	for _, op := range edit.Ops {
 		switch op.Kind {
 		case core.InsertVisualize:
 			visInserted = true
